@@ -1,16 +1,34 @@
 """Pairwise-angle kernels.
 
-The Gram matrix of unit columns drives everything: principal angles are
-arccos of its entries clamped to [-1, 1], acute angles use the absolute
-value.  For N points this is O(N^2 n) work; the full N x N table is
-materialized only up to ``DEFAULT_TABLE_CAP`` points, above which row-block
-streaming computes the same reductions without the quadratic memory.
+The Gram matrix g = V^T V of the unit columns drives everything: principal
+angles are arccos of its entries clamped to [-1, 1], acute angles use the
+absolute value.  The detector reads it through one streaming kernel,
+``gram_scan``.  It multiplies row block [s, e) against columns s onward, so
+it visits only the upper band, sees each unordered pair once, and reduces
+each block along both its rows and its columns.  That is half the Gram
+flops of a full product.  Each block holds about ``_BLOCK_BYTES``, so the
+kernel's temporary memory is O(block * N) and never N x N.
+
+No decision takes arccos over the N^2 entries.  Two identities give the
+scores from |g| directly:
+
+    q_i  = arccos(max_{j != i} |g_ij|)
+    na_i = #{j != i : |g_ij| < t},  t = the smallest double with arccos(t) <= zeta
+
+``t`` is found by bisection against ``np.arccos`` itself, so both hold
+bitwise against the arccos form wherever ``np.arccos`` is monotone.  The
+mean principal angle takes arccos over the strict upper triangle only.
+
+The table functions (``pairwise_*``, ``min_angle_scores``,
+``count_above_threshold``, ``mean_principal_angle``) build N x N tables for
+inspection and small inputs; no detector path uses them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,27 +36,25 @@ from .data import NormalizedMatrix, normalize_columns
 from .errors import DimensionError, ValidationError
 
 __all__ = [
-    "DEFAULT_TABLE_CAP",
-    "DEFAULT_BLOCK",
     "AngleScores",
+    "GramScan",
     "pairwise_acute_angles",
     "pairwise_principal_angles",
-    "acute_table_with_signs",
     "min_angle_scores",
     "count_above_threshold",
     "mean_principal_angle",
-    "fold_mean_theta",
-    "blocked_q_and_mean",
-    "blocked_na",
+    "gram_scan",
     "min_pair",
     "acute_row",
     "angle_scores",
 ]
 
-DEFAULT_TABLE_CAP = 20000
-DEFAULT_BLOCK = 2048
+# Bytes of one Gram block; the rows per block follow from it and N.  The
+# kernel holds two such blocks (the Gram and its arccos) at a time.
+_BLOCK_BYTES = 8 << 20
 
 _HALF_PI = math.pi / 2.0
+_ONE_BITS = int(np.float64(1.0).view(np.int64))
 
 
 def _values(x) -> np.ndarray:
@@ -75,23 +91,6 @@ def pairwise_principal_angles(x) -> np.ndarray:
     theta = np.arccos(g)
     np.fill_diagonal(theta, 0.0)
     return theta
-
-
-def acute_table_with_signs(x) -> tuple[np.ndarray, np.ndarray]:
-    """Acute-angle table plus the mask of negative Gram entries.
-
-    The mask lets callers reconstruct principal angles as pi - phi where the
-    inner product was negative, without a second arccos pass.
-    """
-    v = _values(x)
-    g = _sym_gram(v)
-    neg = g < 0.0
-    np.abs(g, out=g)
-    np.clip(g, 0.0, 1.0, out=g)
-    phi = np.arccos(g)
-    np.fill_diagonal(phi, 0.0)
-    np.fill_diagonal(neg, False)
-    return phi, neg
 
 
 def min_angle_scores(phi: np.ndarray) -> np.ndarray:
@@ -131,84 +130,105 @@ def mean_principal_angle(theta: np.ndarray) -> float:
     return float(theta.sum() / (n * (n - 1)))
 
 
-def fold_mean_theta(phi: np.ndarray, neg: np.ndarray) -> float:
-    """Mean principal angle recovered from the acute table and sign mask."""
-    n = phi.shape[0]
-    if n < 2:
-        raise ValidationError("need at least 2 points for a mean angle")
-    total = phi.sum() + math.pi * neg.sum() - 2.0 * phi[neg].sum()
-    return float(total / (n * (n - 1)))
+def _cut(theta: float) -> float:
+    """Smallest double t in [0, 1] with np.arccos(t) <= theta.
+
+    With arccos non-increasing, |g| >= t exactly when
+    arccos(min(|g|, 1)) <= theta.  The bisection runs over the bit patterns
+    of non-negative doubles, which sort like the doubles themselves.
+    """
+    if np.arccos(0.0) <= theta:
+        return 0.0
+    lo, hi = 0, _ONE_BITS  # arccos(lo) > theta >= arccos(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if np.arccos(np.int64(mid).view(np.float64)) <= theta:
+            hi = mid
+        else:
+            lo = mid
+    return float(np.int64(hi).view(np.float64))
 
 
-def _row_block(v: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    g = v[:, start:stop].T @ v
-    neg = g < 0.0
-    np.abs(g, out=g)
-    np.clip(g, 0.0, 1.0, out=g)
-    phi = np.arccos(g)
-    idx = np.arange(start, stop)
-    phi[idx - start, idx] = 0.0
-    neg[idx - start, idx] = False
-    return phi, neg
+class GramScan(NamedTuple):
+    """What one ``gram_scan`` pass found; fields it was not asked for are None."""
+
+    q: np.ndarray | None
+    mean_theta: float | None
+    na: np.ndarray | None
+    pair: tuple[int, int] | None
 
 
-def blocked_q_and_mean(x, block_size: int = DEFAULT_BLOCK) -> tuple[np.ndarray, float]:
-    """Streaming q_i and mean principal angle; never builds the N x N table."""
+def gram_scan(x, zeta: float | None = None, *, stats: bool = True,
+              closest: bool = False) -> GramScan:
+    """One streaming pass over the upper band of the Gram matrix.
+
+    ``stats`` gives the nearest acute angle q_i and the mean principal
+    angle over unordered pairs; ``zeta`` gives na_i = #{j : phi_ij > zeta};
+    ``closest`` gives the pair (i, j), i < j, with the smallest acute angle,
+    ties going to the first pair in row-major order.
+    """
+    if zeta is not None:
+        zeta = float(zeta)
+        if not (0.0 < zeta < _HALF_PI):
+            raise ValueError(f"threshold must lie in (0, pi/2), got {zeta!r}")
+        cut = _cut(zeta)
     v = _values(x)
     n_pts = v.shape[1]
     if n_pts < 2:
         raise ValidationError("need at least 2 points")
-    q = np.empty(n_pts)
+    rows = min(n_pts, max(1, _BLOCK_BYTES // (8 * n_pts)))
+    gram_buf = np.empty(rows * n_pts)
+    theta_buf = np.empty(rows * n_pts) if stats else None
+    hit_buf = np.empty(rows * n_pts, dtype=bool) if zeta is not None else None
+    # Diagonal and below of a block's leading square: pairs seen elsewhere.
+    lower = np.tri(rows, dtype=bool)
+    peak = np.full(n_pts, -1.0)
+    near = np.zeros(n_pts, dtype=np.int64)
     total = 0.0
-    for start in range(0, n_pts, block_size):
-        stop = min(start + block_size, n_pts)
-        phi, neg = _row_block(v, start, stop)
-        total += phi.sum() + math.pi * neg.sum() - 2.0 * phi[neg].sum()
-        idx = np.arange(start, stop)
-        phi[idx - start, idx] = np.inf
-        q[start:stop] = phi.min(axis=1)
-    return q, float(total / (n_pts * (n_pts - 1)))
+    best, pair = np.inf, None
+    for start in range(0, n_pts, rows):
+        stop = min(start + rows, n_pts)
+        height, width = stop - start, n_pts - start
+        size, shape = height * width, (height, width)
+        g = gram_buf[:size].reshape(shape)
+        np.matmul(v[:, start:stop].T, v[:, start:], out=g)
+        mask = lower[:height, :height]
+        if stats:
+            theta = theta_buf[:size].reshape(shape)
+            np.clip(g, -1.0, 1.0, out=theta)
+            np.arccos(theta, out=theta)
+            np.copyto(theta[:, :height], 0.0, where=mask)
+            total += float(theta.sum())
+        np.abs(g, out=g)
+        np.copyto(g[:, :height], -1.0, where=mask)
+        if stats:
+            np.maximum(peak[start:stop], g.max(axis=1), out=peak[start:stop])
+            np.maximum(peak[start:], g.max(axis=0), out=peak[start:])
+        if zeta is not None:
+            hit = np.greater_equal(g, cut, out=hit_buf[:size].reshape(shape))
+            near[start:stop] += np.count_nonzero(hit, axis=1)
+            near[start:] += np.count_nonzero(hit, axis=0)
+        if closest:
+            angle = np.arccos(min(g.max(), 1.0))
+            if angle < best:  # a tie in a later block is later in row-major order
+                best = angle
+                # the first entry in row-major order at this angle, decided
+                # in angle space: ties in arccos need not tie in |g|
+                flat = int(np.argmax(g >= _cut(angle)))
+                pair = (start + flat // width, start + flat % width)
+    q = np.arccos(np.minimum(peak, 1.0)) if stats else None
+    mean_theta = total / (n_pts * (n_pts - 1) / 2) if stats else None
+    na = n_pts - 1 - near if zeta is not None else None
+    return GramScan(q=q, mean_theta=mean_theta, na=na, pair=pair)
 
 
-def blocked_na(x, zeta: float, block_size: int = DEFAULT_BLOCK) -> np.ndarray:
-    """Streaming na_i counts at threshold zeta."""
-    zeta = float(zeta)
-    if not (0.0 < zeta < _HALF_PI):
-        raise ValueError(f"threshold must lie in (0, pi/2), got {zeta!r}")
-    v = _values(x)
-    n_pts = v.shape[1]
-    na = np.empty(n_pts, dtype=np.int64)
-    for start in range(0, n_pts, block_size):
-        stop = min(start + block_size, n_pts)
-        phi, _ = _row_block(v, start, stop)
-        na[start:stop] = (phi > zeta).sum(axis=1)
-    return na
-
-
-def min_pair(x, block_size: int = DEFAULT_BLOCK) -> tuple[int, int]:
+def min_pair(x) -> tuple[int, int]:
     """Indices (i, j), i < j, of the globally smallest acute angle.
 
     Ties resolve to the first pair in row-major order, i.e. smallest i then
     smallest j.
     """
-    v = _values(x)
-    n_pts = v.shape[1]
-    if n_pts < 2:
-        raise ValidationError("need at least 2 points")
-    best = np.inf
-    best_pair = (0, 1)
-    for start in range(0, n_pts, block_size):
-        stop = min(start + block_size, n_pts)
-        phi, _ = _row_block(v, start, stop)
-        idx = np.arange(start, stop)
-        phi[idx - start, idx] = np.inf
-        flat = int(np.argmin(phi))
-        value = phi.flat[flat]
-        if value < best:
-            best = value
-            best_pair = (start + flat // n_pts, flat % n_pts)
-    i, j = best_pair
-    return (i, j) if i < j else (j, i)
+    return gram_scan(x, stats=False, closest=True).pair
 
 
 def acute_row(x, i: int) -> np.ndarray:
@@ -248,22 +268,11 @@ class AngleScores:
         object.__setattr__(self, "na", na)
 
 
-def angle_scores(x, zeta: float, table_cap: int = DEFAULT_TABLE_CAP,
-                 block_size: int = DEFAULT_BLOCK) -> AngleScores:
+def angle_scores(x, zeta: float) -> AngleScores:
     """Compute q, na, and the mean principal angle at a known threshold.
 
-    Materializes the full angle table when the point count stays within
-    ``table_cap`` and streams row blocks otherwise; both routes return the
-    same scores.
+    One ``gram_scan`` pass.
     """
-    v = _values(x)
-    n_pts = v.shape[1]
-    if n_pts <= table_cap:
-        phi, neg = acute_table_with_signs(v)
-        q = min_angle_scores(phi)
-        na = count_above_threshold(phi, zeta)
-        mean_theta = fold_mean_theta(phi, neg)
-    else:
-        q, mean_theta = blocked_q_and_mean(v, block_size)
-        na = blocked_na(v, zeta, block_size)
-    return AngleScores(q=q, na=na, mean_theta=mean_theta, zeta=float(zeta))
+    scan = gram_scan(x, zeta)
+    return AngleScores(q=scan.q, na=scan.na, mean_theta=scan.mean_theta,
+                       zeta=float(zeta))

@@ -21,10 +21,10 @@ from .detector import roma, roma_n
 from .errors import FeasibilityError, RomaError
 from .experiments import ExperimentConfig, config_from_dict, default_config
 from .subspace import lre, recover_subspace
+from .threshold import MODES
 
 __all__ = ["main", "build_parser"]
 
-_MODES = ("theoretical", "adapted")
 _STAGES = ("roma", "roma-n")
 _CHOICES = ("detect",) + experiments.EXPERIMENTS
 
@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "for scoring the detection")
     d.add_argument("--orientation", choices=("columns", "rows"), default="columns",
                    help="whether points are columns or rows of --input")
-    d.add_argument("--mode", choices=_MODES, default=None,
+    d.add_argument("--mode", choices=MODES, default=None,
                    help="threshold center: pi/2 (theoretical, the default) or "
                         "the sample mean angle (adapted)")
     d.add_argument("--stage", choices=_STAGES, default=None,

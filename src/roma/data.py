@@ -1,16 +1,19 @@
 """Data containers and CSV ingestion.
 
 Points are stored one per column in float64 matrices.  CSV files may lay
-points out either way; ``orientation`` says which, and an optional single
-header row is auto-detected (any first row whose fields do not all parse as
-finite numbers).  All containers are frozen and their arrays are marked
-read-only after validation.
+points out either way; ``orientation`` says which.  Files are read as UTF-8
+with an optional byte-order mark.  An optional single header row is
+auto-detected: a first row none of whose fields parse as finite numbers.  A
+first row that parses only in part is a data row with a bad field, not a
+header.  All containers are frozen and their arrays are marked read-only
+after validation.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,29 +196,33 @@ def _parse_field(text: str, row: int, col: int) -> float:
     return value
 
 
+def _is_number(text: str) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
 def load_csv_matrix(path, orientation: str = "points-as-rows") -> DataMatrix:
     """Read a numeric CSV into a DataMatrix.
 
     Fields must parse as finite reals (decimal point, no thousands
-    separators).  A single leading header row is skipped when any of its
-    fields fails to parse.  Errors carry 1-based coordinates.
+    separators).  A single leading header row is skipped when none of its
+    fields parses; a leading row that parses only in part raises at its
+    first bad field.  A UTF-8 byte-order mark is ignored.  Errors carry
+    1-based coordinates.
     """
     if orientation not in ORIENTATIONS:
         raise ValidationError(
             f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
     rows: list[list[float]] = []
     width = None
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for i, raw in enumerate(reader, start=1):
             fields = [f.strip() for f in raw]
-            if i == 1:
-                try:
-                    rows.append([_parse_field(f, i, j + 1) for j, f in enumerate(fields)])
-                except ParseError:
-                    continue  # header row
-                width = len(fields)
-                continue
+            if i == 1 and not any(_is_number(f) for f in fields):
+                continue  # header row
             if width is None:
                 width = len(fields)
             if len(fields) != width:

@@ -15,18 +15,15 @@ count.  Ties go to the inlier side.  Stage-1 outliers stay outliers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import (DEFAULT_BLOCK, DEFAULT_TABLE_CAP, AngleScores, acute_row,
-                     acute_table_with_signs, blocked_na, blocked_q_and_mean,
-                     count_above_threshold, fold_mean_theta, min_angle_scores,
-                     min_pair)
+from .angles import AngleScores, acute_row, angle_scores, gram_scan
 from .data import DataMatrix, NormalizedMatrix, Partition, normalize_columns
 from .errors import DegenerateRegimeError, ValidationError
 from .threshold import MODES, ThresholdSpec, zeta_with_center
-import math
 
 __all__ = ["RomaResult", "RomaNResult", "roma", "roma_n"]
 
@@ -68,8 +65,7 @@ def _normalized(m) -> NormalizedMatrix:
     return x
 
 
-def roma(m, mode: str = "theoretical", *, table_cap: int = DEFAULT_TABLE_CAP,
-         block_size: int = DEFAULT_BLOCK) -> RomaResult:
+def roma(m, mode: str = "theoretical") -> RomaResult:
     """Stage-1 detection: outliers are points with q_i > zeta.
 
     Parameters
@@ -79,28 +75,26 @@ def roma(m, mode: str = "theoretical", *, table_cap: int = DEFAULT_TABLE_CAP,
         mean principal angle)
 
     Returns a RomaResult whose scores carry q, na at the threshold actually
-    used, and the sample mean principal angle.
+    used, and the sample mean principal angle.  The theoretical threshold is
+    known up front, so that mode makes one Gram pass; the adapted mode makes
+    a second one for na at the recentred threshold.
     """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     x = _normalized(m)
-    n_pts = x.num_points
-    if n_pts <= table_cap:
-        phi, neg = acute_table_with_signs(x.values)
-        mean_theta = fold_mean_theta(phi, neg)
-        center = mean_theta if mode == "adapted" else math.pi / 2.0
-        spec = zeta_with_center(x.n, n_pts, center, mode)
-        q = min_angle_scores(phi)
-        na = count_above_threshold(phi, spec.zeta)
+    if mode == "adapted":
+        scan = gram_scan(x)
+        spec = zeta_with_center(x.n, x.num_points, scan.mean_theta, mode)
+        na = gram_scan(x, spec.zeta, stats=False).na
+        scores = AngleScores(q=scan.q, na=na, mean_theta=scan.mean_theta,
+                             zeta=spec.zeta)
     else:
-        q, mean_theta = blocked_q_and_mean(x.values, block_size)
-        center = mean_theta if mode == "adapted" else math.pi / 2.0
-        spec = zeta_with_center(x.n, n_pts, center, mode)
-        na = blocked_na(x.values, spec.zeta, block_size)
-    scores = AngleScores(q=q, na=na, mean_theta=mean_theta, zeta=spec.zeta)
+        spec = zeta_with_center(x.n, x.num_points, math.pi / 2.0, mode)
+        scores = angle_scores(x, spec.zeta)
     outliers = np.flatnonzero(scores.q > spec.zeta)
     inliers = np.flatnonzero(scores.q <= spec.zeta)
-    partition = Partition(inliers=inliers, outliers=outliers, num_points=n_pts)
+    partition = Partition(inliers=inliers, outliers=outliers,
+                          num_points=x.num_points)
     return RomaResult(partition=partition, scores=scores, threshold=spec)
 
 
@@ -112,43 +106,32 @@ def _numerical_rank(cols: np.ndarray) -> int:
     return int((s > RANK_TOL * s[0]).sum())
 
 
-def roma_n(m, mode: str = "theoretical", *, rank_disambiguate: bool = False,
-           table_cap: int = DEFAULT_TABLE_CAP,
-           block_size: int = DEFAULT_BLOCK) -> RomaNResult:
+def roma_n(m, mode: str = "theoretical", *,
+           rank_disambiguate: bool = False) -> RomaNResult:
     """Two-stage detection that also separates clustered outliers.
 
     ``rank_disambiguate`` enables an optional check that swaps the two
     stage-2 clusters when the nominal outlier cluster has the lower
     rank-to-size ratio (a tight subspace cluster looks more inlier-like than
     a full-rank one).  Off by default.
+
+    Stage 2 makes one Gram pass over the survivors (na and the closest
+    pair) plus one matrix-vector product for the outlier head.
     """
     x = _normalized(m)
-    stage1 = roma(x, mode, table_cap=table_cap, block_size=block_size)
+    stage1 = roma(x, mode)
     survivors = stage1.partition.inliers
     if survivors.size < 2:
         raise DegenerateRegimeError(
             f"stage 1 kept {survivors.size} point(s); stage 2 needs at least 2")
-    zeta = stage1.threshold.zeta
     xs = NormalizedMatrix(x.values[:, survivors])
-    ns = xs.num_points
-    if ns <= table_cap:
-        phi_s, _ = acute_table_with_signs(xs.values)
-        na_s = count_above_threshold(phi_s, zeta)
-        masked = phi_s.copy()
-        np.fill_diagonal(masked, np.inf)
-        flat = int(np.argmin(masked))
-        i_local, j_local = flat // ns, flat % ns
-        if j_local < i_local:
-            i_local, j_local = j_local, i_local
-        head_row = phi_s[i_local]
-    else:
-        na_s = blocked_na(xs.values, zeta, block_size)
-        i_local, j_local = min_pair(xs.values, block_size)
-        head_row = acute_row(xs.values, i_local)
+    scan = gram_scan(xs, stage1.threshold.zeta, stats=False, closest=True)
+    na_s = scan.na
+    i_local = scan.pair[0]
     # Outlier head: survivor farthest from i*.  phi[i*, i*] = 0 can only
     # attain the max when every angle is zero, and the heads must differ, so
     # i* is excluded before the argmax.
-    row = head_row.copy()
+    row = acute_row(xs, i_local)
     row[i_local] = -np.inf
     o_local = int(np.argmax(row))
     dist_in = np.abs(na_s - na_s[i_local])

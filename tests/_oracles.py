@@ -52,7 +52,12 @@ def quad_angle_mass(dim: int, lo: float, hi: float) -> float:
 
 
 def brute_acute_angles(cols: np.ndarray) -> np.ndarray:
-    """All pairwise acute angles via explicit loops, no Gram tricks."""
+    """All pairwise acute angles via explicit loops, no Gram tricks.
+
+    The angle is numpy's arccos, the one the method is defined with: libm's
+    acos differs from it in the last ulp on some inputs, which decides the
+    count at a pair planted exactly on the threshold.
+    """
     cols = np.asarray(cols, dtype=float)
     n_pts = cols.shape[1]
     out = np.zeros((n_pts, n_pts))
@@ -63,7 +68,7 @@ def brute_acute_angles(cols: np.ndarray) -> np.ndarray:
             xi = cols[:, i] / np.linalg.norm(cols[:, i])
             xj = cols[:, j] / np.linalg.norm(cols[:, j])
             c = abs(float(xi @ xj))
-            out[i, j] = math.acos(min(c, 1.0))
+            out[i, j] = np.arccos(min(c, 1.0))
     return out
 
 
@@ -77,6 +82,19 @@ def brute_na(cols: np.ndarray, zeta: float) -> np.ndarray:
     table = brute_acute_angles(cols)
     np.fill_diagonal(table, -np.inf)
     return (table > zeta).sum(axis=1)
+
+
+def brute_heads(cols: np.ndarray) -> tuple[int, int, int]:
+    """Closest pair (i, j), first in row-major order, and the point farthest
+    from i: the stage-2 inlier head is i and the outlier head the third."""
+    table = brute_acute_angles(cols)
+    n_pts = table.shape[0]
+    masked = table.copy()
+    np.fill_diagonal(masked, np.inf)
+    i, j = divmod(int(np.argmin(masked)), n_pts)
+    row = table[i].copy()
+    row[i] = -np.inf
+    return i, j, int(np.argmax(row))
 
 
 def brute_mean_principal(cols: np.ndarray) -> float:

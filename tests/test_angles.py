@@ -5,22 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roma.angles import (AngleScores, acute_row, acute_table_with_signs,
-                         angle_scores, blocked_na, blocked_q_and_mean,
-                         count_above_threshold, fold_mean_theta,
+from roma import angles
+from roma.angles import (AngleScores, _cut, acute_row, angle_scores,
+                         count_above_threshold, gram_scan,
                          mean_principal_angle, min_angle_scores, min_pair,
                          pairwise_acute_angles, pairwise_principal_angles)
 from roma.data import normalize_columns
 from roma.errors import DimensionError, ValidationError
+from roma.threshold import compute_zeta
 
-from _oracles import (brute_acute_angles, brute_mean_principal, brute_min_scores,
-                      brute_na)
+from _oracles import (brute_acute_angles, brute_heads, brute_mean_principal,
+                      brute_min_scores, brute_na)
 
 
 def unit_cloud(n, pts, seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((n, pts))
     return v / np.linalg.norm(v, axis=0)
+
+
+def block_rows(monkeypatch, rows, pts):
+    """Size the kernel's Gram blocks to ``rows`` rows of ``pts`` columns."""
+    monkeypatch.setattr(angles, "_BLOCK_BYTES", 8 * pts * rows)
 
 
 def test_tables_match_brute_force():
@@ -39,15 +45,6 @@ def test_tables_bitwise_symmetric():
     assert (phi == phi.T).all()
     theta = pairwise_principal_angles(v)
     assert (theta == theta.T).all()
-
-
-def test_acute_signs_recover_principal():
-    v = unit_cloud(5, 12, 2)
-    phi, neg = acute_table_with_signs(v)
-    theta = np.where(neg, math.pi - phi, phi)
-    np.testing.assert_allclose(theta, pairwise_principal_angles(v),
-                               rtol=0.0, atol=1e-12)
-    assert not neg.diagonal().any()
 
 
 def test_min_scores_and_na_match_brute_force():
@@ -100,34 +97,74 @@ def test_mean_angle_matches_brute_force():
         brute_mean_principal(v), abs=1e-12)
 
 
-def test_fold_mean_equals_principal_mean():
+def test_scan_mean_equals_principal_mean():
     v = unit_cloud(8, 40, 8)
-    phi, neg = acute_table_with_signs(v)
     direct = mean_principal_angle(pairwise_principal_angles(v))
-    assert fold_mean_theta(phi, neg) == pytest.approx(direct, abs=1e-12)
+    assert gram_scan(v).mean_theta == pytest.approx(direct, abs=1e-12)
+    assert gram_scan(v).mean_theta == pytest.approx(brute_mean_principal(v),
+                                                    abs=1e-12)
 
 
 @pytest.mark.parametrize("block", [1, 3, 7, 64])
-def test_blocked_matches_full(block):
+def test_blocked_matches_full(block, monkeypatch):
+    # 1 row, odd row counts, and a block taller than the 33 points
     v = unit_cloud(9, 33, 9)
-    phi, neg = acute_table_with_signs(v)
-    q_full = min_angle_scores(phi)
-    mean_full = fold_mean_theta(phi, neg)
-    q_blk, mean_blk = blocked_q_and_mean(v, block_size=block)
-    np.testing.assert_allclose(q_blk, q_full, rtol=0.0, atol=1e-12)
-    assert mean_blk == pytest.approx(mean_full, abs=1e-12)
+    block_rows(monkeypatch, block, 33)
     zeta = 1.2
-    np.testing.assert_array_equal(blocked_na(v, zeta, block_size=block),
-                                  count_above_threshold(phi, zeta))
+    scan = gram_scan(v, zeta, closest=True)
+    np.testing.assert_allclose(scan.q, brute_min_scores(v), rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(scan.na, brute_na(v, zeta))
+    assert scan.mean_theta == pytest.approx(brute_mean_principal(v), abs=1e-12)
+    assert scan.pair == brute_heads(v)[:2]
 
 
-def test_angle_scores_dispatch_agrees():
+def test_angle_scores_dispatch_agrees(monkeypatch):
+    # every block size the byte budget can pick gives the oracle's scores
     v = unit_cloud(7, 30, 10)
-    full = angle_scores(v, zeta=1.3, table_cap=1000)
-    streamed = angle_scores(v, zeta=1.3, table_cap=5, block_size=4)
-    np.testing.assert_allclose(streamed.q, full.q, rtol=0.0, atol=1e-12)
-    np.testing.assert_array_equal(streamed.na, full.na)
-    assert streamed.mean_theta == pytest.approx(full.mean_theta, abs=1e-12)
+    for rows in (1, 4, 30):
+        block_rows(monkeypatch, rows, 30)
+        got = angle_scores(v, zeta=1.3)
+        np.testing.assert_allclose(got.q, brute_min_scores(v), rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(got.na, brute_na(v, 1.3))
+        assert got.mean_theta == pytest.approx(brute_mean_principal(v), abs=1e-12)
+        assert got.zeta == 1.3
+
+
+@pytest.mark.parametrize("n, num_points", [(12, 50), (20, 100), (100, 1000),
+                                           (100, 5000), (10 ** 4, 10 ** 7)])
+def test_cut_is_smallest_double_at_zeta(n, num_points):
+    zeta = compute_zeta(n, num_points).zeta
+    t = _cut(zeta)
+    assert 0.0 < t < 1.0
+    assert np.arccos(t) <= zeta < np.arccos(np.nextafter(t, 0.0))
+    # |g| >= t equals arccos(|g|) <= zeta only where np.arccos is monotone
+    bits = np.float64(t).view(np.int64) + np.arange(-10_000, 10_001)
+    assert np.all(np.diff(np.arccos(bits.view(np.float64))) <= 0.0)
+
+
+def _exact_unit(c):
+    """A column (c, s) whose norm is exactly 1.0, so no rescaling moves c."""
+    s = math.sqrt(1.0 - c * c)
+    while np.linalg.norm([c, s]) != 1.0:
+        s = np.nextafter(s, 2.0 if np.linalg.norm([c, s]) < 1.0 else 0.0)
+    return s
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_na_at_the_cut_matches_oracle(rows, monkeypatch):
+    # |g| exactly at t: arccos(t) <= zeta, not counted; one double below:
+    # counted.  Every other pair is orthogonal, so every Gram entry is exact.
+    zeta = compute_zeta(100, 1000).zeta
+    t = _cut(zeta)
+    below = np.nextafter(t, 0.0)
+    v = np.zeros((4, 4))
+    v[0, 0] = v[2, 2] = 1.0
+    v[:2, 1] = t, _exact_unit(t)
+    v[2:, 3] = -below, -_exact_unit(below)   # the antipodal side of the pair
+    block_rows(monkeypatch, rows, 4)
+    na = angle_scores(v, zeta).na
+    np.testing.assert_array_equal(na, [2, 2, 3, 3])
+    np.testing.assert_array_equal(na, brute_na(v, zeta))
 
 
 def test_angle_scores_normalizes_containers_only():
@@ -143,15 +180,16 @@ def test_angle_scores_normalizes_containers_only():
         angle_scores(raw, zeta=1.0)
 
 
-def test_min_pair_finds_planted_pair():
+def test_min_pair_finds_planted_pair(monkeypatch):
     v = unit_cloud(6, 25, 12)
     w = v[:, 4] + 1e-6 * v[:, 9]
     v[:, 17] = w / np.linalg.norm(w)
     assert min_pair(v) == (4, 17)
-    assert min_pair(v, block_size=3) == (4, 17)
+    block_rows(monkeypatch, 3, 25)
+    assert min_pair(v) == (4, 17)
 
 
-def test_min_pair_tie_breaks_row_major():
+def test_min_pair_tie_breaks_row_major(monkeypatch):
     # standard basis columns give exact 0/1 dot products, so the two planted
     # coincident pairs tie at angle exactly zero
     v = np.zeros((6, 10))
@@ -162,7 +200,25 @@ def test_min_pair_tie_breaks_row_major():
     v[:, 4:] += 0.001                  # break the remaining exact ties
     v = v / np.linalg.norm(v, axis=0)
     assert min_pair(v) == (0, 3)
-    assert min_pair(v, block_size=2) == (0, 3)
+    for rows in (1, 2, 3):   # the tied pairs in one block, or in two
+        block_rows(monkeypatch, rows, 10)
+        assert min_pair(v) == (0, 3)
+
+
+def test_min_pair_ties_in_angle_not_gram(monkeypatch):
+    # two Gram values one double apart with the same arccos: the pairs tie
+    # in angle, so the first in row-major order wins, not the larger |g|
+    lo = 0.3
+    while np.arccos(lo) != np.arccos(np.nextafter(lo, 1.0)):
+        lo = np.nextafter(lo, 1.0)
+    hi = np.nextafter(lo, 1.0)
+    v = np.zeros((4, 4))
+    v[0, 0] = v[2, 2] = 1.0
+    v[:2, 1] = lo, _exact_unit(lo)
+    v[2:, 3] = hi, _exact_unit(hi)
+    for rows in (1, 4):
+        block_rows(monkeypatch, rows, 4)
+        assert min_pair(v) == (0, 1)
 
 
 def test_acute_row_matches_table():

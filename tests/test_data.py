@@ -47,6 +47,25 @@ def test_load_all_numeric_first_row_is_data(tmp_path):
     assert load_csv_matrix(p).num_points == 3
 
 
+def test_load_utf8_bom_keeps_first_row(tmp_path):
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbf1,2,3\n4,5,6\n7,8,9\n1,0,1\n")
+    m = load_csv_matrix(p)
+    assert m.num_points == 4
+    np.testing.assert_array_equal(m.values[:, 0], [1.0, 2.0, 3.0])
+    # a header after the mark is still a header
+    p.write_bytes(b"\xef\xbb\xbfx,y,z\n4,5,6\n7,8,9\n")
+    assert load_csv_matrix(p).num_points == 2
+
+
+def test_load_partly_numeric_first_row_is_an_error(tmp_path):
+    # one typo in row 1 must not turn the row into a header and drop it
+    p = _write(tmp_path, "1,2,x\n4,5,6\n7,8,9\n1,0,1\n")
+    with pytest.raises(ParseError) as exc:
+        load_csv_matrix(p)
+    assert (exc.value.row, exc.value.column) == (1, 3)
+
+
 def test_load_ragged_row(tmp_path):
     p = _write(tmp_path, "1,2,3\n4,5\n")
     with pytest.raises(ParseError) as exc:

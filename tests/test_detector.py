@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from roma import angles
 from roma.angles import count_above_threshold, pairwise_acute_angles
 from roma.data import DataMatrix, Label, NormalizedMatrix
 from roma.detector import RomaNResult, RomaResult, roma, roma_n
@@ -11,6 +12,9 @@ from roma.synth import (ColumnStreams, SynthSpec, make_dataset,
                         random_subspace, sample_clustered_inliers,
                         sample_clustered_outliers, sample_uniform_inliers,
                         shuffle_and_label)
+
+from _oracles import (brute_heads, brute_mean_principal, brute_min_scores,
+                      brute_na)
 
 
 def planted(seed=5, n=60, r=8, num_points=300, gamma=0.3):
@@ -41,16 +45,21 @@ def test_roma_deterministic():
     np.testing.assert_array_equal(a.partition.outliers, b.partition.outliers)
 
 
-def test_roma_blocked_path_agrees():
+def test_roma_blocked_path_agrees(monkeypatch):
     ds = planted(seed=7, num_points=150)
-    full = roma(ds.matrix)
-    blocked = roma(ds.matrix, table_cap=10, block_size=16)
-    np.testing.assert_array_equal(blocked.partition.outliers,
-                                  full.partition.outliers)
-    np.testing.assert_allclose(blocked.scores.q, full.scores.q,
-                               rtol=0.0, atol=1e-12)
-    np.testing.assert_array_equal(blocked.scores.na, full.scores.na)
-    assert blocked.scores.mean_theta == pytest.approx(full.scores.mean_theta,
+    v = ds.matrix.values
+    q = brute_min_scores(v)
+    for rows in (1, 16, 150):
+        monkeypatch.setattr(angles, "_BLOCK_BYTES", 8 * 150 * rows)
+        res = roma(ds.matrix)
+        zeta = res.threshold.zeta
+        np.testing.assert_allclose(res.scores.q, q, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(res.scores.na, brute_na(v, zeta))
+        np.testing.assert_array_equal(res.partition.outliers,
+                                      np.flatnonzero(q > zeta))
+        np.testing.assert_array_equal(res.partition.outliers,
+                                      ds.outlier_indices)
+        assert res.scores.mean_theta == pytest.approx(brute_mean_principal(v),
                                                       abs=1e-12)
 
 
@@ -132,14 +141,19 @@ def test_roma_n_survivor_counts_match_submatrix():
         res.na_survivors, count_above_threshold(phi, res.stage1.threshold.zeta))
 
 
-def test_roma_n_blocked_path_agrees():
+def test_roma_n_blocked_path_agrees(monkeypatch):
     m = structured_case(seed=34, n_in=90, n_out=30)
-    full = roma_n(m)
-    blocked = roma_n(m, table_cap=10, block_size=16)
-    np.testing.assert_array_equal(blocked.partition.outliers,
-                                  full.partition.outliers)
-    assert blocked.inlier_head == full.inlier_head
-    assert blocked.outlier_head == full.outlier_head
+    for rows in (1, 16, 120):
+        monkeypatch.setattr(angles, "_BLOCK_BYTES", 8 * 120 * rows)
+        res = roma_n(m)
+        sub = m.values[:, res.survivors]
+        np.testing.assert_array_equal(
+            res.na_survivors, brute_na(sub, res.stage1.threshold.zeta))
+        i, _, o = brute_heads(sub)
+        assert res.inlier_head == res.survivors[i]
+        assert res.outlier_head == res.survivors[o]
+        np.testing.assert_array_equal(res.partition.outliers,
+                                      m.label_indices(Label.OUTLIER))
 
 
 def test_roma_n_rank_disambiguation_fixes_inversion():

@@ -3,11 +3,17 @@ positive scales, or a global rotation of the ambient space."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from roma.data import DataMatrix
+from roma import angles
+from roma.angles import min_pair
+from roma.data import DataMatrix, normalize_columns
 from roma.detector import roma, roma_n
 from roma.synth import (ClusteredInliers, ClusteredOutliers, ColumnStreams,
                         SynthSpec, make_dataset, random_subspace)
+
+from _oracles import brute_heads, brute_min_scores, brute_na
 
 
 def planted_values(seed=5):
@@ -100,3 +106,103 @@ def test_two_stage_permutation_and_signs():
     # the head pair is unique here, so the heads track the permutation
     assert perm[moved.inlier_head] == base.inlier_head
     assert perm[moved.outlier_head] == base.outlier_head
+
+
+# --- block size ------------------------------------------------------------
+
+KINDS = ["plain", "signs", "duplicate", "antipodal"]
+
+
+def small_structured(seed, kind):
+    """Clustered inliers and outliers, N=80, after one of the KINDS edits.
+
+    A duplicate or antipodal copy overwrites one column with another (or its
+    negation), planting the unique closest pair.
+    """
+    values = make_dataset(SynthSpec(n=30, num_points=80, rank=4, gamma=0.3,
+                                    seed=seed,
+                                    inlier_model=ClusteredInliers(nu=0.1),
+                                    outlier_model=ClusteredOutliers(mu=0.2))
+                          ).matrix.values.copy()
+    rng = np.random.default_rng(seed)
+    i, j = rng.choice(80, size=2, replace=False)
+    if kind == "signs":
+        values *= rng.choice([-1.0, 1.0], size=80)
+    elif kind == "duplicate":
+        values[:, j] = values[:, i]
+    elif kind == "antipodal":
+        values[:, j] = -values[:, i]
+    return values, (i, j) if kind in ("duplicate", "antipodal") else ()
+
+
+def roma_n_at(values, rows):
+    """roma_n with the kernel's Gram blocks forced to ``rows`` rows of N."""
+    n_pts = values.shape[1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(angles, "_BLOCK_BYTES", 8 * n_pts * rows)
+        return roma_n(DataMatrix(values))
+
+
+def assert_q_close(a, b, copies):
+    # a copied pair's Gram entry rounds to 1 or just below it, which arccos
+    # turns into 0 or ~1.5e-8; elsewhere one ulp of |g| is far below 1e-12
+    keep = np.setdiff1d(np.arange(a.size), copies)
+    np.testing.assert_allclose(a[keep], b[keep], rtol=0.0, atol=1e-12)
+    assert (a[list(copies)] <= 1e-7).all() and (b[list(copies)] <= 1e-7).all()
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from(KINDS))
+@settings(max_examples=12, deadline=None)
+def test_decisions_do_not_depend_on_block_size(seed, kind):
+    # one row, an odd row count and the whole matrix per block
+    values, copies = small_structured(seed, kind)
+    runs = [roma_n_at(values, rows) for rows in (1, 7, 80)]
+    base = runs[0]
+    for res in runs[1:]:
+        assert_q_close(res.stage1.scores.q, base.stage1.scores.q, copies)
+        assert np.array_equal(res.stage1.scores.na, base.stage1.scores.na)
+        assert np.array_equal(res.stage1.partition.outliers,
+                              base.stage1.partition.outliers)
+        assert np.array_equal(res.na_survivors, base.na_survivors)
+        assert res.inlier_head == base.inlier_head
+        assert res.outlier_head == base.outlier_head
+        assert res.labels_swapped == base.labels_swapped
+        assert np.array_equal(res.partition.outliers, base.partition.outliers)
+    v = normalize_columns(values).values
+    zeta = base.stage1.threshold.zeta
+    q = brute_min_scores(v)
+    assert_q_close(base.stage1.scores.q, q, copies)
+    assert np.array_equal(base.stage1.partition.outliers, np.flatnonzero(q > zeta))
+    assert np.array_equal(base.stage1.scores.na, brute_na(v, zeta))
+    i, j, o = brute_heads(v[:, base.survivors])
+    assert (base.inlier_head, base.outlier_head) == (base.survivors[i],
+                                                     base.survivors[o])
+    if copies:
+        assert set(copies) == {base.survivors[i], base.survivors[j]}
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from(KINDS))
+@settings(max_examples=12, deadline=None)
+def test_column_permutation_relabels_decisions(seed, kind):
+    values, copies = small_structured(seed, kind)
+    perm = np.random.default_rng(seed + 1).permutation(80)
+    base = roma_n(DataMatrix(values))
+    moved = roma_n(DataMatrix(values[:, perm]))
+    # point k of the permuted matrix is point perm[k] of the original
+    inverse = np.argsort(perm)
+    assert_q_close(moved.stage1.scores.q, base.stage1.scores.q[perm],
+                   inverse[list(copies)])
+    assert np.array_equal(moved.stage1.scores.na, base.stage1.scores.na[perm])
+    assert np.array_equal(moved.stage1.partition.outlier_mask(),
+                          base.stage1.partition.outlier_mask()[perm])
+    assert np.array_equal(np.sort(perm[moved.survivors]), base.survivors)
+    pair = set(min_pair(values[:, base.survivors] /
+                        np.linalg.norm(values[:, base.survivors], axis=0)))
+    assert {perm[moved.inlier_head], base.inlier_head} <= set(
+        base.survivors[sorted(pair)])
+    # the inlier head is the lower index of the closest pair, so relabelling
+    # may pick its other point; with the same head everything else follows
+    if perm[moved.inlier_head] == base.inlier_head:
+        assert perm[moved.outlier_head] == base.outlier_head
+        assert np.array_equal(moved.partition.outlier_mask(),
+                              base.partition.outlier_mask()[perm])
