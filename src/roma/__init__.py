@@ -28,7 +28,7 @@ from .synth import (BoundedConeOutliers, ClusteredInliers, ClusteredOutliers,
                     ColumnStreams, SynthDataset, SynthSpec, UniformInliers,
                     UnstructuredOutliers, add_noise_snr, export_dataset,
                     load_sidecar, make_dataset, random_subspace,
-                    sample_unstructured, spec_from_dict, spec_to_dict)
+                    spec_from_dict, spec_to_dict)
 from .theory import (ErpAlphaEstimate, ErpTrialSummary, TheoryReport,
                      erp_alpha_estimate, erp_impossibility_alpha,
                      max_rank_sizable, max_rank_sizable_noisy, na_bound_prob,
@@ -62,7 +62,7 @@ __all__ = [
     # subspace recovery
     "recover_subspace", "lre", "LRE_FLOOR",
     # synthetic data
-    "SynthSpec", "SynthDataset", "make_dataset", "sample_unstructured",
+    "SynthSpec", "SynthDataset", "make_dataset",
     "random_subspace", "add_noise_snr", "ColumnStreams",
     "UniformInliers", "ClusteredInliers", "UnstructuredOutliers",
     "ClusteredOutliers", "BoundedConeOutliers",

@@ -52,6 +52,9 @@ __all__ = [
 # Bytes of one Gram block; the rows per block follow from it and N.  The
 # kernel holds two such blocks (the Gram and its arccos) at a time.
 _BLOCK_BYTES = 8 << 20
+# At least this many blocks per pass, so that a small N still walks the
+# upper band: one N x N block would compute the whole Gram and its arccos.
+_MIN_BLOCKS = 8
 
 _HALF_PI = math.pi / 2.0
 _ONE_BITS = int(np.float64(1.0).view(np.int64))
@@ -158,6 +161,11 @@ class GramScan(NamedTuple):
     pair: tuple[int, int] | None
 
 
+def _block_rows(n_pts: int) -> int:
+    """Rows per Gram block: at most ``_BLOCK_BYTES`` and 1/``_MIN_BLOCKS`` of N."""
+    return max(1, min(-(-n_pts // _MIN_BLOCKS), _BLOCK_BYTES // (8 * n_pts)))
+
+
 def gram_scan(x, zeta: float | None = None, *, stats: bool = True,
               closest: bool = False) -> GramScan:
     """One streaming pass over the upper band of the Gram matrix.
@@ -176,7 +184,7 @@ def gram_scan(x, zeta: float | None = None, *, stats: bool = True,
     n_pts = v.shape[1]
     if n_pts < 2:
         raise ValidationError("need at least 2 points")
-    rows = min(n_pts, max(1, _BLOCK_BYTES // (8 * n_pts)))
+    rows = _block_rows(n_pts)
     gram_buf = np.empty(rows * n_pts)
     theta_buf = np.empty(rows * n_pts) if stats else None
     hit_buf = np.empty(rows * n_pts, dtype=bool) if zeta is not None else None

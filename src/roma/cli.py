@@ -64,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     e = p.add_argument_group("experiments")
     e.add_argument("--trials", type=int, default=None, help="trials per grid cell")
     e.add_argument("--seed", type=int, default=None, help="master seed")
-    e.add_argument("--workers", type=int, default=None, help="worker pool size")
     e.add_argument("--n", dest="dim", type=int, default=None, help="ambient dimension")
     e.add_argument("--subspace-rank", type=int, default=None,
                    help="true subspace dimension")
@@ -168,7 +167,7 @@ def _detect_report(args) -> dict:
 
 _FLAG_FIELDS = {
     # argparse dest -> ExperimentConfig field
-    "trials": "trials", "seed": "seed", "workers": "workers",
+    "trials": "trials", "seed": "seed",
     "dim": "n", "subspace_rank": "rank", "num_points": "num_points",
     "num_inliers": "num_inliers", "snr_db": "snr_db",
     "gamma_grid": "gamma_grid", "snr_grid": "snr_grid", "mu_grid": "mu_grid",

@@ -117,6 +117,11 @@ def roma_n(m, mode: str = "theoretical", *,
 
     Stage 2 makes one Gram pass over the survivors (na and the closest
     pair) plus one matrix-vector product for the outlier head.
+
+    The inlier head is the lower column index of the closest surviving
+    pair, so it follows column order: permuting the columns can make the
+    pair's other point the head, and the na distances are then measured
+    from that point.
     """
     x = _normalized(m)
     stage1 = roma(x, mode)

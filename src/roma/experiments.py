@@ -1,11 +1,11 @@
 """Monte Carlo experiment harness.
 
-Each experiment sweeps a grid of cells, runs seeded trials per cell in a
-worker pool, and aggregates per-cell summaries.  Every trial owns a dataset
-seed derived from (master seed, cell index, trial index) through numpy's
-SeedSequence, so results do not depend on worker count or completion order,
-and every emitted record keeps its partition and labels so the success flags
-can be re-derived after the fact (see ``audit``).
+Each experiment sweeps a grid of cells, runs seeded trials per cell, and
+aggregates per-cell summaries.  Every trial owns a dataset seed derived from
+(master seed, cell index, trial index) through numpy's SeedSequence, so a
+trial's result does not depend on which other trials ran, and every emitted
+record keeps its partition and labels so the success flags can be re-derived
+after the fact (see ``audit``).
 
 Experiments
 -----------
@@ -26,7 +26,6 @@ import dataclasses
 import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,7 +89,6 @@ class ExperimentConfig:
     inlier_grid: tuple = (100, 400, 700, 1000)
     outlier_grid: tuple = (100, 400, 700, 1000)
     num_inliers: int = 400               # mixed
-    workers: int = 1
 
     def replace(self, **kw) -> "ExperimentConfig":
         return dataclasses.replace(self, **kw)
@@ -217,25 +215,17 @@ def _recovery_lre(matrix: DataMatrix, partition: Partition) -> float:
 
 
 def _run_cells(cfg: ExperimentConfig, cells: list, trial_fn) -> list:
-    jobs = [(ci, cell, t) for ci, cell in enumerate(cells) for t in range(cfg.trials)]
-
-    def one(job):
-        ci, cell, trial = job
-        seed = _trial_seed(cfg.seed, ci, trial)
-        start = time.perf_counter()
-        metrics, partition, labels = trial_fn(cell, seed)
-        elapsed = time.perf_counter() - start
-        return ci, TrialRecord(cell=dict(cell), trial=trial, seed=seed,
-                               metrics=metrics, wall_time_s=elapsed,
-                               partition=partition, labels=labels)
-
-    if cfg.workers <= 1:
-        tagged = [one(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            tagged = list(pool.map(one, jobs))
-    tagged.sort(key=lambda pair: (pair[0], pair[1].trial))
-    return [rec for _, rec in tagged]
+    records = []
+    for ci, cell in enumerate(cells):
+        for trial in range(cfg.trials):
+            seed = _trial_seed(cfg.seed, ci, trial)
+            start = time.perf_counter()
+            metrics, partition, labels = trial_fn(cell, seed)
+            elapsed = time.perf_counter() - start
+            records.append(TrialRecord(cell=dict(cell), trial=trial, seed=seed,
+                                       metrics=metrics, wall_time_s=elapsed,
+                                       partition=partition, labels=labels))
+    return records
 
 
 def _cell_records(records: list, cell: dict) -> list:

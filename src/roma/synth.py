@@ -6,6 +6,13 @@ random center with tightness mu.  Generation is driven by a counter-based
 RNG (Philox) with one substream per column, keyed by (seed, domain, column
 index), so datasets are bitwise reproducible no matter how generation is
 parallelized or interleaved: column j of a given seed is always the same.
+
+Samplers draw all their columns in one batched pass (``ColumnStreams._normals``)
+and keep per column only the arithmetic that decides the bits: one
+matrix-vector product and one contiguous dot-product norm per column.  A
+batched gemm or an axis norm rounds differently, so neither is used.  The
+samplers other than the bounded cone build one point per row and return
+that buffer's transpose, an (n, count) view in Fortran order, with no copy.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ __all__ = [
     "sample_unstructured_outliers",
     "sample_clustered_outliers",
     "sample_bounded_cone",
-    "sample_unstructured",
     "make_dataset",
     "assemble",
     "add_noise_snr",
@@ -61,6 +67,13 @@ _DOM_AUX = 0
 _MAX_INDEX = 1 << 56
 
 
+def _low_key(domain: int, index: int) -> int:
+    """Low 64 bits of a substream's Philox key; the high 64 are the seed."""
+    if not 0 <= index < _MAX_INDEX:
+        raise ValidationError(f"substream index out of range: {index}")
+    return (domain << 56) | index
+
+
 @dataclass(frozen=True)
 class ColumnStreams:
     """Per-column substreams of a counter-based generator.
@@ -79,10 +92,30 @@ class ColumnStreams:
         object.__setattr__(self, "seed", seed)
 
     def stream(self, domain: int, index: int) -> np.random.Generator:
-        if not 0 <= index < _MAX_INDEX:
-            raise ValidationError(f"substream index out of range: {index}")
-        key = (self.seed << 64) | (domain << 56) | index
+        key = (self.seed << 64) | _low_key(domain, index)
         return np.random.Generator(np.random.Philox(key=key))
+
+    def _normals(self, domain: int, indices, size: int) -> np.ndarray:
+        """Row i: the first ``size`` standard normals of substream (domain, indices[i]).
+
+        Bitwise the same as ``stream(domain, indices[i]).standard_normal(size)``
+        row by row.  One Philox is rekeyed per row instead of built: a fresh
+        Philox has counter 0 and an exhausted buffer (``buffer_pos`` 4), so
+        setting that state with the row's key reproduces it.
+        """
+        out = np.empty((len(indices), size))
+        bitgen = np.random.Philox(0)  # any seed: the state is set per row
+        gen = np.random.Generator(bitgen)
+        key = [0, self.seed]  # [low word, high word]
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": [0, 0, 0, 0], "key": key},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+        for row, index in zip(out, map(int, indices)):
+            key[0] = _low_key(domain, index)
+            bitgen.state = state
+            gen.standard_normal(size, out=row)
+        return out
 
     def subspace(self) -> np.random.Generator:
         return self.stream(_DOM_SUBSPACE, 0)
@@ -235,15 +268,33 @@ def _unit(vec: np.ndarray) -> np.ndarray:
     return vec / norm
 
 
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Scale each row to unit length in place; bitwise ``_unit`` per row.
+
+    ``np.linalg.norm`` of a vector is sqrt(x . x) over contiguous memory,
+    so the norms are taken row by row the same way.
+    """
+    norms = np.array([math.sqrt(row @ row) for row in rows])
+    if not norms.all():
+        raise ValidationError("drew a zero vector; cannot normalize")
+    rows /= norms[:, None]
+    return rows
+
+
+def _span(basis: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Row i: basis @ coords[i], one matrix-vector product per row."""
+    out = np.empty((coords.shape[0], basis.shape[0]))
+    for g, row in zip(coords, out):
+        np.matmul(basis, g, out=row)
+    return out
+
+
 def sample_uniform_inliers(basis: np.ndarray, count: int, streams: ColumnStreams,
                            index_offset: int = 0) -> np.ndarray:
     """Columns U g / ||U g||, uniform on the subspace's unit sphere."""
-    n, r = basis.shape
-    cols = np.empty((n, count))
-    for i in range(count):
-        g = streams.inlier(index_offset + i).standard_normal(r)
-        cols[:, i] = _unit(basis @ g)
-    return cols
+    coords = streams._normals(_DOM_INLIER, range(index_offset, index_offset + count),
+                              basis.shape[1])
+    return _unit_rows(_span(basis, coords)).T
 
 
 def sample_clustered_inliers(basis: np.ndarray, count: int, nu: float,
@@ -251,23 +302,17 @@ def sample_clustered_inliers(basis: np.ndarray, count: int, nu: float,
     """In-subspace cluster: normalize(u + nu * v_i) with u, v_i unit in span(U)."""
     if not nu > 0:
         raise ValidationError(f"nu must be positive, got {nu!r}")
-    n, r = basis.shape
+    r = basis.shape[1]
     center = _unit(basis @ streams.inlier_center(index_offset).standard_normal(r))
-    cols = np.empty((n, count))
-    for i in range(count):
-        g = streams.inlier(index_offset + i).standard_normal(r)
-        cols[:, i] = _unit(center + nu * _unit(basis @ g))
-    return cols
+    coords = streams._normals(_DOM_INLIER, range(index_offset, index_offset + count), r)
+    return _unit_rows(center + nu * _unit_rows(_span(basis, coords))).T
 
 
 def sample_unstructured_outliers(n: int, count: int, streams: ColumnStreams,
                                  index_offset: int = 0) -> np.ndarray:
     """Columns uniform on the full unit sphere."""
-    cols = np.empty((n, count))
-    for i in range(count):
-        h = streams.outlier(index_offset + i).standard_normal(n)
-        cols[:, i] = _unit(h)
-    return cols
+    draws = streams._normals(_DOM_OUTLIER, range(index_offset, index_offset + count), n)
+    return _unit_rows(draws).T
 
 
 def sample_clustered_outliers(n: int, count: int, mu: float, streams: ColumnStreams,
@@ -282,14 +327,11 @@ def sample_clustered_outliers(n: int, count: int, mu: float, streams: ColumnStre
         raise ValidationError(f"mu must be positive, got {mu!r}")
     center = _unit(streams.outlier_center(index_offset).standard_normal(n))
     scale = 1.0 if literal_scale else mu
-    cols = np.empty((n, count))
-    for i in range(count):
-        b = _unit(streams.outlier(index_offset + i).standard_normal(n))
-        raw = center + scale * b
-        if literal_scale:
-            raw = raw / math.sqrt(1.0 + mu * mu)
-        cols[:, i] = _unit(raw)
-    return cols
+    draws = streams._normals(_DOM_OUTLIER, range(index_offset, index_offset + count), n)
+    raw = center + scale * _unit_rows(draws)
+    if literal_scale:
+        raw /= math.sqrt(1.0 + mu * mu)
+    return _unit_rows(raw).T
 
 
 def sample_bounded_cone(n: int, count: int, theta_max: float, streams: ColumnStreams,
@@ -300,6 +342,8 @@ def sample_bounded_cone(n: int, count: int, theta_max: float, streams: ColumnStr
     Rejection sampling with a total candidate budget of 1000 * count; raises
     FeasibilityError carrying the observed acceptance rate when the budget
     runs out (tight cones in high dimension are exponentially unlikely).
+    Candidates are drawn ``count`` at a time; candidate k is always outlier
+    substream index_offset + k, whatever the batch.
     """
     if not 0.0 < theta_max < math.pi / 2.0:
         raise ValidationError(f"theta_max must lie in (0, pi/2), got {theta_max!r}")
@@ -307,15 +351,17 @@ def sample_bounded_cone(n: int, count: int, theta_max: float, streams: ColumnStr
     cos_min = math.cos(theta_max)
     budget = 1000 * count
     cols = np.empty((n, count))
+    if count == 0:
+        return cols
     accepted = 0
-    for draw in range(budget):
-        g = streams.outlier(index_offset + draw).standard_normal(dim)
-        x = _unit(g if subspace is None else subspace @ g)
-        if accepted == 0 or np.all(cols[:, :accepted].T @ x >= cos_min):
-            cols[:, accepted] = x
-            accepted += 1
-            if accepted == count:
-                return cols
+    for first in range(index_offset, index_offset + budget, count):
+        draws = streams._normals(_DOM_OUTLIER, range(first, first + count), dim)
+        for x in _unit_rows(draws if subspace is None else _span(subspace, draws)):
+            if accepted == 0 or np.all(cols[:, :accepted].T @ x >= cos_min):
+                cols[:, accepted] = x
+                accepted += 1
+                if accepted == count:
+                    return cols
     raise FeasibilityError(
         f"accepted {accepted}/{count} cone points in {budget} draws",
         acceptance_rate=accepted / budget)
@@ -379,16 +425,6 @@ def make_dataset(spec: SynthSpec) -> SynthDataset:
     return assemble(inlier_cols, outlier_cols, basis, spec, streams)
 
 
-def sample_unstructured(spec: SynthSpec, streams: ColumnStreams | None = None) -> SynthDataset:
-    """Dataset with uniform subspace inliers and full-sphere outliers."""
-    if not isinstance(spec.inlier_model, UniformInliers) or \
-            not isinstance(spec.outlier_model, UnstructuredOutliers):
-        spec = dataclasses.replace(spec, inlier_model=UniformInliers(),
-                                   outlier_model=UnstructuredOutliers())
-    del streams  # column substreams are derived from spec.seed
-    return make_dataset(spec)
-
-
 def add_noise_snr(dataset: SynthDataset, snr_db: float,
                   streams: ColumnStreams | None = None,
                   target: str = "inliers") -> SynthDataset:
@@ -412,8 +448,9 @@ def add_noise_snr(dataset: SynthDataset, snr_db: float,
         targets = dataset.matrix.label_indices(Label.INLIER)
     else:
         targets = np.arange(total)
-    for j in targets:
-        values[:, j] += sigma * streams.noise(int(j)).standard_normal(n)
+    noise = streams._normals(_DOM_NOISE, targets, n)
+    noise *= sigma
+    values[:, targets] += noise.T
     matrix = DataMatrix(values, labels=dataset.matrix.labels,
                         true_basis=dataset.matrix.true_basis)
     return SynthDataset(matrix=matrix, spec=dataset.spec, sigma=float(sigma),

@@ -8,6 +8,10 @@ import math
 
 import numpy as np
 
+from roma.data import Label
+from roma.synth import (BoundedConeOutliers, ClusteredInliers, ClusteredOutliers,
+                        ColumnStreams, _unit, random_subspace)
+
 
 def erfc_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
@@ -109,3 +113,89 @@ def brute_mean_principal(cols: np.ndarray) -> float:
             c = float(xi @ xj)
             vals.append(math.acos(max(-1.0, min(c, 1.0))))
     return float(np.mean(vals))
+
+
+
+def column_inliers(model, basis, count, streams, index_offset=0):
+    """Inlier columns drawn one column at a time (see ``column_dataset``)."""
+    r = basis.shape[1]
+
+    def in_span(index):
+        return _unit(basis @ streams.inlier(index).standard_normal(r))
+
+    cols = np.empty((basis.shape[0], count))
+    if isinstance(model, ClusteredInliers):
+        center = _unit(basis @ streams.inlier_center(index_offset).standard_normal(r))
+        for i in range(count):
+            cols[:, i] = _unit(center + model.nu * in_span(index_offset + i))
+    else:
+        for i in range(count):
+            cols[:, i] = in_span(index_offset + i)
+    return cols
+
+
+def column_outliers(model, n, count, streams, basis=None, index_offset=0):
+    """Outlier columns drawn one column at a time (see ``column_dataset``)."""
+    def draw(index, size=n):
+        return streams.outlier(index_offset + index).standard_normal(size)
+
+    cols = np.empty((n, count))
+    if isinstance(model, ClusteredOutliers):
+        center = _unit(streams.outlier_center(index_offset).standard_normal(n))
+        scale = 1.0 if model.literal_scale else model.mu
+        for i in range(count):
+            raw = center + scale * _unit(draw(i))
+            if model.literal_scale:
+                raw = raw / math.sqrt(1.0 + model.mu * model.mu)
+            cols[:, i] = _unit(raw)
+    elif isinstance(model, BoundedConeOutliers):
+        sub = basis if model.within_subspace else None
+        cos_min = math.cos(model.theta_max)
+        accepted = 0
+        for k in range(1000 * count):
+            g = draw(k, n if sub is None else sub.shape[1])
+            x = _unit(g if sub is None else sub @ g)
+            if accepted == 0 or np.all(cols[:, :accepted].T @ x >= cos_min):
+                cols[:, accepted] = x
+                accepted += 1
+                if accepted == count:
+                    break
+        else:
+            raise AssertionError("cone budget ran out")
+    else:
+        for i in range(count):
+            cols[:, i] = _unit(draw(i))
+    return cols
+
+
+def column_dataset(spec):
+    """``make_dataset`` written one column at a time.
+
+    Every column builds its own generator with the public
+    ``ColumnStreams.stream`` and is normalized by ``_unit``: the per-column
+    definition the batched samplers must reproduce bit for bit.  Returns
+    (values, labels, true_basis, sigma, point_snr).
+    """
+    streams = ColumnStreams(spec.seed)
+    n, total = spec.n, spec.num_points
+    basis = random_subspace(n, spec.rank, streams.subspace())
+    parts = [column_inliers(spec.inlier_model, basis, spec.num_inliers, streams)]
+    if spec.num_outliers:
+        parts.append(column_outliers(spec.outlier_model, n, spec.num_outliers,
+                                     streams, basis))
+    labels = np.full(total, int(Label.OUTLIER), dtype=np.int8)
+    labels[: spec.num_inliers] = int(Label.INLIER)
+    perm = streams.shuffle().permutation(total)
+    # C order, as DataMatrix stores it: the column sums below depend on it
+    values, labels = np.ascontiguousarray(np.hstack(parts)[:, perm]), labels[perm]
+    sigma = point_snr = None
+    if spec.snr_db is not None:
+        sigma = np.linalg.norm(values) / (10.0 ** (spec.snr_db / 20.0) * math.sqrt(n * total))
+        point_snr = np.sum(values * values, axis=0) / (n * sigma * sigma)
+        if spec.noise_target == "all":
+            targets = range(total)
+        else:
+            targets = np.flatnonzero(labels == int(Label.INLIER))
+        for j in targets:
+            values[:, j] += sigma * streams.noise(int(j)).standard_normal(n)
+    return values, labels, basis, sigma, point_snr

@@ -27,6 +27,8 @@ def unit_cloud(n, pts, seed):
 def block_rows(monkeypatch, rows, pts):
     """Size the kernel's Gram blocks to ``rows`` rows of ``pts`` columns."""
     monkeypatch.setattr(angles, "_BLOCK_BYTES", 8 * pts * rows)
+    monkeypatch.setattr(angles, "_MIN_BLOCKS", 1)
+    assert angles._block_rows(pts) == min(rows, pts)
 
 
 def test_tables_match_brute_force():
@@ -103,6 +105,14 @@ def test_scan_mean_equals_principal_mean():
     assert gram_scan(v).mean_theta == pytest.approx(direct, abs=1e-12)
     assert gram_scan(v).mean_theta == pytest.approx(brute_mean_principal(v),
                                                     abs=1e-12)
+
+
+@pytest.mark.parametrize("pts, rows", [(2, 1), (9, 2), (33, 5), (200, 25),
+                                       (1000, 125), (5000, 209)])
+def test_default_block_rows(pts, rows):
+    # ceil(N/8) rows, so small N still walks the upper band, until the
+    # byte budget caps the block (209 rows of 5000 at 8 MiB)
+    assert angles._block_rows(pts) == rows
 
 
 @pytest.mark.parametrize("block", [1, 3, 7, 64])

@@ -51,6 +51,7 @@ def test_roma_blocked_path_agrees(monkeypatch):
     q = brute_min_scores(v)
     for rows in (1, 16, 150):
         monkeypatch.setattr(angles, "_BLOCK_BYTES", 8 * 150 * rows)
+        monkeypatch.setattr(angles, "_MIN_BLOCKS", 1)
         res = roma(ds.matrix)
         zeta = res.threshold.zeta
         np.testing.assert_allclose(res.scores.q, q, rtol=0.0, atol=1e-12)
@@ -145,6 +146,7 @@ def test_roma_n_blocked_path_agrees(monkeypatch):
     m = structured_case(seed=34, n_in=90, n_out=30)
     for rows in (1, 16, 120):
         monkeypatch.setattr(angles, "_BLOCK_BYTES", 8 * 120 * rows)
+        monkeypatch.setattr(angles, "_MIN_BLOCKS", 1)
         res = roma_n(m)
         sub = m.values[:, res.survivors]
         np.testing.assert_array_equal(

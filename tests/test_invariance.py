@@ -108,6 +108,20 @@ def test_two_stage_permutation_and_signs():
     assert perm[moved.outlier_head] == base.outlier_head
 
 
+def test_two_stage_inlier_head_is_the_lower_index_of_the_closest_pair():
+    values = structured_values()
+    base = roma_n(DataMatrix(values))
+    pair = base.survivors[list(min_pair(values[:, base.survivors]))]
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(values.shape[1])
+        signs = rng.choice([-1.0, 1.0], size=values.shape[1])
+        moved = roma_n(DataMatrix(values[:, perm] * signs))
+        where = np.argsort(perm)[pair]  # the pair's columns after the move
+        assert moved.inlier_head in where
+        assert moved.inlier_head == where.min()
+
+
 # --- block size ------------------------------------------------------------
 
 KINDS = ["plain", "signs", "duplicate", "antipodal"]
@@ -140,6 +154,7 @@ def roma_n_at(values, rows):
     n_pts = values.shape[1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(angles, "_BLOCK_BYTES", 8 * n_pts * rows)
+        mp.setattr(angles, "_MIN_BLOCKS", 1)
         return roma_n(DataMatrix(values))
 
 

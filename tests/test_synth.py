@@ -7,6 +7,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from _oracles import column_dataset, column_inliers, column_outliers
+
 from roma.data import Label, load_csv_matrix
 from roma.errors import FeasibilityError, ValidationError
 from roma.synth import (
@@ -24,9 +26,9 @@ from roma.synth import (
     make_dataset,
     random_subspace,
     sample_bounded_cone,
+    sample_clustered_inliers,
     sample_clustered_outliers,
     sample_uniform_inliers,
-    sample_unstructured,
     sample_unstructured_outliers,
     shuffle_and_label,
     spec_from_dict,
@@ -83,6 +85,95 @@ def test_index_offset_shifts_columns():
     block = sample_unstructured_outliers(10, 6, streams)
     tail = sample_unstructured_outliers(10, 4, streams, index_offset=2)
     assert np.array_equal(block[:, 2:], tail)
+
+
+# ---------------------------------------------------------------------------
+# batched generation against the per-column definition
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(),
+    dict(inlier_model=ClusteredInliers(nu=0.1)),
+    dict(outlier_model=ClusteredOutliers(mu=0.2)),
+    dict(outlier_model=ClusteredOutliers(mu=0.7, literal_scale=True)),
+    dict(outlier_model=BoundedConeOutliers(theta_max=1.3)),
+    dict(outlier_model=BoundedConeOutliers(theta_max=1.0, within_subspace=True)),
+    dict(inlier_model=ClusteredInliers(nu=0.3), outlier_model=ClusteredOutliers(mu=5.0),
+         snr_db=20.0),
+    dict(snr_db=10.0, noise_target="all"),
+    dict(n=100, num_points=300, rank=10, gamma=0.5, seed=2 ** 64 - 1, snr_db=20.0),
+    dict(n=3, num_points=7, rank=3, gamma=0.0, snr_db=5.0),
+], ids=["uniform", "clustered-inliers", "clustered-outliers", "literal-scale",
+        "cone", "cone-in-subspace", "clustered-noisy", "noise-all", "large", "tiny"])
+def test_make_dataset_matches_per_column_oracle(overrides):
+    spec = base_spec(**overrides)
+    ds = make_dataset(spec)
+    values, labels, basis, sigma, point_snr = column_dataset(spec)
+    assert np.array_equal(ds.matrix.values, values)
+    assert np.array_equal(ds.matrix.labels, labels)
+    assert np.array_equal(ds.matrix.true_basis, basis)
+    assert ds.sigma == sigma
+    assert (ds.point_snr is None and point_snr is None) or \
+        np.array_equal(ds.point_snr, point_snr)
+
+
+@pytest.mark.parametrize("model", [
+    UniformInliers(), ClusteredInliers(nu=0.2), UnstructuredOutliers(),
+    ClusteredOutliers(mu=0.3), ClusteredOutliers(mu=0.3, literal_scale=True),
+    BoundedConeOutliers(theta_max=1.2), BoundedConeOutliers(theta_max=1.0, within_subspace=True),
+])
+def test_samplers_match_per_column_oracle_at_an_offset(model):
+    streams = ColumnStreams(31)
+    basis = random_subspace(15, 4, streams.subspace())
+    offset, count = 17, 9
+    if isinstance(model, (UniformInliers, ClusteredInliers)):
+        expected = column_inliers(model, basis, count, streams, offset)
+        if isinstance(model, ClusteredInliers):
+            got = sample_clustered_inliers(basis, count, model.nu, streams, offset)
+        else:
+            got = sample_uniform_inliers(basis, count, streams, offset)
+    else:
+        expected = column_outliers(model, 15, count, streams, basis, offset)
+        if isinstance(model, ClusteredOutliers):
+            got = sample_clustered_outliers(15, count, model.mu, streams, offset,
+                                            literal_scale=model.literal_scale)
+        elif isinstance(model, BoundedConeOutliers):
+            got = sample_bounded_cone(15, count, model.theta_max, streams,
+                                      subspace=basis if model.within_subspace else None,
+                                      index_offset=offset)
+        else:
+            got = sample_unstructured_outliers(15, count, streams, offset)
+    assert np.array_equal(got, expected)
+
+
+def test_batched_draws_equal_fresh_streams():
+    streams = ColumnStreams(2 ** 64 - 1)
+    indices = np.array([0, 5, 3, (1 << 56) - 1])
+    rows = streams._normals(7, indices, 13)
+    for row, index in zip(rows, indices):
+        assert np.array_equal(row, streams.stream(7, int(index)).standard_normal(13))
+    with pytest.raises(ValidationError):
+        streams._normals(7, [1, 1 << 56], 3)
+    with pytest.raises(ValidationError):
+        streams._normals(7, [-1], 3)
+
+
+def test_batched_path_rejects_a_zero_column(monkeypatch):
+    streams = ColumnStreams(3)
+    basis = random_subspace(6, 2, streams.subspace())
+    monkeypatch.setattr(ColumnStreams, "_normals",
+                        lambda self, domain, indices, size: np.zeros((len(indices), size)))
+    samplers = [
+        lambda: sample_uniform_inliers(basis, 3, streams),
+        lambda: sample_clustered_inliers(basis, 3, 0.1, streams),
+        lambda: sample_unstructured_outliers(6, 3, streams),
+        lambda: sample_clustered_outliers(6, 3, 0.2, streams),
+        lambda: sample_bounded_cone(6, 3, 1.0, streams),
+        lambda: make_dataset(base_spec()),
+    ]
+    for sample in samplers:
+        with pytest.raises(ValidationError, match="zero vector"):
+            sample()
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +299,7 @@ def test_bounded_cone_respects_theta_max():
     np.fill_diagonal(dots, 1.0)
     assert np.min(dots) >= math.cos(theta) - 1e-15
     assert np.allclose(np.linalg.norm(cols, axis=0), 1.0, atol=1e-12)
+    assert sample_bounded_cone(6, 0, theta, streams).shape == (6, 0)
 
 
 def test_bounded_cone_within_subspace():
@@ -254,14 +346,6 @@ def test_shuffle_without_outliers():
     ins = sample_uniform_inliers(basis, 5, streams)
     matrix = shuffle_and_label(ins, None, basis, streams)
     assert np.all(matrix.labels == int(Label.INLIER))
-
-
-def test_sample_unstructured_forces_models():
-    spec = base_spec(inlier_model=ClusteredInliers(nu=0.1),
-                     outlier_model=ClusteredOutliers(mu=0.2))
-    ds = sample_unstructured(spec)
-    assert isinstance(ds.spec.inlier_model, UniformInliers)
-    assert isinstance(ds.spec.outlier_model, UnstructuredOutliers)
 
 
 def test_make_dataset_rejects_unknown_models():
