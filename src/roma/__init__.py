@@ -8,9 +8,7 @@ synthetic inlier/outlier generators, subspace recovery via SVD, and a seeded
 Monte Carlo experiment harness.
 """
 
-from .angles import (AngleScores, angle_scores, count_above_threshold,
-                     mean_principal_angle, min_angle_scores, min_pair,
-                     pairwise_acute_angles, pairwise_principal_angles)
+from .angles import AngleScores
 from .data import (DataMatrix, Label, NormalizedMatrix, Partition,
                    SubspaceBasis, load_csv_matrix, normalize_columns,
                    write_csv)
@@ -35,8 +33,7 @@ from .theory import (ErpAlphaEstimate, ErpTrialSummary, TheoryReport,
                      noise_shift_bound, nonempty_prob_lower_bound, p_inlier,
                      sizable_cluster_gap_condition, structured_exact_prob,
                      theory_report)
-from .threshold import (ThresholdSpec, compute_cn, compute_zeta,
-                        compute_zeta_adapted)
+from .threshold import ThresholdSpec, compute_cn, compute_zeta
 
 __version__ = "0.1.0"
 
@@ -44,10 +41,7 @@ __all__ = [
     "__version__",
     # detection
     "roma", "roma_n", "RomaResult", "RomaNResult",
-    "AngleScores", "angle_scores", "min_angle_scores", "count_above_threshold",
-    "min_pair", "pairwise_acute_angles", "pairwise_principal_angles",
-    "mean_principal_angle",
-    "ThresholdSpec", "compute_cn", "compute_zeta", "compute_zeta_adapted",
+    "AngleScores", "ThresholdSpec", "compute_cn", "compute_zeta",
     # data containers and IO
     "DataMatrix", "NormalizedMatrix", "Partition", "SubspaceBasis", "Label",
     "load_csv_matrix", "write_csv", "normalize_columns",

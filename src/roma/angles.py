@@ -18,10 +18,6 @@ scores from |g| directly:
 ``t`` is found by bisection against ``np.arccos`` itself, so both hold
 bitwise against the arccos form wherever ``np.arccos`` is monotone.  The
 mean principal angle takes arccos over the strict upper triangle only.
-
-The table functions (``pairwise_*``, ``min_angle_scores``,
-``count_above_threshold``, ``mean_principal_angle``) build N x N tables for
-inspection and small inputs; no detector path uses them.
 """
 
 from __future__ import annotations
@@ -38,15 +34,8 @@ from .errors import DimensionError, ValidationError
 __all__ = [
     "AngleScores",
     "GramScan",
-    "pairwise_acute_angles",
-    "pairwise_principal_angles",
-    "min_angle_scores",
-    "count_above_threshold",
-    "mean_principal_angle",
     "gram_scan",
-    "min_pair",
     "acute_row",
-    "angle_scores",
 ]
 
 # Bytes of one Gram block; the rows per block follow from it and N.  The
@@ -66,71 +55,6 @@ def _values(x) -> np.ndarray:
     if hasattr(x, "values"):
         return normalize_columns(x).values
     return NormalizedMatrix(np.asarray(x, dtype=float)).values
-
-
-def _sym_gram(v: np.ndarray) -> np.ndarray:
-    g = v.T @ v
-    # gemm does not guarantee bitwise symmetry; averaging restores it exactly.
-    g += g.T
-    g *= 0.5
-    return g
-
-
-def pairwise_acute_angles(x) -> np.ndarray:
-    """Symmetric table of acute angles arccos(|x_i . x_j|), zero diagonal."""
-    v = _values(x)
-    g = np.abs(_sym_gram(v))
-    np.clip(g, 0.0, 1.0, out=g)
-    phi = np.arccos(g)
-    np.fill_diagonal(phi, 0.0)
-    return phi
-
-
-def pairwise_principal_angles(x) -> np.ndarray:
-    """Symmetric table of principal angles arccos(x_i . x_j) in [0, pi]."""
-    v = _values(x)
-    g = _sym_gram(v)
-    np.clip(g, -1.0, 1.0, out=g)
-    theta = np.arccos(g)
-    np.fill_diagonal(theta, 0.0)
-    return theta
-
-
-def min_angle_scores(phi: np.ndarray) -> np.ndarray:
-    """Per-point nearest-neighbor angle q_i = min_{j != i} phi_ij."""
-    phi = np.asarray(phi, dtype=float)
-    if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
-        raise DimensionError("angle table must be square")
-    if phi.shape[0] < 2:
-        raise ValidationError("need at least 2 points for nearest-neighbor angles")
-    masked = phi.copy()
-    np.fill_diagonal(masked, np.inf)
-    return masked.min(axis=1)
-
-
-def count_above_threshold(phi: np.ndarray, zeta: float) -> np.ndarray:
-    """na_i = #{j : phi_ij > zeta}, strict; ties at zeta do not count."""
-    zeta = float(zeta)
-    if not (0.0 < zeta < _HALF_PI):
-        raise ValueError(f"threshold must lie in (0, pi/2), got {zeta!r}")
-    phi = np.asarray(phi, dtype=float)
-    if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
-        raise DimensionError("angle table must be square")
-    # The diagonal is zero, so the self term can never count.
-    return (phi > zeta).sum(axis=1).astype(np.int64)
-
-
-def mean_principal_angle(theta: np.ndarray) -> float:
-    """Sample mean of theta_ij over unordered pairs i < j."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
-        raise DimensionError("angle table must be square")
-    n = theta.shape[0]
-    if n < 2:
-        raise ValidationError("need at least 2 points for a mean angle")
-    # Symmetric with zero diagonal: full sum = 2 * pair sum.  np.sum uses
-    # pairwise accumulation, keeping cross-run drift below 1e-12.
-    return float(theta.sum() / (n * (n - 1)))
 
 
 def _cut(theta: float) -> float:
@@ -230,15 +154,6 @@ def gram_scan(x, zeta: float | None = None, *, stats: bool = True,
     return GramScan(q=q, mean_theta=mean_theta, na=na, pair=pair)
 
 
-def min_pair(x) -> tuple[int, int]:
-    """Indices (i, j), i < j, of the globally smallest acute angle.
-
-    Ties resolve to the first pair in row-major order, i.e. smallest i then
-    smallest j.
-    """
-    return gram_scan(x, stats=False, closest=True).pair
-
-
 def acute_row(x, i: int) -> np.ndarray:
     """Acute angles from point i to every point; entry i is zero."""
     v = _values(x)
@@ -275,12 +190,3 @@ class AngleScores:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "na", na)
 
-
-def angle_scores(x, zeta: float) -> AngleScores:
-    """Compute q, na, and the mean principal angle at a known threshold.
-
-    One ``gram_scan`` pass.
-    """
-    scan = gram_scan(x, zeta)
-    return AngleScores(q=scan.q, na=scan.na, mean_theta=scan.mean_theta,
-                       zeta=float(zeta))

@@ -15,15 +15,14 @@ count.  Ties go to the inlier side.  Stage-1 outliers stay outliers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import AngleScores, acute_row, angle_scores, gram_scan
+from .angles import AngleScores, acute_row, gram_scan
 from .data import DataMatrix, NormalizedMatrix, Partition, normalize_columns
 from .errors import DegenerateRegimeError, ValidationError
-from .threshold import MODES, ThresholdSpec, zeta_with_center
+from .threshold import MODES, ThresholdSpec, compute_zeta, zeta_with_center
 
 __all__ = ["RomaResult", "RomaNResult", "roma", "roma_n"]
 
@@ -83,14 +82,16 @@ def roma(m, mode: str = "theoretical") -> RomaResult:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     x = _normalized(m)
     if mode == "adapted":
-        scan = gram_scan(x)
-        spec = zeta_with_center(x.n, x.num_points, scan.mean_theta, mode)
-        na = gram_scan(x, spec.zeta, stats=False).na
-        scores = AngleScores(q=scan.q, na=na, mean_theta=scan.mean_theta,
-                             zeta=spec.zeta)
+        stats = gram_scan(x)
+        spec = zeta_with_center(x.n, x.num_points, stats.mean_theta, mode)
     else:
-        spec = zeta_with_center(x.n, x.num_points, math.pi / 2.0, mode)
-        scores = angle_scores(x, spec.zeta)
+        stats = None
+        spec = compute_zeta(x.n, x.num_points)
+    scan = gram_scan(x, spec.zeta, stats=stats is None)
+    if stats is None:  # the one theoretical pass gives q and the mean too
+        stats = scan
+    scores = AngleScores(q=stats.q, na=scan.na, mean_theta=stats.mean_theta,
+                         zeta=spec.zeta)
     outliers = np.flatnonzero(scores.q > spec.zeta)
     inliers = np.flatnonzero(scores.q <= spec.zeta)
     partition = Partition(inliers=inliers, outliers=outliers,

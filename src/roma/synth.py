@@ -44,7 +44,6 @@ __all__ = [
     "sample_clustered_outliers",
     "sample_bounded_cone",
     "make_dataset",
-    "assemble",
     "add_noise_snr",
     "export_dataset",
     "load_sidecar",
@@ -380,24 +379,12 @@ def shuffle_and_label(inlier_cols: np.ndarray, outlier_cols: np.ndarray | None,
     return DataMatrix(values[:, perm], labels=labels[perm], true_basis=basis)
 
 
-def assemble(inlier_cols: np.ndarray, outlier_cols: np.ndarray | None,
-             basis: np.ndarray, spec: SynthSpec,
-             streams: ColumnStreams | None = None) -> SynthDataset:
-    """Concatenate, label, shuffle, and (per spec) add noise."""
-    streams = streams or ColumnStreams(spec.seed)
-    total = inlier_cols.shape[1] + (0 if outlier_cols is None else outlier_cols.shape[1])
-    if total != spec.num_points:
-        raise ValidationError(
-            f"assembled {total} columns but spec declares {spec.num_points}")
-    matrix = shuffle_and_label(inlier_cols, outlier_cols, basis, streams)
-    dataset = SynthDataset(matrix=matrix, spec=spec)
-    if spec.snr_db is not None:
-        dataset = add_noise_snr(dataset, spec.snr_db, streams, spec.noise_target)
-    return dataset
-
-
 def make_dataset(spec: SynthSpec) -> SynthDataset:
-    """Build the dataset a SynthSpec describes."""
+    """Build the dataset a SynthSpec describes.
+
+    Draws the columns, labels and shuffles them, and adds noise when the
+    spec sets ``snr_db``.
+    """
     streams = ColumnStreams(spec.seed)
     basis = random_subspace(spec.n, spec.rank, streams.subspace())
     model = spec.inlier_model
@@ -422,7 +409,11 @@ def make_dataset(spec: SynthSpec) -> SynthDataset:
                 subspace=basis if model.within_subspace else None)
         else:
             raise ValidationError(f"unknown outlier model {model!r}")
-    return assemble(inlier_cols, outlier_cols, basis, spec, streams)
+    matrix = shuffle_and_label(inlier_cols, outlier_cols, basis, streams)
+    dataset = SynthDataset(matrix=matrix, spec=spec)
+    if spec.snr_db is not None:
+        dataset = add_noise_snr(dataset, spec.snr_db, streams, spec.noise_target)
+    return dataset
 
 
 def add_noise_snr(dataset: SynthDataset, snr_db: float,

@@ -18,12 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .angles import mean_principal_angle
 from .errors import DegenerateRegimeError
 from .statcore import angle_sigma, normal_quantile
 
-__all__ = ["ThresholdSpec", "compute_cn", "compute_zeta", "compute_zeta_adapted",
-           "zeta_with_center", "MODES"]
+__all__ = ["ThresholdSpec", "compute_cn", "compute_zeta", "zeta_with_center",
+           "MODES"]
 
 MODES = ("theoretical", "adapted")
 
@@ -74,8 +73,3 @@ def compute_zeta(n: int, num_points: int) -> ThresholdSpec:
     """Theoretical threshold centered at pi/2."""
     return zeta_with_center(n, num_points, _HALF_PI, "theoretical")
 
-
-def compute_zeta_adapted(theta_table, n: int, num_points: int) -> ThresholdSpec:
-    """Data-adapted threshold centered at the observed mean principal angle."""
-    center = mean_principal_angle(theta_table)
-    return zeta_with_center(n, num_points, center, "adapted")

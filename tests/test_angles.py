@@ -6,10 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roma import angles
-from roma.angles import (AngleScores, _cut, acute_row, angle_scores,
-                         count_above_threshold, gram_scan,
-                         mean_principal_angle, min_angle_scores, min_pair,
-                         pairwise_acute_angles, pairwise_principal_angles)
+from roma.angles import AngleScores, _cut, acute_row, gram_scan
 from roma.data import normalize_columns
 from roma.errors import DimensionError, ValidationError
 from roma.threshold import compute_zeta
@@ -31,53 +28,49 @@ def block_rows(monkeypatch, rows, pts):
     assert angles._block_rows(pts) == min(rows, pts)
 
 
-def test_tables_match_brute_force():
-    v = unit_cloud(6, 17, 0)
-    phi = pairwise_acute_angles(v)
-    np.testing.assert_allclose(phi, brute_acute_angles(v), rtol=0.0, atol=1e-12)
-    theta = pairwise_principal_angles(v)
-    # acute angle is the principal angle folded onto [0, pi/2]
-    np.testing.assert_allclose(phi, np.minimum(theta, math.pi - theta),
-                               rtol=0.0, atol=1e-12)
+def _exact_unit(c):
+    """A column (c, s) whose norm is exactly 1.0, so no rescaling moves c."""
+    s = math.sqrt(1.0 - c * c)
+    while np.linalg.norm([c, s]) != 1.0:
+        s = np.nextafter(s, 2.0 if np.linalg.norm([c, s]) < 1.0 else 0.0)
+    return s
 
 
-def test_tables_bitwise_symmetric():
-    v = unit_cloud(7, 23, 1)
-    phi = pairwise_acute_angles(v)
-    assert (phi == phi.T).all()
-    theta = pairwise_principal_angles(v)
-    assert (theta == theta.T).all()
+def closest(v):
+    return gram_scan(v, stats=False, closest=True).pair
 
 
 def test_min_scores_and_na_match_brute_force():
     v = unit_cloud(6, 20, 3)
-    phi = pairwise_acute_angles(v)
-    np.testing.assert_allclose(min_angle_scores(phi), brute_min_scores(v),
-                               rtol=0.0, atol=1e-12)
     zeta = 1.1
-    np.testing.assert_array_equal(count_above_threshold(phi, zeta),
-                                  brute_na(v, zeta))
+    scan = gram_scan(v, zeta)
+    np.testing.assert_allclose(scan.q, brute_min_scores(v), rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(scan.na, brute_na(v, zeta))
 
 
 def test_count_strictly_above():
-    phi = np.zeros((3, 3))
-    phi[0, 1] = phi[1, 0] = 0.7   # exactly at threshold: not counted
-    phi[0, 2] = phi[2, 0] = 0.7000000001
-    phi[1, 2] = phi[2, 1] = 0.69
-    np.testing.assert_array_equal(count_above_threshold(phi, 0.7), [1, 0, 1])
+    # a pair exactly at zeta is not counted, a wider pair is; the two pairs
+    # are orthogonal to each other, so every Gram entry is exact
+    zeta = float(np.arccos(0.7))
+    v = np.zeros((4, 4))
+    v[0, 0] = v[2, 2] = 1.0
+    v[:2, 1] = 0.7, _exact_unit(0.7)
+    v[2:, 3] = 0.69, _exact_unit(0.69)
+    na = gram_scan(v, zeta, stats=False).na
+    np.testing.assert_array_equal(na, [2, 2, 3, 3])
+    np.testing.assert_array_equal(na, brute_na(v, zeta))
 
 
 def test_count_ignores_self_term():
     v = unit_cloud(5, 6, 4)
-    phi = pairwise_acute_angles(v)
-    na = count_above_threshold(phi, 1e-12)
+    na = gram_scan(v, 1e-12, stats=False).na
     assert (na <= 5).all()  # never counts itself even at a tiny threshold
 
 
 def test_duplicate_points_score_near_zero():
     v = unit_cloud(5, 8, 5)
     v[:, 3] = v[:, 6]
-    q = min_angle_scores(pairwise_acute_angles(v))
+    q = gram_scan(v).q
     assert q[3] <= 1e-7 and q[6] <= 1e-7
     assert (q[[0, 1, 2, 4, 5, 7]] > 1e-3).all()
 
@@ -88,23 +81,27 @@ def test_negated_duplicate_scores_near_zero():
     # lands within sqrt(2 eps) of zero
     v = unit_cloud(5, 8, 6)
     v[:, 2] = -v[:, 5]
-    q = min_angle_scores(pairwise_acute_angles(v))
+    q = gram_scan(v).q
     assert q[2] <= 1e-7 and q[5] <= 1e-7
 
 
-def test_mean_angle_matches_brute_force():
+def test_mean_angle_matches_brute_force(monkeypatch):
     v = unit_cloud(6, 15, 7)
-    theta = pairwise_principal_angles(v)
-    assert mean_principal_angle(theta) == pytest.approx(
-        brute_mean_principal(v), abs=1e-12)
+    for rows in (1, 4, 15):
+        block_rows(monkeypatch, rows, 15)
+        assert gram_scan(v).mean_theta == pytest.approx(
+            brute_mean_principal(v), abs=1e-12)
 
 
 def test_scan_mean_equals_principal_mean():
+    # the mean is over principal angles in [0, pi], not acute ones: a sign
+    # flip of one column moves its angles theta to pi - theta
     v = unit_cloud(8, 40, 8)
-    direct = mean_principal_angle(pairwise_principal_angles(v))
-    assert gram_scan(v).mean_theta == pytest.approx(direct, abs=1e-12)
-    assert gram_scan(v).mean_theta == pytest.approx(brute_mean_principal(v),
-                                                    abs=1e-12)
+    v[:, 7] *= -1.0
+    mean_theta = gram_scan(v).mean_theta
+    assert mean_theta == pytest.approx(brute_mean_principal(v), abs=1e-12)
+    acute_mean = brute_acute_angles(v)[np.triu_indices(40, 1)].mean()
+    assert abs(mean_theta - acute_mean) > 0.1
 
 
 @pytest.mark.parametrize("pts, rows", [(2, 1), (9, 2), (33, 5), (200, 25),
@@ -133,11 +130,10 @@ def test_angle_scores_dispatch_agrees(monkeypatch):
     v = unit_cloud(7, 30, 10)
     for rows in (1, 4, 30):
         block_rows(monkeypatch, rows, 30)
-        got = angle_scores(v, zeta=1.3)
+        got = gram_scan(v, 1.3)
         np.testing.assert_allclose(got.q, brute_min_scores(v), rtol=0.0, atol=1e-12)
         np.testing.assert_array_equal(got.na, brute_na(v, 1.3))
         assert got.mean_theta == pytest.approx(brute_mean_principal(v), abs=1e-12)
-        assert got.zeta == 1.3
 
 
 @pytest.mark.parametrize("n, num_points", [(12, 50), (20, 100), (100, 1000),
@@ -152,14 +148,6 @@ def test_cut_is_smallest_double_at_zeta(n, num_points):
     assert np.all(np.diff(np.arccos(bits.view(np.float64))) <= 0.0)
 
 
-def _exact_unit(c):
-    """A column (c, s) whose norm is exactly 1.0, so no rescaling moves c."""
-    s = math.sqrt(1.0 - c * c)
-    while np.linalg.norm([c, s]) != 1.0:
-        s = np.nextafter(s, 2.0 if np.linalg.norm([c, s]) < 1.0 else 0.0)
-    return s
-
-
 @pytest.mark.parametrize("rows", [1, 4])
 def test_na_at_the_cut_matches_oracle(rows, monkeypatch):
     # |g| exactly at t: arccos(t) <= zeta, not counted; one double below:
@@ -172,7 +160,7 @@ def test_na_at_the_cut_matches_oracle(rows, monkeypatch):
     v[:2, 1] = t, _exact_unit(t)
     v[2:, 3] = -below, -_exact_unit(below)   # the antipodal side of the pair
     block_rows(monkeypatch, rows, 4)
-    na = angle_scores(v, zeta).na
+    na = gram_scan(v, zeta, stats=False).na
     np.testing.assert_array_equal(na, [2, 2, 3, 3])
     np.testing.assert_array_equal(na, brute_na(v, zeta))
 
@@ -183,20 +171,20 @@ def test_angle_scores_normalizes_containers_only():
     from roma.data import DataMatrix
     rng = np.random.default_rng(11)
     raw = rng.standard_normal((6, 12)) * 7.5
-    a = angle_scores(DataMatrix(raw), zeta=1.0)
-    b = angle_scores(normalize_columns(raw), zeta=1.0)
+    a = gram_scan(DataMatrix(raw), 1.0)
+    b = gram_scan(normalize_columns(raw), 1.0)
     np.testing.assert_allclose(a.q, b.q, rtol=0.0, atol=1e-12)
     with pytest.raises(ValidationError):
-        angle_scores(raw, zeta=1.0)
+        gram_scan(raw, 1.0)
 
 
 def test_min_pair_finds_planted_pair(monkeypatch):
     v = unit_cloud(6, 25, 12)
     w = v[:, 4] + 1e-6 * v[:, 9]
     v[:, 17] = w / np.linalg.norm(w)
-    assert min_pair(v) == (4, 17)
+    assert closest(v) == (4, 17)
     block_rows(monkeypatch, 3, 25)
-    assert min_pair(v) == (4, 17)
+    assert closest(v) == (4, 17)
 
 
 def test_min_pair_tie_breaks_row_major(monkeypatch):
@@ -209,10 +197,10 @@ def test_min_pair_tie_breaks_row_major(monkeypatch):
         v[axis, j] = 1.0
     v[:, 4:] += 0.001                  # break the remaining exact ties
     v = v / np.linalg.norm(v, axis=0)
-    assert min_pair(v) == (0, 3)
+    assert closest(v) == (0, 3)
     for rows in (1, 2, 3):   # the tied pairs in one block, or in two
         block_rows(monkeypatch, rows, 10)
-        assert min_pair(v) == (0, 3)
+        assert closest(v) == (0, 3)
 
 
 def test_min_pair_ties_in_angle_not_gram(monkeypatch):
@@ -228,30 +216,25 @@ def test_min_pair_ties_in_angle_not_gram(monkeypatch):
     v[2:, 3] = hi, _exact_unit(hi)
     for rows in (1, 4):
         block_rows(monkeypatch, rows, 4)
-        assert min_pair(v) == (0, 1)
+        assert closest(v) == (0, 1)
 
 
 def test_acute_row_matches_table():
     v = unit_cloud(6, 14, 14)
-    phi = pairwise_acute_angles(v)
+    phi = brute_acute_angles(v)
     for i in (0, 5, 13):
         np.testing.assert_allclose(acute_row(v, i), phi[i], rtol=0.0, atol=1e-12)
     with pytest.raises(ValidationError):
         acute_row(v, 14)
 
 
-def test_table_domain_errors():
-    with pytest.raises(DimensionError):
-        min_angle_scores(np.zeros((3, 4)))
-    with pytest.raises(DimensionError):
-        count_above_threshold(np.zeros((3, 4)), 1.0)
-    with pytest.raises(DimensionError):
-        mean_principal_angle(np.zeros(3))
+def test_scan_domain_errors():
+    v = unit_cloud(3, 4, 15)
     with pytest.raises(ValidationError):
-        min_angle_scores(np.zeros((1, 1)))
+        gram_scan(v[:, :1])
     for bad in (0.0, -0.5, math.pi / 2.0, math.nan):
         with pytest.raises(ValueError):
-            count_above_threshold(np.zeros((3, 3)), bad)
+            gram_scan(v, bad)
 
 
 def test_angle_scores_validation():
@@ -268,11 +251,7 @@ def test_angle_scores_validation():
 @settings(max_examples=40, deadline=None)
 def test_angle_ranges(seed, n, pts):
     v = unit_cloud(n, pts, seed)
-    phi = pairwise_acute_angles(v)
-    assert phi.min() >= 0.0 and phi.max() <= math.pi / 2.0
-    theta = pairwise_principal_angles(v)
-    assert theta.min() >= 0.0 and theta.max() <= math.pi
-    q = min_angle_scores(phi)
-    assert (q >= 0.0).all()
-    na = count_above_threshold(phi, 0.9)
-    assert (na >= 0).all() and (na <= pts - 1).all()
+    scan = gram_scan(v, 0.9)
+    assert (scan.q >= 0.0).all() and (scan.q <= math.pi / 2.0).all()
+    assert (scan.na >= 0).all() and (scan.na <= pts - 1).all()
+    assert 0.0 <= scan.mean_theta <= math.pi

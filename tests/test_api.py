@@ -1,0 +1,38 @@
+"""The public API: every exported name resolves, and deleted names stay gone."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import roma
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(roma.__path__))
+
+# Removed public names and the module that used to export each one.
+DELETED = {
+    "angles": ["pairwise_acute_angles", "pairwise_principal_angles",
+               "min_angle_scores", "count_above_threshold",
+               "mean_principal_angle", "min_pair", "angle_scores"],
+    "threshold": ["compute_zeta_adapted"],
+    "synth": ["assemble"],
+}
+
+
+@pytest.mark.parametrize("name", ["roma"] + [f"roma.{m}" for m in MODULES])
+def test_every_export_resolves(name):
+    module = importlib.import_module(name)
+    exports = getattr(module, "__all__", [])
+    assert len(exports) == len(set(exports))
+    missing = [n for n in exports if not hasattr(module, n)]
+    assert not missing
+
+
+@pytest.mark.parametrize("module", sorted(DELETED))
+def test_deleted_names_are_gone(module):
+    mod = importlib.import_module(f"roma.{module}")
+    for name in DELETED[module]:
+        assert name not in mod.__all__
+        assert not hasattr(mod, name)
+        assert name not in roma.__all__
+        assert not hasattr(roma, name)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from roma import angles
-from roma.angles import count_above_threshold, pairwise_acute_angles
 from roma.data import DataMatrix, Label, NormalizedMatrix
 from roma.detector import RomaNResult, RomaResult, roma, roma_n
 from roma.errors import DegenerateRegimeError, ValidationError
@@ -137,9 +136,8 @@ def test_roma_n_survivor_counts_match_submatrix():
     res = roma_n(m)
     sub = m.values[:, res.survivors]
     sub = sub / np.linalg.norm(sub, axis=0)
-    phi = pairwise_acute_angles(sub)
     np.testing.assert_array_equal(
-        res.na_survivors, count_above_threshold(phi, res.stage1.threshold.zeta))
+        res.na_survivors, brute_na(sub, res.stage1.threshold.zeta))
 
 
 def test_roma_n_blocked_path_agrees(monkeypatch):

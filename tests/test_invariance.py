@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roma import angles
-from roma.angles import min_pair
+from roma.angles import gram_scan
 from roma.data import DataMatrix, normalize_columns
 from roma.detector import roma, roma_n
 from roma.synth import (ClusteredInliers, ClusteredOutliers, ColumnStreams,
@@ -111,7 +111,8 @@ def test_two_stage_permutation_and_signs():
 def test_two_stage_inlier_head_is_the_lower_index_of_the_closest_pair():
     values = structured_values()
     base = roma_n(DataMatrix(values))
-    pair = base.survivors[list(min_pair(values[:, base.survivors]))]
+    scan = gram_scan(values[:, base.survivors], stats=False, closest=True)
+    pair = base.survivors[list(scan.pair)]
     for seed in range(20):
         rng = np.random.default_rng(seed)
         perm = rng.permutation(values.shape[1])
@@ -211,8 +212,9 @@ def test_column_permutation_relabels_decisions(seed, kind):
     assert np.array_equal(moved.stage1.partition.outlier_mask(),
                           base.stage1.partition.outlier_mask()[perm])
     assert np.array_equal(np.sort(perm[moved.survivors]), base.survivors)
-    pair = set(min_pair(values[:, base.survivors] /
-                        np.linalg.norm(values[:, base.survivors], axis=0)))
+    survivors = values[:, base.survivors]
+    pair = set(gram_scan(survivors / np.linalg.norm(survivors, axis=0),
+                         stats=False, closest=True).pair)
     assert {perm[moved.inlier_head], base.inlier_head} <= set(
         base.survivors[sorted(pair)])
     # the inlier head is the lower index of the closest pair, so relabelling

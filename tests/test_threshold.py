@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roma.angles import pairwise_principal_angles
+from roma.detector import roma
 from roma.errors import DegenerateRegimeError
 from roma.threshold import (ThresholdSpec, compute_cn, compute_zeta,
-                            compute_zeta_adapted, zeta_with_center)
+                            zeta_with_center)
+
+from _oracles import brute_mean_principal
 
 # mpmath reference values (50 digits, rounded to float)
 CN_CASES = [
@@ -81,13 +83,11 @@ def test_adapted_uses_sample_mean():
     rng = np.random.default_rng(21)
     v = rng.standard_normal((60, 40))
     v /= np.linalg.norm(v, axis=0)
-    theta = pairwise_principal_angles(v)
-    adapted = compute_zeta_adapted(theta, 60, 40)
+    adapted = roma(v, "adapted").threshold
     assert adapted.mode == "adapted"
-    expected_center = float(theta.sum() / (40 * 39))
-    assert adapted.center == pytest.approx(expected_center, abs=1e-12)
-    assert adapted.zeta == pytest.approx(
-        expected_center - adapted.c_n / math.sqrt(58), abs=1e-12)
+    expected = zeta_with_center(60, 40, brute_mean_principal(v), "adapted")
+    assert adapted.center == pytest.approx(expected.center, abs=1e-12)
+    assert adapted.zeta == pytest.approx(expected.zeta, abs=1e-12)
 
 
 def test_adapted_shifts_down_on_nonnegative_data():
@@ -96,8 +96,8 @@ def test_adapted_shifts_down_on_nonnegative_data():
     rng = np.random.default_rng(22)
     v = np.abs(rng.standard_normal((80, 50)))
     v /= np.linalg.norm(v, axis=0)
-    theta = pairwise_principal_angles(v)
-    adapted = compute_zeta_adapted(theta, 80, 50)
+    adapted = roma(v, "adapted").threshold
+    assert adapted.center == pytest.approx(brute_mean_principal(v), abs=1e-12)
     theoretical = compute_zeta(80, 50)
     assert adapted.center < math.pi / 2.0
     assert adapted.zeta < theoretical.zeta
