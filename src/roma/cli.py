@@ -98,7 +98,7 @@ def _read_labels(path, num_points: int) -> np.ndarray:
     names = {"inlier": int(Label.INLIER), "outlier": int(Label.OUTLIER),
              "0": int(Label.INLIER), "1": int(Label.OUTLIER)}
     tokens = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for line in fh:
             tokens.extend(t.strip().lower() for t in line.replace(",", " ").split())
     if len(tokens) != num_points:
@@ -180,7 +180,7 @@ _FLAG_FIELDS = {
 
 def _experiment_config(args) -> ExperimentConfig:
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise RomaError(f"{args.config}: expected a JSON object")

@@ -2,11 +2,14 @@
 
 Points are stored one per column in float64 matrices.  CSV files may lay
 points out either way; ``orientation`` says which.  Files are read as UTF-8
-with an optional byte-order mark.  An optional single header row is
-auto-detected: a first row none of whose fields parse as finite numbers.  A
-first row that parses only in part is a data row with a bad field, not a
-header.  All containers are frozen and their arrays are marked read-only
-after validation.
+with an optional byte-order mark.  A field is read with Python's ``float()``
+after ``str.strip()``: surrounding whitespace, quotes and digit underscores
+(``1_000``) are accepted, and the value must be finite.  An optional single
+header row is auto-detected: a first row none of whose fields parse as
+finite numbers.  A first row that parses only in part is a data row with a
+bad field, not a header.  A malformed file raises at its first bad field in
+file order, with 1-based row and column.  All containers are frozen and
+their arrays are marked read-only after validation.
 """
 
 from __future__ import annotations
@@ -191,14 +194,14 @@ def _parse_field(text: str, row: int, col: int) -> float:
         value = float(text)
     except ValueError:
         raise ParseError(f"field {text!r} is not a number", row=row, column=col) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ParseError(f"field {text!r} is not a finite real", row=row, column=col)
     return value
 
 
 def _is_number(text: str) -> bool:
     try:
-        return math.isfinite(float(text))
+        return math.isfinite(float(text.strip()))
     except ValueError:
         return False
 
@@ -206,11 +209,15 @@ def _is_number(text: str) -> bool:
 def load_csv_matrix(path, orientation: str = "points-as-rows") -> DataMatrix:
     """Read a numeric CSV into a DataMatrix.
 
-    Fields must parse as finite reals (decimal point, no thousands
-    separators).  A single leading header row is skipped when none of its
-    fields parses; a leading row that parses only in part raises at its
-    first bad field.  A UTF-8 byte-order mark is ignored.  Errors carry
-    1-based coordinates.
+    A field is a number exactly when Python's ``float()`` accepts it after
+    ``str.strip()``, and it must be finite.  So surrounding whitespace and
+    digit underscores (``1_000``) are accepted; thousands separators,
+    decimal commas, ``nan`` and ``inf`` are not.  A single leading header row
+    is skipped when none of its fields parses; a leading row that parses
+    only in part raises at its first bad field.  A UTF-8 byte-order mark is
+    ignored.  Errors carry 1-based file coordinates and name the first bad
+    field in file order: rows are checked one at a time, width first, then
+    their fields from left to right.
     """
     if orientation not in ORIENTATIONS:
         raise ValidationError(
@@ -220,15 +227,24 @@ def load_csv_matrix(path, orientation: str = "points-as-rows") -> DataMatrix:
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for i, raw in enumerate(reader, start=1):
-            fields = [f.strip() for f in raw]
-            if i == 1 and not any(_is_number(f) for f in fields):
+            if i == 1 and not any(_is_number(f) for f in raw):
                 continue  # header row
             if width is None:
-                width = len(fields)
-            if len(fields) != width:
+                width = len(raw)
+            if len(raw) != width:
                 raise ParseError(
-                    f"expected {width} fields, found {len(fields)}", row=i)
-            rows.append([_parse_field(f, i, j + 1) for j, f in enumerate(fields)])
+                    f"expected {width} fields, found {len(raw)}", row=i)
+            try:
+                vals = list(map(float, raw))
+                clean = all(map(math.isfinite, vals))
+            except ValueError:
+                clean = False
+            if not clean:
+                # Field by field, to name the first bad one.  This also
+                # parses the few fields float() rejects only for padding
+                # that str.strip() removes (the ASCII separators \x1c-\x1f).
+                vals = [_parse_field(f.strip(), i, j + 1) for j, f in enumerate(raw)]
+            rows.append(vals)
     if not rows:
         raise ParseError("no data rows found")
     arr = np.asarray(rows, dtype=float)
@@ -250,9 +266,7 @@ def write_csv(matrix, path, orientation: str = "points-as-rows") -> None:
     values = matrix.values if hasattr(matrix, "values") else np.asarray(matrix, dtype=float)
     out = values.T if orientation == "points-as-rows" else values
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in out:
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(fh).writerows(out.tolist())  # floats are written as repr()
 
 
 def normalize_columns(m) -> NormalizedMatrix:

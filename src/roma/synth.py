@@ -366,17 +366,32 @@ def sample_bounded_cone(n: int, count: int, theta_max: float, streams: ColumnStr
         acceptance_rate=accepted / budget)
 
 
+def _shuffle(inlier_cols: np.ndarray, outlier_cols: np.ndarray | None,
+             streams: ColumnStreams) -> tuple[np.ndarray, np.ndarray]:
+    """Shuffle labeled columns into one matrix: (values, labels).
+
+    Each part is copied straight into its shuffled columns, with no
+    concatenated copy in between.  The matrix is in C order, the order
+    DataMatrix stores, because the noise calibration's sums depend on it.
+    """
+    num_in = inlier_cols.shape[1]
+    total = num_in + (0 if outlier_cols is None else outlier_cols.shape[1])
+    labels = np.full(total, int(Label.OUTLIER), dtype=np.int8)
+    labels[:num_in] = int(Label.INLIER)
+    perm = streams.shuffle().permutation(total)
+    slot = np.argsort(perm)  # column i of the parts lands in column slot[i]
+    values = np.empty((inlier_cols.shape[0], total))
+    values[:, slot[:num_in]] = inlier_cols
+    if outlier_cols is not None:
+        values[:, slot[num_in:]] = outlier_cols
+    return values, labels[perm]
+
+
 def shuffle_and_label(inlier_cols: np.ndarray, outlier_cols: np.ndarray | None,
                       basis: np.ndarray, streams: ColumnStreams) -> DataMatrix:
     """Concatenate labeled columns and shuffle them into a DataMatrix."""
-    parts = [inlier_cols] if outlier_cols is None or outlier_cols.shape[1] == 0 \
-        else [inlier_cols, outlier_cols]
-    values = np.hstack(parts)
-    total = values.shape[1]
-    labels = np.full(total, int(Label.OUTLIER), dtype=np.int8)
-    labels[: inlier_cols.shape[1]] = int(Label.INLIER)
-    perm = streams.shuffle().permutation(total)
-    return DataMatrix(values[:, perm], labels=labels[perm], true_basis=basis)
+    values, labels = _shuffle(inlier_cols, outlier_cols, streams)
+    return DataMatrix(values, labels=labels, true_basis=basis)
 
 
 def make_dataset(spec: SynthSpec) -> SynthDataset:
@@ -409,11 +424,32 @@ def make_dataset(spec: SynthSpec) -> SynthDataset:
                 subspace=basis if model.within_subspace else None)
         else:
             raise ValidationError(f"unknown outlier model {model!r}")
-    matrix = shuffle_and_label(inlier_cols, outlier_cols, basis, streams)
-    dataset = SynthDataset(matrix=matrix, spec=spec)
+    values, labels = _shuffle(inlier_cols, outlier_cols, streams)
+    sigma = point_snr = None
     if spec.snr_db is not None:
-        dataset = add_noise_snr(dataset, spec.snr_db, streams, spec.noise_target)
-    return dataset
+        sigma, point_snr = _add_noise(values, labels, spec.snr_db, streams,
+                                      spec.noise_target)
+    matrix = DataMatrix(values, labels=labels, true_basis=basis)
+    return SynthDataset(matrix=matrix, spec=spec, sigma=sigma, point_snr=point_snr)
+
+
+def _add_noise(values: np.ndarray, labels: np.ndarray, snr_db: float,
+               streams: ColumnStreams, target: str) -> tuple[float, np.ndarray]:
+    """Add calibrated noise to C-ordered ``values`` in place.
+
+    Returns (sigma, point_snr); see ``add_noise_snr``.
+    """
+    n, total = values.shape
+    sigma = np.linalg.norm(values) / (10.0 ** (snr_db / 20.0) * math.sqrt(n * total))
+    point_snr = np.sum(values * values, axis=0) / (n * sigma * sigma)
+    if target == "inliers":
+        targets = np.flatnonzero(labels == int(Label.INLIER))
+    else:
+        targets = np.arange(total)
+    noise = streams._normals(_DOM_NOISE, targets, n)
+    noise *= sigma
+    values[:, targets] += noise.T
+    return float(sigma), point_snr
 
 
 def add_noise_snr(dataset: SynthDataset, snr_db: float,
@@ -430,21 +466,14 @@ def add_noise_snr(dataset: SynthDataset, snr_db: float,
         raise ValidationError(f"noise target must be one of {NOISE_TARGETS}, got {target!r}")
     if dataset.sigma is not None:
         raise ValidationError("dataset already carries noise")
+    if target == "inliers" and dataset.matrix.labels is None:
+        raise ValidationError("matrix carries no labels")
     streams = streams or ColumnStreams(dataset.spec.seed)
     values = dataset.matrix.values.copy()
-    n, total = values.shape
-    sigma = np.linalg.norm(values) / (10.0 ** (snr_db / 20.0) * math.sqrt(n * total))
-    point_snr = np.sum(values * values, axis=0) / (n * sigma * sigma)
-    if target == "inliers":
-        targets = dataset.matrix.label_indices(Label.INLIER)
-    else:
-        targets = np.arange(total)
-    noise = streams._normals(_DOM_NOISE, targets, n)
-    noise *= sigma
-    values[:, targets] += noise.T
+    sigma, point_snr = _add_noise(values, dataset.matrix.labels, snr_db, streams, target)
     matrix = DataMatrix(values, labels=dataset.matrix.labels,
                         true_basis=dataset.matrix.true_basis)
-    return SynthDataset(matrix=matrix, spec=dataset.spec, sigma=float(sigma),
+    return SynthDataset(matrix=matrix, spec=dataset.spec, sigma=sigma,
                         point_snr=point_snr)
 
 
@@ -512,7 +541,7 @@ def export_dataset(dataset: SynthDataset, csv_path,
 
 def load_sidecar(path) -> dict:
     """Read a sidecar back; labels become a Label-coded int8 array."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         payload = json.load(fh)
     name_to_code = {lab.name.lower(): np.int8(int(lab)) for lab in Label}
     try:

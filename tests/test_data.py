@@ -1,9 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from roma import data
 from roma.data import (DataMatrix, Label, NormalizedMatrix, Partition,
                        SubspaceBasis, load_csv_matrix, normalize_columns,
                        write_csv)
@@ -40,6 +43,11 @@ def test_load_skips_single_header_row(tmp_path):
         load_csv_matrix(p2)
     assert exc.value.row == 2
     assert exc.value.column == 1
+    # coordinates after a skipped header are still file rows
+    p3 = _write(tmp_path, "x,y,z\n1,2,3\n4,oops,6\n", name="m3.csv")
+    with pytest.raises(ParseError) as exc:
+        load_csv_matrix(p3)
+    assert (exc.value.row, exc.value.column) == (3, 2)
 
 
 def test_load_all_numeric_first_row_is_data(tmp_path):
@@ -82,10 +90,42 @@ def test_load_bad_field_coordinates(tmp_path):
 
 
 def test_load_rejects_nan_inf(tmp_path):
-    for bad in ("nan", "inf", "-inf"):
-        p = _write(tmp_path, f"1,2,3\n4,{bad},6\n", name=f"{bad}.csv")
-        with pytest.raises(ParseError):
+    for bad in ("nan", "inf", "-inf", "1e400", " -1E400 "):
+        p = _write(tmp_path, f"1,2,3\n4,{bad},6\n", name="nonfinite.csv")
+        with pytest.raises(ParseError, match="is not a finite real") as exc:
             load_csv_matrix(p)
+        assert (exc.value.row, exc.value.column) == (2, 2)
+
+
+@pytest.mark.parametrize("text, message, column", [
+    # a non-finite field on row 2 wins over the short row 3 behind it
+    ("1,2,3\n4,inf,6\n7,8\n", "'inf' is not a finite real", 2),
+    ("1,2,3\n4,inf,x\n", "'inf' is not a finite real", 2),
+    ("1,2,3\n4,x,inf\n", "'x' is not a number", 2),
+    ("1,2,3\n4,5, oops \n7,nan,9\n", "'oops' is not a number", 3),
+])
+def test_load_names_first_bad_field_in_file_order(tmp_path, text, message, column):
+    p = _write(tmp_path, text)
+    with pytest.raises(ParseError, match=message) as exc:
+        load_csv_matrix(p)
+    assert (exc.value.row, exc.value.column) == (2, column)
+
+
+@pytest.mark.parametrize("text, expected", [
+    (" 1 ,\t2\t,\u00a03\u2003\n4,5,6\n", [1.0, 2.0, 3.0]),  # padded
+    ('"1","2","3"\n"4",5,"6"\n', [1.0, 2.0, 3.0]),  # quoted
+    ("1_000,+1e-3,-0\n4,5,6\n", [1000.0, 1e-3, -0.0]),  # float() syntax
+    ("\u0661,\u0662,\u0663\n4,5,6\n", [1.0, 2.0, 3.0]),  # Arabic-Indic digits
+    # padding that str.strip() removes but float() rejects
+    ("\x1c1,\x1d2\x1f,3\x1e\n4,5,6\n", [1.0, 2.0, 3.0]),
+])
+def test_load_accepts_float_syntax(tmp_path, text, expected):
+    p = tmp_path / "m.csv"
+    p.write_text(text, encoding="utf-8")
+    m = load_csv_matrix(p)
+    assert m.values[:, 0].tolist() == expected
+    assert np.signbit(m.values[:, 0]).tolist() == np.signbit(expected).tolist()
+    assert m.values[:, 1].tolist() == [4.0, 5.0, 6.0]
 
 
 def test_load_empty_file(tmp_path):
@@ -119,14 +159,48 @@ def test_load_bad_orientation(tmp_path):
         load_csv_matrix(p, orientation="sideways")
 
 
+def _random_doubles(rng, shape):
+    """Doubles with full random mantissas over a wide range of exponents."""
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 150, size=shape)
+
+
+def _float_oracle(path, orientation):
+    """The file parsed one field at a time with float()."""
+    with open(path, newline="") as fh:
+        rows = [[float(f) for f in row] for row in csv.reader(fh)]
+    arr = np.array(rows)
+    return arr.T if orientation == "points-as-rows" else arr
+
+
 def test_csv_round_trip_exact(tmp_path):
     rng = np.random.default_rng(5)
-    m = DataMatrix(rng.standard_normal((7, 11)))
+    values = _random_doubles(rng, (7, 11))
+    values[:3, 0] = [-0.0, 5e-324, 0.1]
+    values[3:, 1] = rng.standard_normal(4)
+    m = DataMatrix(values)
     for orientation in ("points-as-rows", "points-as-columns"):
         path = tmp_path / f"{orientation}.csv"
         write_csv(m, path, orientation)
+        # one repr() per value, nothing else
+        out = values.T if orientation == "points-as-rows" else values
+        assert path.read_bytes().decode() == "".join(
+            ",".join(repr(float(v)) for v in row) + "\r\n" for row in out)
         back = load_csv_matrix(path, orientation)
-        np.testing.assert_array_equal(back.values, m.values)  # repr round-trips
+        assert back.values.tobytes() == values.tobytes()  # -0.0 keeps its sign
+        assert back.values.tobytes() == _float_oracle(path, orientation).tobytes()
+
+
+def test_clean_file_never_parses_per_field(tmp_path, monkeypatch):
+    # the per-field parser only names the bad field of a bad row
+    path = tmp_path / "clean.csv"
+    write_csv(DataMatrix(_random_doubles(np.random.default_rng(9), (6, 40))), path)
+    path.write_text("a,b,c,d,e,f\n" + path.read_text())
+
+    def fail(text, row, col):
+        raise AssertionError(f"_parse_field ran on clean row {row}")
+
+    monkeypatch.setattr(data, "_parse_field", fail)
+    assert load_csv_matrix(path).num_points == 40
 
 
 # --- containers --------------------------------------------------------------

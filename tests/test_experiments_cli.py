@@ -268,6 +268,14 @@ def test_cli_detect_numeric_labels(planted, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["truth"]["erp_success"]
 
 
+def test_cli_detect_labels_with_bom(planted, tmp_path, capsys):
+    csv_path, labels_path, _ = planted
+    bom = tmp_path / "bom.txt"
+    bom.write_text(labels_path.read_text(), encoding="utf-8-sig")
+    assert main(["--input", str(csv_path), "--labels", str(bom)]) == 0
+    assert json.loads(capsys.readouterr().out)["truth"]["erp_success"]
+
+
 def test_cli_detect_out_file(planted, tmp_path):
     csv_path, _, _ = planted
     out = tmp_path / "report.json"
@@ -301,6 +309,18 @@ def test_cli_config_file_and_overrides(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"]["trials"] == 1      # flag beats file
     assert payload["config"]["num_points"] == 40  # file beats default
+
+
+def test_cli_config_file_with_bom(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "experiment": "validate-threshold", "n": 30, "rank": 3,
+        "num_points": 40, "gamma_grid": [0.3], "trials": 1, "seed": 11}),
+        encoding="utf-8-sig")
+    argv = ["--experiment", "validate-threshold", "--config", str(cfg_path),
+            "--format", "json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["num_points"] == 40
 
 
 def test_cli_noiseless_flag(capsys):

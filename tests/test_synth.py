@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from _oracles import column_dataset, column_inliers, column_outliers
 
-from roma.data import Label, load_csv_matrix
+from roma import synth
+from roma.data import DataMatrix, Label, load_csv_matrix
 from roma.errors import FeasibilityError, ValidationError
 from roma.synth import (
     BoundedConeOutliers,
@@ -396,6 +397,20 @@ def test_noisy_columns_leave_unit_sphere():
     assert np.any(np.abs(norms - 1.0) > 1e-6)
 
 
+@pytest.mark.parametrize("snr_db", [None, 20.0])
+def test_make_dataset_builds_one_matrix(monkeypatch, snr_db):
+    built = []
+
+    class Counting(DataMatrix):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(synth, "DataMatrix", Counting)
+    ds = make_dataset(base_spec(snr_db=snr_db))
+    assert built == [ds.matrix]
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -432,6 +447,18 @@ def test_export_round_trip(tmp_path, orientation):
     assert side["sigma"] == ds.sigma
     assert np.array_equal(side["labels"], ds.matrix.labels)
     assert np.allclose(side["true_basis"], ds.matrix.true_basis, atol=0)
+
+
+def test_load_sidecar_with_bom(tmp_path):
+    ds = make_dataset(base_spec())
+    sidecar = export_dataset(ds, tmp_path / "d.csv")
+    with open(sidecar, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(sidecar, "w", encoding="utf-8-sig") as fh:
+        fh.write(text)
+    side = load_sidecar(sidecar)
+    assert side["spec"] == ds.spec
+    assert np.array_equal(side["labels"], ds.matrix.labels)
 
 
 def test_load_sidecar_rejects_unknown_label(tmp_path):
