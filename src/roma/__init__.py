@@ -23,8 +23,8 @@ from .statcore import (angle_pdf, angle_sigma, folded_gaussian_moments,
                        normal_cdf, normal_quantile, normal_sf, phi_moments)
 from .subspace import LRE_FLOOR, lre, recover_subspace
 from .synth import (BoundedConeOutliers, ClusteredInliers, ClusteredOutliers,
-                    ColumnStreams, SynthDataset, SynthSpec, UniformInliers,
-                    UnstructuredOutliers, add_noise_snr, export_dataset,
+                    ColumnStreams, MixedOutliers, SynthDataset, SynthSpec,
+                    UniformInliers, UnstructuredOutliers, export_dataset,
                     load_sidecar, make_dataset, random_subspace,
                     spec_from_dict, spec_to_dict)
 from .theory import (ErpAlphaEstimate, ErpTrialSummary, TheoryReport,
@@ -57,9 +57,9 @@ __all__ = [
     "recover_subspace", "lre", "LRE_FLOOR",
     # synthetic data
     "SynthSpec", "SynthDataset", "make_dataset",
-    "random_subspace", "add_noise_snr", "ColumnStreams",
+    "random_subspace", "ColumnStreams",
     "UniformInliers", "ClusteredInliers", "UnstructuredOutliers",
-    "ClusteredOutliers", "BoundedConeOutliers",
+    "ClusteredOutliers", "BoundedConeOutliers", "MixedOutliers",
     "export_dataset", "load_sidecar", "spec_to_dict", "spec_from_dict",
     # experiments
     "ExperimentConfig", "ExperimentResult", "TrialRecord", "EXPERIMENTS",

@@ -7,6 +7,12 @@ trial's result does not depend on which other trials ran, and every emitted
 record keeps its partition and labels so the success flags can be re-derived
 after the fact (see ``audit``).
 
+An experiment is a row of data in ``_EXPERIMENTS``: its default config,
+its cells, a trial's ``SynthSpec``, its detection stage, its metrics beyond
+the truth flags (subspace recovery among them) and its summary columns.
+One pipeline, ``_run_cells``, runs every row: ``make_dataset``, detection,
+truth flags, extra metrics, and one summary row per cell.
+
 Experiments
 -----------
 validate-threshold : does every true outlier score above the threshold?
@@ -26,6 +32,7 @@ import dataclasses
 import io
 import json
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,10 +42,8 @@ from .detector import roma, roma_n
 from .errors import ValidationError
 from .subspace import lre, recover_subspace
 from .synth import (BoundedConeOutliers, ClusteredInliers, ClusteredOutliers,
-                    ColumnStreams, SynthSpec, UniformInliers,
-                    UnstructuredOutliers, make_dataset, random_subspace,
-                    sample_clustered_inliers, sample_clustered_outliers,
-                    sample_unstructured_outliers, shuffle_and_label)
+                    ColumnStreams, MixedOutliers, SynthSpec,
+                    UnstructuredOutliers, make_dataset)
 from .theory import ErpTrialSummary, erp_alpha_estimate, erp_impossibility_alpha
 
 __all__ = [
@@ -59,20 +64,17 @@ __all__ = [
 # error falls below this.
 RECOVERY_CUTOFF = -5.0
 
-EXPERIMENTS = ("validate-threshold", "oip-erp", "phase-inliers",
-               "phase-recovery", "structured", "mixed")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs for every experiment; unused fields are ignored by a runner."""
+    """Knobs for every experiment; unused fields are ignored by an experiment."""
 
     experiment: str = "validate-threshold"
     n: int = 100
     rank: int = 10
     num_points: int = 1000
     gamma_grid: tuple = (0.15, 0.55, 0.95)
-    snr_db: float | None = 20.0          # validate-threshold / phase noise
+    snr_db: float | None = 20.0          # every experiment but oip-erp
     snr_grid: tuple = (20.0, 10.0)       # oip-erp
     trials: int = 100
     seed: int = 1
@@ -94,28 +96,14 @@ class ExperimentConfig:
         return dataclasses.replace(self, **kw)
 
 
-_DEFAULTS = {
-    "validate-threshold": dict(
-        gamma_grid=tuple(round(0.05 + 0.1 * k, 2) for k in range(10)),
-        trials=200, snr_db=20.0),
-    "oip-erp": dict(gamma_grid=(0.15, 0.55, 0.95), snr_grid=(20.0, 10.0),
-                    trials=1000),
-    "phase-inliers": dict(num_points=2000, trials=20, snr_db=None,
-                          inlier_grid=(100, 400, 700, 1000, 1300, 1600, 1900)),
-    "phase-recovery": dict(n=100, rank=20, trials=20, snr_db=None,
-                           inlier_grid=(25, 100, 400, 700, 1000),
-                           outlier_grid=(100, 400, 700, 1000)),
-    "structured": dict(n=200, rank=10, trials=20, stage="roma-n", snr_db=None),
-    "mixed": dict(n=200, rank=10, trials=20, stage="roma-n", mu=0.2, snr_db=None,
-                  num_inliers=400, outlier_grid=(100, 400, 800)),
-}
+def _experiment(name: str) -> "_Experiment":
+    if name not in _EXPERIMENTS:
+        raise ValidationError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
+    return _EXPERIMENTS[name]
 
 
 def default_config(experiment: str) -> ExperimentConfig:
-    if experiment not in EXPERIMENTS:
-        raise ValidationError(
-            f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}")
-    return ExperimentConfig(experiment=experiment, **_DEFAULTS[experiment])
+    return ExperimentConfig(experiment=experiment, **_experiment(experiment).defaults)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -205,129 +193,110 @@ def _detect(cfg: ExperimentConfig, matrix: DataMatrix):
     raise ValidationError(f"stage must be 'roma' or 'roma-n', got {cfg.stage!r}")
 
 
-def _recovery_lre(matrix: DataMatrix, partition: Partition) -> float:
+def _recovery_metrics(ds, res) -> dict:
     # An empty inlier estimate recovers nothing: the projector is zero and
     # the relative residual is exactly 1.
-    if partition.inliers.size == 0:
-        return 0.0
-    basis = recover_subspace(matrix, partition.inliers, rank="auto")
-    return lre(matrix.true_basis, basis)
+    value = 0.0
+    if res.partition.inliers.size:
+        basis = recover_subspace(ds.matrix, res.partition.inliers, rank="auto")
+        value = lre(ds.matrix.true_basis, basis)
+    return {"lre": value, "recovered": bool(value < RECOVERY_CUTOFF)}
 
 
-def _run_cells(cfg: ExperimentConfig, cells: list, trial_fn) -> list:
-    records = []
-    for ci, cell in enumerate(cells):
+@dataclass(frozen=True)
+class _Experiment:
+    """One experiment as data: a row of the table ``_run_cells`` reads."""
+
+    defaults: dict               # ExperimentConfig fields of default_config
+    cells: Callable              # cfg -> list of cell dicts
+    spec: Callable               # (cfg, cell, seed) -> SynthSpec
+    summary: Callable            # (cfg, one cell's records) -> summary columns
+    metrics: tuple = ()          # each (dataset, result) -> metrics past the flags
+    follows_stage: bool = False  # detect with cfg.stage, not always roma
+
+
+def _run_cells(cfg: ExperimentConfig, exp: _Experiment) -> ExperimentResult:
+    """The one trial pipeline: dataset, detection, metrics, cell summary."""
+    records, summary = [], []
+    for ci, cell in enumerate(exp.cells(cfg)):
+        rs = []
         for trial in range(cfg.trials):
             seed = _trial_seed(cfg.seed, ci, trial)
             start = time.perf_counter()
-            metrics, partition, labels = trial_fn(cell, seed)
+            ds = make_dataset(exp.spec(cfg, cell, seed))
+            res = _detect(cfg, ds.matrix) if exp.follows_stage else roma(ds.matrix, cfg.mode)
+            metrics = _truth_flags(res.partition, ds.matrix.labels)
+            for extra in exp.metrics:
+                metrics.update(extra(ds, res))
             elapsed = time.perf_counter() - start
-            records.append(TrialRecord(cell=dict(cell), trial=trial, seed=seed,
-                                       metrics=metrics, wall_time_s=elapsed,
-                                       partition=partition, labels=labels))
-    return records
-
-
-def _cell_records(records: list, cell: dict) -> list:
-    return [r for r in records if r.cell == cell]
+            rs.append(TrialRecord(cell=dict(cell), trial=trial, seed=seed,
+                                  metrics=metrics, wall_time_s=elapsed,
+                                  partition=res.partition, labels=ds.matrix.labels))
+        records += rs
+        summary.append({**cell, "trials": len(rs), **exp.summary(cfg, rs)})
+    return ExperimentResult(cfg, records, summary)
 
 
 def _mean(records, key):
+    # flags are bools, so their mean is the fraction of trials that set them
     return float(np.mean([r.metrics[key] for r in records]))
 
 
-def _frac(records, key):
-    return float(np.mean([bool(r.metrics[key]) for r in records]))
+def _gamma_spec(cfg: ExperimentConfig, cell: dict, seed: int) -> SynthSpec:
+    return SynthSpec(n=cfg.n, num_points=cfg.num_points, rank=cfg.rank,
+                     gamma=cell["gamma"], seed=seed, snr_db=cell["snr_db"],
+                     outlier_model=_outlier_model(cfg))
 
 
-# --- validate-threshold ----------------------------------------------------
+def _split_spec(cfg: ExperimentConfig, seed: int, num_inliers: int,
+                num_outliers: int, **kw) -> SynthSpec:
+    """A spec with these point counts; ``kw`` overrides the config's fields."""
+    total = num_inliers + num_outliers
+    kw = {"rank": cfg.rank, "snr_db": cfg.snr_db, **kw}
+    return SynthSpec(n=cfg.n, num_points=total, gamma=num_outliers / total,
+                     seed=seed, **kw)
 
-def run_validate_threshold(cfg: ExperimentConfig) -> ExperimentResult:
-    for g in cfg.gamma_grid:
-        if not 0.0 < g < 1.0:
-            raise ValidationError(f"gamma grid values must lie in (0, 1), got {g}")
+
+def _threshold_cells(cfg: ExperimentConfig) -> list:
     cells = [{"gamma": g, "snr_db": cfg.snr_db} for g in cfg.gamma_grid]
-    out_model = _outlier_model(cfg)
-
-    def trial(cell, seed):
-        spec = SynthSpec(n=cfg.n, num_points=cfg.num_points, rank=cfg.rank,
-                         gamma=cell["gamma"], seed=seed, snr_db=cell["snr_db"],
-                         outlier_model=out_model)
-        ds = make_dataset(spec)
-        res = roma(ds.matrix, cfg.mode)
-        true_out = ds.outlier_indices
-        if true_out.size == 0:
+    for cell in cells:  # SynthSpec checks the range of gamma
+        if _gamma_spec(cfg, cell, cfg.seed).num_outliers == 0:
             raise ValidationError(
                 f"gamma {cell['gamma']} rounds to zero outliers at N={cfg.num_points}")
-        min_q = float(res.scores.q[true_out].min())
-        metrics = {
-            **_truth_flags(res.partition, ds.matrix.labels),
-            "min_outlier_q": min_q,
-            "zeta": res.threshold.zeta,
-            "threshold_holds": bool(min_q > res.threshold.zeta),
-        }
-        return metrics, res.partition, ds.matrix.labels
-
-    records = _run_cells(cfg, cells, trial)
-    summary = []
-    for cell in cells:
-        rs = _cell_records(records, cell)
-        summary.append({**cell,
-                        "trials": len(rs),
-                        "holds_fraction": _frac(rs, "threshold_holds"),
-                        "mean_min_outlier_q": _mean(rs, "min_outlier_q"),
-                        "zeta": rs[0].metrics["zeta"]})
-    return ExperimentResult(cfg, records, summary)
+    return cells
 
 
-# --- oip-erp ---------------------------------------------------------------
-
-def run_oip_erp(cfg: ExperimentConfig) -> ExperimentResult:
-    cells = [{"snr_db": s, "gamma": g} for s in cfg.snr_grid for g in cfg.gamma_grid]
-    out_model = _outlier_model(cfg)
-
-    def trial(cell, seed):
-        spec = SynthSpec(n=cfg.n, num_points=cfg.num_points, rank=cfg.rank,
-                         gamma=cell["gamma"], seed=seed, snr_db=cell["snr_db"],
-                         outlier_model=out_model)
-        ds = make_dataset(spec)
-        res = roma(ds.matrix, cfg.mode)
-        true_in = ds.inlier_indices
-        exceed = int((res.scores.q[true_in] > res.threshold.zeta).sum())
-        metrics = {
-            **_truth_flags(res.partition, ds.matrix.labels),
-            "inlier_exceed": exceed,
-            "num_true_inliers": int(true_in.size),
-        }
-        return metrics, res.partition, ds.matrix.labels
-
-    records = _run_cells(cfg, cells, trial)
-    summary = []
-    for cell in cells:
-        rs = _cell_records(records, cell)
-        n_inliers = rs[0].metrics["num_true_inliers"]
-        pooled = ErpTrialSummary(
-            all_inliers_recovered=tuple(bool(r.metrics["erp_success"]) for r in rs),
-            inlier_exceed_count=sum(r.metrics["inlier_exceed"] for r in rs),
-            inlier_total=sum(r.metrics["num_true_inliers"] for r in rs),
-            num_inliers=n_inliers)
-        est = erp_alpha_estimate(pooled)
-        row = {**cell,
-               "trials": len(rs),
-               "alpha_oip": 1.0 - _frac(rs, "oip_success"),
-               "alpha_erp": est.empirical_alpha,
-               "erp_union_alpha": est.union_alpha,
-               "theory_oip_alpha": 1.0 / cfg.num_points}
-        if n_inliers >= 3:
-            row["theory_erp_alpha_lower"] = erp_impossibility_alpha(
-                cfg.n, cfg.rank, cfg.num_points, n_inliers)
-        summary.append(row)
-    return ExperimentResult(cfg, records, summary)
+def _threshold_metrics(ds, res) -> dict:
+    min_q = float(res.scores.q[ds.outlier_indices].min())
+    return {"min_outlier_q": min_q, "zeta": res.threshold.zeta,
+            "threshold_holds": bool(min_q > res.threshold.zeta)}
 
 
-# --- phase maps ------------------------------------------------------------
+def _erp_metrics(ds, res) -> dict:
+    true_in = ds.inlier_indices
+    exceed = int((res.scores.q[true_in] > res.threshold.zeta).sum())
+    return {"inlier_exceed": exceed, "num_true_inliers": int(true_in.size)}
 
-def run_phase_inliers(cfg: ExperimentConfig) -> ExperimentResult:
+
+def _erp_summary(cfg: ExperimentConfig, rs: list) -> dict:
+    n_inliers = rs[0].metrics["num_true_inliers"]
+    pooled = ErpTrialSummary(
+        all_inliers_recovered=tuple(bool(r.metrics["erp_success"]) for r in rs),
+        inlier_exceed_count=sum(r.metrics["inlier_exceed"] for r in rs),
+        inlier_total=sum(r.metrics["num_true_inliers"] for r in rs),
+        num_inliers=n_inliers)
+    est = erp_alpha_estimate(pooled)
+    row = {"alpha_oip": 1.0 - _mean(rs, "oip_success"),
+           "alpha_erp": est.empirical_alpha,
+           "erp_union_alpha": est.union_alpha,
+           "theory_oip_alpha": 1.0 / cfg.num_points}
+    if n_inliers >= 3:
+        row["theory_erp_alpha_lower"] = erp_impossibility_alpha(
+            cfg.n, cfg.rank, cfg.num_points, n_inliers)
+    return row
+
+
+def _phase_inlier_cells(cfg: ExperimentConfig) -> list:
     cells = []
     for ratio in cfg.ratio_grid:
         rank = int(round(ratio * cfg.n))
@@ -337,127 +306,81 @@ def run_phase_inliers(cfg: ExperimentConfig) -> ExperimentResult:
             if not 1 <= ni < cfg.num_points:
                 raise ValidationError(f"num_inliers {ni} incompatible with N={cfg.num_points}")
             cells.append({"ratio": ratio, "rank": rank, "num_inliers": ni})
-
-    def trial(cell, seed):
-        n_out = cfg.num_points - cell["num_inliers"]
-        spec = SynthSpec(n=cfg.n, num_points=cfg.num_points, rank=cell["rank"],
-                         gamma=n_out / cfg.num_points, seed=seed, snr_db=cfg.snr_db)
-        ds = make_dataset(spec)
-        res = roma(ds.matrix, cfg.mode)
-        return _truth_flags(res.partition, ds.matrix.labels), res.partition, ds.matrix.labels
-
-    records = _run_cells(cfg, cells, trial)
-    summary = [{**cell,
-                "trials": cfg.trials,
-                "mean_inlier_recovery": _mean(_cell_records(records, cell),
-                                              "inlier_recovery")}
-               for cell in cells]
-    return ExperimentResult(cfg, records, summary)
+    return cells
 
 
-def run_phase_recovery(cfg: ExperimentConfig) -> ExperimentResult:
-    cells = [{"num_inliers": ni, "num_outliers": no}
-             for ni in cfg.inlier_grid for no in cfg.outlier_grid]
-
-    def trial(cell, seed):
-        total = cell["num_inliers"] + cell["num_outliers"]
-        spec = SynthSpec(n=cfg.n, num_points=total, rank=cfg.rank,
-                         gamma=cell["num_outliers"] / total, seed=seed,
-                         snr_db=cfg.snr_db)
-        ds = make_dataset(spec)
-        res = roma(ds.matrix, cfg.mode)
-        value = _recovery_lre(ds.matrix, res.partition)
-        metrics = {**_truth_flags(res.partition, ds.matrix.labels),
-                   "lre": value, "recovered": bool(value < RECOVERY_CUTOFF)}
-        return metrics, res.partition, ds.matrix.labels
-
-    records = _run_cells(cfg, cells, trial)
-    summary = [{**cell,
-                "trials": cfg.trials,
-                "recovered_fraction": _frac(_cell_records(records, cell), "recovered"),
-                "mean_lre": _mean(_cell_records(records, cell), "lre")}
-               for cell in cells]
-    return ExperimentResult(cfg, records, summary)
+def _mixed_metrics(ds, res) -> dict:
+    # the same draw that sized the dataset's cluster
+    spec = ds.spec
+    k = spec.outlier_model.num_clustered(ColumnStreams(spec.seed), spec.num_outliers)
+    return {"num_structured": k}
 
 
-# --- structured and mixed outliers ----------------------------------------
-
-def run_structured(cfg: ExperimentConfig) -> ExperimentResult:
-    cells = [{"mu": m, "num_inliers": ni, "num_structured": nos}
-             for m in cfg.mu_grid for ni, nos in cfg.split_grid]
-
-    def trial(cell, seed):
-        total = cell["num_inliers"] + cell["num_structured"]
-        spec = SynthSpec(n=cfg.n, num_points=total, rank=cfg.rank,
-                         gamma=cell["num_structured"] / total, seed=seed,
-                         inlier_model=ClusteredInliers(nu=cfg.nu),
-                         outlier_model=ClusteredOutliers(mu=cell["mu"]),
-                         snr_db=cfg.snr_db)
-        ds = make_dataset(spec)
-        res = _detect(cfg, ds.matrix)
-        value = _recovery_lre(ds.matrix, res.partition)
-        metrics = {**_truth_flags(res.partition, ds.matrix.labels),
-                   "lre": value, "recovered": bool(value < RECOVERY_CUTOFF)}
-        return metrics, res.partition, ds.matrix.labels
-
-    records = _run_cells(cfg, cells, trial)
-    summary = [{**cell,
-                "trials": cfg.trials,
-                "recovered_fraction": _frac(_cell_records(records, cell), "recovered"),
-                "mean_lre": _mean(_cell_records(records, cell), "lre"),
-                "exact_fraction": _frac(_cell_records(records, cell), "erp_success")}
-               for cell in cells]
-    return ExperimentResult(cfg, records, summary)
+def _recovery_summary(cfg: ExperimentConfig, rs: list) -> dict:
+    return {"recovered_fraction": _mean(rs, "recovered"), "mean_lre": _mean(rs, "lre")}
 
 
-def run_mixed(cfg: ExperimentConfig) -> ExperimentResult:
-    cells = [{"num_outliers": no} for no in cfg.outlier_grid]
-
-    def trial(cell, seed):
-        n_out = cell["num_outliers"]
-        streams = ColumnStreams(seed)
-        basis = random_subspace(cfg.n, cfg.rank, streams.subspace())
-        inlier_cols = sample_clustered_inliers(basis, cfg.num_inliers, cfg.nu, streams)
-        n_struct = int(streams.aux(0).integers(0, n_out + 1))
-        parts = []
-        if n_struct:
-            parts.append(sample_clustered_outliers(cfg.n, n_struct, cfg.mu, streams))
-        if n_out - n_struct:
-            parts.append(sample_unstructured_outliers(cfg.n, n_out - n_struct,
-                                                      streams, index_offset=n_struct))
-        outlier_cols = np.hstack(parts) if parts else None
-        matrix = shuffle_and_label(inlier_cols, outlier_cols, basis, streams)
-        res = _detect(cfg, matrix)
-        value = _recovery_lre(matrix, res.partition)
-        metrics = {**_truth_flags(res.partition, matrix.labels),
-                   "num_structured": n_struct,
-                   "lre": value, "recovered": bool(value < RECOVERY_CUTOFF)}
-        return metrics, res.partition, matrix.labels
-
-    records = _run_cells(cfg, cells, trial)
-    summary = [{**cell,
-                "trials": cfg.trials,
-                "recovered_fraction": _frac(_cell_records(records, cell), "recovered"),
-                "mean_lre": _mean(_cell_records(records, cell), "lre")}
-               for cell in cells]
-    return ExperimentResult(cfg, records, summary)
-
-
-_RUNNERS = {
-    "validate-threshold": run_validate_threshold,
-    "oip-erp": run_oip_erp,
-    "phase-inliers": run_phase_inliers,
-    "phase-recovery": run_phase_recovery,
-    "structured": run_structured,
-    "mixed": run_mixed,
+_EXPERIMENTS = {
+    "validate-threshold": _Experiment(
+        defaults=dict(gamma_grid=tuple(round(0.05 + 0.1 * k, 2) for k in range(10)),
+                      trials=200, snr_db=20.0),
+        cells=_threshold_cells, spec=_gamma_spec, metrics=(_threshold_metrics,),
+        summary=lambda cfg, rs: {"holds_fraction": _mean(rs, "threshold_holds"),
+                                 "mean_min_outlier_q": _mean(rs, "min_outlier_q"),
+                                 "zeta": rs[0].metrics["zeta"]}),
+    "oip-erp": _Experiment(
+        defaults=dict(gamma_grid=(0.15, 0.55, 0.95), snr_grid=(20.0, 10.0), trials=1000),
+        cells=lambda cfg: [{"snr_db": s, "gamma": g}
+                           for s in cfg.snr_grid for g in cfg.gamma_grid],
+        spec=_gamma_spec, metrics=(_erp_metrics,), summary=_erp_summary),
+    "phase-inliers": _Experiment(
+        defaults=dict(num_points=2000, trials=20, snr_db=None,
+                      inlier_grid=(100, 400, 700, 1000, 1300, 1600, 1900)),
+        cells=_phase_inlier_cells,
+        spec=lambda cfg, cell, seed: _split_spec(
+            cfg, seed, cell["num_inliers"], cfg.num_points - cell["num_inliers"],
+            rank=cell["rank"]),
+        summary=lambda cfg, rs: {"mean_inlier_recovery": _mean(rs, "inlier_recovery")}),
+    "phase-recovery": _Experiment(
+        defaults=dict(n=100, rank=20, trials=20, snr_db=None,
+                      inlier_grid=(25, 100, 400, 700, 1000),
+                      outlier_grid=(100, 400, 700, 1000)),
+        cells=lambda cfg: [{"num_inliers": ni, "num_outliers": no}
+                           for ni in cfg.inlier_grid for no in cfg.outlier_grid],
+        spec=lambda cfg, cell, seed: _split_spec(
+            cfg, seed, cell["num_inliers"], cell["num_outliers"]),
+        metrics=(_recovery_metrics,), summary=_recovery_summary),
+    "structured": _Experiment(
+        defaults=dict(n=200, rank=10, trials=20, stage="roma-n", snr_db=None),
+        cells=lambda cfg: [{"mu": m, "num_inliers": ni, "num_structured": nos}
+                           for m in cfg.mu_grid for ni, nos in cfg.split_grid],
+        spec=lambda cfg, cell, seed: _split_spec(
+            cfg, seed, cell["num_inliers"], cell["num_structured"],
+            inlier_model=ClusteredInliers(nu=cfg.nu),
+            outlier_model=ClusteredOutliers(mu=cell["mu"])),
+        metrics=(_recovery_metrics,), follows_stage=True,
+        summary=lambda cfg, rs: {**_recovery_summary(cfg, rs),
+                                 "exact_fraction": _mean(rs, "erp_success")}),
+    "mixed": _Experiment(
+        defaults=dict(n=200, rank=10, trials=20, stage="roma-n", mu=0.2, snr_db=None,
+                      num_inliers=400, outlier_grid=(100, 400, 800)),
+        cells=lambda cfg: [{"num_outliers": no} for no in cfg.outlier_grid],
+        spec=lambda cfg, cell, seed: _split_spec(
+            cfg, seed, cfg.num_inliers, cell["num_outliers"],
+            inlier_model=ClusteredInliers(nu=cfg.nu),
+            outlier_model=MixedOutliers(mu=cfg.mu)),
+        metrics=(_mixed_metrics, _recovery_metrics), follows_stage=True,
+        summary=_recovery_summary),
 }
+
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    if cfg.experiment not in _RUNNERS:
-        raise ValidationError(
-            f"unknown experiment {cfg.experiment!r}; choose from {EXPERIMENTS}")
-    return _RUNNERS[cfg.experiment](cfg)
+    exp = _experiment(cfg.experiment)
+    if cfg.trials < 1:
+        raise ValidationError(f"trials must be at least 1, got {cfg.trials}")
+    return _run_cells(cfg, exp)
 
 
 # --- serialization ----------------------------------------------------------

@@ -1,11 +1,12 @@
 """Synthetic dataset generators.
 
 Inliers live on the unit sphere inside a planted r-dimensional subspace,
-outliers on the full sphere, either spread uniformly or clustered around a
-random center with tightness mu.  Generation is driven by a counter-based
-RNG (Philox) with one substream per column, keyed by (seed, domain, column
-index), so datasets are bitwise reproducible no matter how generation is
-parallelized or interleaved: column j of a given seed is always the same.
+outliers on the full sphere, either spread uniformly, clustered around a
+random center with tightness mu, or a random mix of the two.  Generation is
+driven by a counter-based RNG (Philox) with one substream per column, keyed
+by (seed, domain, column index), so datasets are bitwise reproducible no
+matter how generation is parallelized or interleaved: column j of a given
+seed is always the same.
 
 Samplers draw all their columns in one batched pass (``ColumnStreams._normals``)
 and keep per column only the arithmetic that decides the bits: one
@@ -29,12 +30,12 @@ from .errors import FeasibilityError, ValidationError
 
 __all__ = [
     "ColumnStreams",
-    "shuffle_and_label",
     "UniformInliers",
     "ClusteredInliers",
     "UnstructuredOutliers",
     "ClusteredOutliers",
     "BoundedConeOutliers",
+    "MixedOutliers",
     "SynthSpec",
     "SynthDataset",
     "random_subspace",
@@ -44,7 +45,6 @@ __all__ = [
     "sample_clustered_outliers",
     "sample_bounded_cone",
     "make_dataset",
-    "add_noise_snr",
     "export_dataset",
     "load_sidecar",
     "NOISE_TARGETS",
@@ -191,6 +191,26 @@ class BoundedConeOutliers:
         if not 0.0 < self.theta_max < math.pi / 2.0:
             raise ValidationError(
                 f"theta_max must lie in (0, pi/2), got {self.theta_max!r}")
+
+
+@dataclass(frozen=True)
+class MixedOutliers:
+    """A random mix of structured and unstructured outliers.
+
+    ``num_clustered`` draws how many of the outliers form a cluster shaped
+    as ``ClusteredOutliers(mu)``; the rest are ``UnstructuredOutliers``,
+    drawn at outlier substreams after the cluster's.
+    """
+
+    mu: float
+
+    def __post_init__(self):
+        if not self.mu > 0:
+            raise ValidationError(f"mu must be positive, got {self.mu!r}")
+
+    def num_clustered(self, streams: ColumnStreams, num_outliers: int) -> int:
+        """The cluster's size, uniform on 0..num_outliers under stream aux(0)."""
+        return int(streams.aux(0).integers(0, num_outliers + 1))
 
 
 @dataclass(frozen=True)
@@ -366,32 +386,26 @@ def sample_bounded_cone(n: int, count: int, theta_max: float, streams: ColumnStr
         acceptance_rate=accepted / budget)
 
 
-def _shuffle(inlier_cols: np.ndarray, outlier_cols: np.ndarray | None,
+def _shuffle(parts: list, num_inliers: int,
              streams: ColumnStreams) -> tuple[np.ndarray, np.ndarray]:
-    """Shuffle labeled columns into one matrix: (values, labels).
+    """Shuffle labeled column blocks into one matrix: (values, labels).
 
-    Each part is copied straight into its shuffled columns, with no
+    ``parts`` holds the inlier block first and the outlier blocks after it.
+    Each block is copied straight into its shuffled columns, with no
     concatenated copy in between.  The matrix is in C order, the order
     DataMatrix stores, because the noise calibration's sums depend on it.
     """
-    num_in = inlier_cols.shape[1]
-    total = num_in + (0 if outlier_cols is None else outlier_cols.shape[1])
+    total = sum(part.shape[1] for part in parts)
     labels = np.full(total, int(Label.OUTLIER), dtype=np.int8)
-    labels[:num_in] = int(Label.INLIER)
+    labels[:num_inliers] = int(Label.INLIER)
     perm = streams.shuffle().permutation(total)
     slot = np.argsort(perm)  # column i of the parts lands in column slot[i]
-    values = np.empty((inlier_cols.shape[0], total))
-    values[:, slot[:num_in]] = inlier_cols
-    if outlier_cols is not None:
-        values[:, slot[num_in:]] = outlier_cols
+    values = np.empty((parts[0].shape[0], total))
+    start = 0
+    for part in parts:
+        values[:, slot[start:start + part.shape[1]]] = part
+        start += part.shape[1]
     return values, labels[perm]
-
-
-def shuffle_and_label(inlier_cols: np.ndarray, outlier_cols: np.ndarray | None,
-                      basis: np.ndarray, streams: ColumnStreams) -> DataMatrix:
-    """Concatenate labeled columns and shuffle them into a DataMatrix."""
-    values, labels = _shuffle(inlier_cols, outlier_cols, streams)
-    return DataMatrix(values, labels=labels, true_basis=basis)
 
 
 def make_dataset(spec: SynthSpec) -> SynthDataset:
@@ -404,27 +418,31 @@ def make_dataset(spec: SynthSpec) -> SynthDataset:
     basis = random_subspace(spec.n, spec.rank, streams.subspace())
     model = spec.inlier_model
     if isinstance(model, UniformInliers):
-        inlier_cols = sample_uniform_inliers(basis, spec.num_inliers, streams)
+        parts = [sample_uniform_inliers(basis, spec.num_inliers, streams)]
     elif isinstance(model, ClusteredInliers):
-        inlier_cols = sample_clustered_inliers(basis, spec.num_inliers, model.nu, streams)
+        parts = [sample_clustered_inliers(basis, spec.num_inliers, model.nu, streams)]
     else:
         raise ValidationError(f"unknown inlier model {model!r}")
-    outlier_cols = None
-    if spec.num_outliers:
+    num_out = spec.num_outliers
+    if num_out:
         model = spec.outlier_model
         if isinstance(model, UnstructuredOutliers):
-            outlier_cols = sample_unstructured_outliers(spec.n, spec.num_outliers, streams)
+            parts.append(sample_unstructured_outliers(spec.n, num_out, streams))
         elif isinstance(model, ClusteredOutliers):
-            outlier_cols = sample_clustered_outliers(
-                spec.n, spec.num_outliers, model.mu, streams,
-                literal_scale=model.literal_scale)
+            parts.append(sample_clustered_outliers(
+                spec.n, num_out, model.mu, streams, literal_scale=model.literal_scale))
         elif isinstance(model, BoundedConeOutliers):
-            outlier_cols = sample_bounded_cone(
-                spec.n, spec.num_outliers, model.theta_max, streams,
-                subspace=basis if model.within_subspace else None)
+            parts.append(sample_bounded_cone(
+                spec.n, num_out, model.theta_max, streams,
+                subspace=basis if model.within_subspace else None))
+        elif isinstance(model, MixedOutliers):
+            k = model.num_clustered(streams, num_out)
+            parts.append(sample_clustered_outliers(spec.n, k, model.mu, streams))
+            parts.append(sample_unstructured_outliers(spec.n, num_out - k, streams,
+                                                      index_offset=k))
         else:
             raise ValidationError(f"unknown outlier model {model!r}")
-    values, labels = _shuffle(inlier_cols, outlier_cols, streams)
+    values, labels = _shuffle(parts, spec.num_inliers, streams)
     sigma = point_snr = None
     if spec.snr_db is not None:
         sigma, point_snr = _add_noise(values, labels, spec.snr_db, streams,
@@ -435,9 +453,12 @@ def make_dataset(spec: SynthSpec) -> SynthDataset:
 
 def _add_noise(values: np.ndarray, labels: np.ndarray, snr_db: float,
                streams: ColumnStreams, target: str) -> tuple[float, np.ndarray]:
-    """Add calibrated noise to C-ordered ``values`` in place.
+    """Add white Gaussian noise, calibrated to a matrix-level SNR in dB, in place.
 
-    Returns (sigma, point_snr); see ``add_noise_snr``.
+    sigma = ||M||_F / (10^(snr_db/20) sqrt(n N)) over the full C-ordered
+    matrix; the noise lands on the target columns ("inliers" or "all").
+    Returns (sigma, point_snr), where point_snr_i = ||m_i||^2 / (n sigma^2)
+    of the clean columns.
     """
     n, total = values.shape
     sigma = np.linalg.norm(values) / (10.0 ** (snr_db / 20.0) * math.sqrt(n * total))
@@ -452,35 +473,11 @@ def _add_noise(values: np.ndarray, labels: np.ndarray, snr_db: float,
     return float(sigma), point_snr
 
 
-def add_noise_snr(dataset: SynthDataset, snr_db: float,
-                  streams: ColumnStreams | None = None,
-                  target: str = "inliers") -> SynthDataset:
-    """Add white Gaussian noise calibrated to a matrix-level SNR in dB.
-
-    sigma = ||M||_F / (10^(snr_db/20) sqrt(n N)) over the full matrix; the
-    noise lands on the target columns ("inliers" by default, or "all").
-    Also records per-point snr_i = ||m_i||^2 / (n sigma^2) of the clean
-    columns.
-    """
-    if target not in NOISE_TARGETS:
-        raise ValidationError(f"noise target must be one of {NOISE_TARGETS}, got {target!r}")
-    if dataset.sigma is not None:
-        raise ValidationError("dataset already carries noise")
-    if target == "inliers" and dataset.matrix.labels is None:
-        raise ValidationError("matrix carries no labels")
-    streams = streams or ColumnStreams(dataset.spec.seed)
-    values = dataset.matrix.values.copy()
-    sigma, point_snr = _add_noise(values, dataset.matrix.labels, snr_db, streams, target)
-    matrix = DataMatrix(values, labels=dataset.matrix.labels,
-                        true_basis=dataset.matrix.true_basis)
-    return SynthDataset(matrix=matrix, spec=dataset.spec, sigma=sigma,
-                        point_snr=point_snr)
-
-
 _INLIER_MODELS = {"uniform": UniformInliers, "clustered": ClusteredInliers}
 _OUTLIER_MODELS = {"unstructured": UnstructuredOutliers,
                    "clustered": ClusteredOutliers,
-                   "bounded-cone": BoundedConeOutliers}
+                   "bounded-cone": BoundedConeOutliers,
+                   "mixed": MixedOutliers}
 
 
 def _model_to_dict(model) -> dict:

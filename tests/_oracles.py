@@ -10,7 +10,8 @@ import numpy as np
 
 from roma.data import Label
 from roma.synth import (BoundedConeOutliers, ClusteredInliers, ClusteredOutliers,
-                        ColumnStreams, _unit, random_subspace)
+                        ColumnStreams, MixedOutliers, UnstructuredOutliers, _unit,
+                        random_subspace)
 
 
 def erfc_cdf(x: float) -> float:
@@ -162,6 +163,14 @@ def column_outliers(model, n, count, streams, basis=None, index_offset=0):
                     break
         else:
             raise AssertionError("cone budget ran out")
+    elif isinstance(model, MixedOutliers):
+        # k clustered outliers, then the rest unstructured at the next
+        # substreams, with k drawn from the experiment-level stream aux(0)
+        k = int(streams.aux(0).integers(0, count + 1))
+        cols[:, :k] = column_outliers(ClusteredOutliers(model.mu), n, k, streams,
+                                      index_offset=index_offset)
+        cols[:, k:] = column_outliers(UnstructuredOutliers(), n, count - k, streams,
+                                      index_offset=index_offset + k)
     else:
         for i in range(count):
             cols[:, i] = _unit(draw(i))

@@ -15,7 +15,7 @@ DELETED = {
                "min_angle_scores", "count_above_threshold",
                "mean_principal_angle", "min_pair", "angle_scores"],
     "threshold": ["compute_zeta_adapted"],
-    "synth": ["assemble"],
+    "synth": ["assemble", "shuffle_and_label", "add_noise_snr"],
 }
 
 

@@ -7,10 +7,8 @@ from roma import angles
 from roma.data import DataMatrix, Label, NormalizedMatrix
 from roma.detector import RomaNResult, RomaResult, roma, roma_n
 from roma.errors import DegenerateRegimeError, ValidationError
-from roma.synth import (ColumnStreams, SynthSpec, make_dataset,
-                        random_subspace, sample_clustered_inliers,
-                        sample_clustered_outliers, sample_uniform_inliers,
-                        shuffle_and_label)
+from roma.synth import (ClusteredInliers, ClusteredOutliers, SynthSpec,
+                        UniformInliers, make_dataset)
 
 from _oracles import (brute_heads, brute_mean_principal, brute_min_scores,
                       brute_na)
@@ -103,12 +101,13 @@ def test_roma_all_points_isolated_flags_everything():
 
 # --- stage 2 -----------------------------------------------------------------
 
-def structured_case(seed, nu=0.1, mu=0.2, n=60, r=8, n_in=150, n_out=50):
-    streams = ColumnStreams(seed)
-    basis = random_subspace(n, r, streams.subspace())
-    inl = sample_clustered_inliers(basis, n_in, nu, streams)
-    out = sample_clustered_outliers(n, n_out, mu, streams)
-    return shuffle_and_label(inl, out, basis, streams)
+def structured_case(seed, nu=0.1, mu=0.2, n=60, r=8, n_in=150, n_out=50,
+                    inlier_model=None):
+    spec = SynthSpec(n=n, num_points=n_in + n_out, rank=r,
+                     gamma=n_out / (n_in + n_out), seed=seed,
+                     inlier_model=inlier_model or ClusteredInliers(nu=nu),
+                     outlier_model=ClusteredOutliers(mu=mu))
+    return make_dataset(spec).matrix
 
 
 def test_roma_n_separates_clustered_outliers():
@@ -160,11 +159,7 @@ def test_roma_n_rank_disambiguation_fixes_inversion():
     # uniform inliers with a much tighter outlier cluster: the min-angle pair
     # lands inside the cluster, so the nominal labels invert; the rank check
     # notices the low-rank side and swaps
-    streams = ColumnStreams(202)
-    basis = random_subspace(60, 8, streams.subspace())
-    inl = sample_uniform_inliers(basis, 150, streams)
-    out = sample_clustered_outliers(60, 50, 0.05, streams)
-    m = shuffle_and_label(inl, out, basis, streams)
+    m = structured_case(seed=202, mu=0.05, inlier_model=UniformInliers())
     truth = set(m.label_indices(Label.OUTLIER).tolist())
 
     plain = roma_n(m)

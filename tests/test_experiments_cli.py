@@ -111,6 +111,38 @@ def test_mixed_tiny():
     assert 0.0 <= row["recovered_fraction"] <= 1.0
 
 
+def test_mixed_reads_snr_db(monkeypatch):
+    built = []
+
+    def recording(spec):
+        built.append(make_dataset(spec))
+        return built[-1]
+
+    monkeypatch.setattr(ex, "make_dataset", recording)
+    cfg = tiny("mixed", n=30, rank=4, num_inliers=40, outlier_grid=(10,),
+               trials=1)
+    ex.run_experiment(cfg)
+    ex.run_experiment(cfg.replace(snr_db=0.0))
+    clean, noisy = built
+    assert clean.sigma is None and noisy.sigma > 0.0
+    assert np.array_equal(noisy.matrix.labels, clean.matrix.labels)
+    assert not np.array_equal(noisy.matrix.values, clean.matrix.values)
+
+
+@pytest.mark.parametrize("experiment", ex.EXPERIMENTS)
+@pytest.mark.parametrize("trials", [0, -1])
+def test_runs_need_a_trial(experiment, trials):
+    with pytest.raises(ValidationError, match="trials"):
+        ex.run_experiment(tiny(experiment, trials=trials))
+
+
+def test_repeated_cells_get_their_own_summaries():
+    cfg = tiny("validate-threshold", gamma_grid=(0.3, 0.3), trials=2)
+    result = ex.run_experiment(cfg)
+    assert [row["trials"] for row in result.summary] == [2, 2]
+    assert result.summary[0] != result.summary[1]  # distinct trial seeds
+
+
 def test_validate_threshold_gamma_guards():
     with pytest.raises(ValidationError):
         ex.run_experiment(tiny("validate-threshold", gamma_grid=(1.0,)))
@@ -353,6 +385,12 @@ def test_cli_exit_2_on_config_conflicts(tmp_path, capsys):
 
     bad.write_text(json.dumps({"experiment": "mixed", "bogus": 1}))
     assert main(["--experiment", "mixed", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("experiment", ["oip-erp", "validate-threshold", "mixed"])
+def test_cli_exit_2_on_zero_trials(experiment, capsys):
+    assert main(["--experiment", experiment, "--trials", "0"]) == 2
+    assert "trials must be at least 1" in capsys.readouterr().err
 
 
 def test_cli_exit_3_on_infeasible_generator(capsys):

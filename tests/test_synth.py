@@ -17,11 +17,11 @@ from roma.synth import (
     ClusteredInliers,
     ClusteredOutliers,
     ColumnStreams,
+    MixedOutliers,
     SynthSpec,
     UniformInliers,
     UnstructuredOutliers,
     _unit,
-    add_noise_snr,
     export_dataset,
     load_sidecar,
     make_dataset,
@@ -31,7 +31,6 @@ from roma.synth import (
     sample_clustered_outliers,
     sample_uniform_inliers,
     sample_unstructured_outliers,
-    shuffle_and_label,
     spec_from_dict,
     spec_to_dict,
 )
@@ -104,8 +103,12 @@ def test_index_offset_shifts_columns():
     dict(snr_db=10.0, noise_target="all"),
     dict(n=100, num_points=300, rank=10, gamma=0.5, seed=2 ** 64 - 1, snr_db=20.0),
     dict(n=3, num_points=7, rank=3, gamma=0.0, snr_db=5.0),
+    dict(inlier_model=ClusteredInliers(nu=0.1), outlier_model=MixedOutliers(mu=0.2)),
+    dict(outlier_model=MixedOutliers(mu=0.2), gamma=0.0),
+    dict(outlier_model=MixedOutliers(mu=5.0), snr_db=10.0, noise_target="all"),
 ], ids=["uniform", "clustered-inliers", "clustered-outliers", "literal-scale",
-        "cone", "cone-in-subspace", "clustered-noisy", "noise-all", "large", "tiny"])
+        "cone", "cone-in-subspace", "clustered-noisy", "noise-all", "large", "tiny",
+        "mixed", "mixed-no-outliers", "mixed-noisy"])
 def test_make_dataset_matches_per_column_oracle(overrides):
     spec = base_spec(**overrides)
     ds = make_dataset(spec)
@@ -122,6 +125,7 @@ def test_make_dataset_matches_per_column_oracle(overrides):
     UniformInliers(), ClusteredInliers(nu=0.2), UnstructuredOutliers(),
     ClusteredOutliers(mu=0.3), ClusteredOutliers(mu=0.3, literal_scale=True),
     BoundedConeOutliers(theta_max=1.2), BoundedConeOutliers(theta_max=1.0, within_subspace=True),
+    MixedOutliers(mu=0.3),
 ])
 def test_samplers_match_per_column_oracle_at_an_offset(model):
     streams = ColumnStreams(31)
@@ -142,9 +146,28 @@ def test_samplers_match_per_column_oracle_at_an_offset(model):
             got = sample_bounded_cone(15, count, model.theta_max, streams,
                                       subspace=basis if model.within_subspace else None,
                                       index_offset=offset)
+        elif isinstance(model, MixedOutliers):
+            k = model.num_clustered(streams, count)
+            got = np.hstack([
+                sample_clustered_outliers(15, k, model.mu, streams, offset),
+                sample_unstructured_outliers(15, count - k, streams, offset + k)])
         else:
             got = sample_unstructured_outliers(15, count, streams, offset)
     assert np.array_equal(got, expected)
+
+
+def test_mixed_outliers_match_the_oracle_at_every_split():
+    # two outliers: across these seeds the cluster takes none, one and both
+    splits = set()
+    for seed in range(12):
+        spec = base_spec(num_points=10, gamma=0.2, seed=seed,
+                         outlier_model=MixedOutliers(mu=0.2))
+        splits.add(spec.outlier_model.num_clustered(ColumnStreams(seed), 2))
+        values, labels, _, _, _ = column_dataset(spec)
+        ds = make_dataset(spec)
+        assert np.array_equal(ds.matrix.values, values)
+        assert np.array_equal(ds.matrix.labels, labels)
+    assert splits == {0, 1, 2}
 
 
 def test_batched_draws_equal_fresh_streams():
@@ -221,6 +244,8 @@ def test_spec_validation():
         ClusteredOutliers(mu=-1.0)
     with pytest.raises(ValidationError):
         BoundedConeOutliers(theta_max=math.pi / 2.0)
+    with pytest.raises(ValidationError):
+        MixedOutliers(mu=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +357,7 @@ def test_shuffle_preserves_columns_and_labels():
     basis = random_subspace(8, 2, streams.subspace())
     ins = sample_uniform_inliers(basis, 5, streams)
     outs = sample_unstructured_outliers(8, 3, streams)
-    matrix = shuffle_and_label(ins, outs, basis, streams)
+    matrix = make_dataset(SynthSpec(n=8, num_points=8, rank=2, gamma=3 / 8, seed=2)).matrix
     assert matrix.values.shape == (8, 8)
     recovered_in = matrix.values[:, matrix.labels == int(Label.INLIER)]
     recovered_out = matrix.values[:, matrix.labels == int(Label.OUTLIER)]
@@ -345,8 +370,9 @@ def test_shuffle_without_outliers():
     streams = ColumnStreams(2)
     basis = random_subspace(8, 2, streams.subspace())
     ins = sample_uniform_inliers(basis, 5, streams)
-    matrix = shuffle_and_label(ins, None, basis, streams)
+    matrix = make_dataset(SynthSpec(n=8, num_points=5, rank=2, gamma=0.0, seed=2)).matrix
     assert np.all(matrix.labels == int(Label.INLIER))
+    assert sorted(map(tuple, matrix.values.T)) == sorted(map(tuple, ins.T))
 
 
 def test_make_dataset_rejects_unknown_models():
@@ -372,12 +398,15 @@ def test_noise_sigma_and_point_snr_formulas():
 
 def test_noise_targets_inliers_by_default():
     clean = make_dataset(base_spec())
-    noisy = add_noise_snr(clean, 20.0)
+    noisy = make_dataset(base_spec(snr_db=20.0))
+    assert np.array_equal(noisy.matrix.labels, clean.matrix.labels)
     changed = noisy.matrix.values != clean.matrix.values
     assert np.all(changed[:, clean.inlier_indices])
     assert not np.any(changed[:, clean.outlier_indices])
-    everywhere = add_noise_snr(clean, 20.0, target="all")
+    everywhere = make_dataset(base_spec(snr_db=20.0, noise_target="all"))
     assert np.all(everywhere.matrix.values != clean.matrix.values)
+    # both targets calibrate sigma on the clean matrix
+    assert everywhere.sigma == noisy.sigma
 
 
 def test_noise_deterministic_and_single_shot():
@@ -385,10 +414,9 @@ def test_noise_deterministic_and_single_shot():
     a = make_dataset(spec)
     b = make_dataset(spec)
     assert np.array_equal(a.matrix.values, b.matrix.values)
+    assert a.sigma == b.sigma
     with pytest.raises(ValidationError):
-        add_noise_snr(a, 10.0)
-    with pytest.raises(ValidationError):
-        add_noise_snr(make_dataset(base_spec()), 10.0, target="nowhere")
+        base_spec(snr_db=10.0, noise_target="nowhere")
 
 
 def test_noisy_columns_leave_unit_sphere():
@@ -421,6 +449,7 @@ def test_make_dataset_builds_one_matrix(monkeypatch, snr_db):
               outlier_model=ClusteredOutliers(mu=0.2, literal_scale=True),
               snr_db=15.0, noise_target="all"),
     base_spec(outlier_model=BoundedConeOutliers(theta_max=0.7, within_subspace=True)),
+    base_spec(outlier_model=MixedOutliers(mu=0.2)),
 ])
 def test_spec_dict_round_trip(spec):
     assert spec_from_dict(spec_to_dict(spec)) == spec
@@ -447,6 +476,15 @@ def test_export_round_trip(tmp_path, orientation):
     assert side["sigma"] == ds.sigma
     assert np.array_equal(side["labels"], ds.matrix.labels)
     assert np.allclose(side["true_basis"], ds.matrix.true_basis, atol=0)
+
+
+def test_export_round_trip_mixed(tmp_path):
+    spec = base_spec(inlier_model=ClusteredInliers(nu=0.1),
+                     outlier_model=MixedOutliers(mu=0.2))
+    ds = make_dataset(spec)
+    side = load_sidecar(export_dataset(ds, tmp_path / "mixed.csv"))
+    assert side["spec"] == spec
+    assert np.array_equal(side["labels"], ds.matrix.labels)
 
 
 def test_load_sidecar_with_bom(tmp_path):
