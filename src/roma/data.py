@@ -124,7 +124,8 @@ class NormalizedMatrix:
         if values.ndim != 2:
             raise DimensionError(f"values must be 2-d, got ndim={values.ndim}")
         norms = np.linalg.norm(values, axis=0)
-        if norms.size and np.max(np.abs(norms - 1.0)) > UNIT_NORM_TOL:
+        # written so that a NaN norm fails it too
+        if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):
             raise ValidationError("columns are not unit norm")
         object.__setattr__(self, "values", _freeze(values))
 

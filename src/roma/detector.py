@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import AngleScores, acute_row, gram_scan
+from .angles import AngleScores, acute_row, gram_scan, sample_mean_angle
 from .data import DataMatrix, NormalizedMatrix, Partition, normalize_columns
 from .errors import DegenerateRegimeError, ValidationError
 from .threshold import MODES, ThresholdSpec, compute_zeta, zeta_with_center
@@ -74,23 +74,31 @@ def roma(m, mode: str = "theoretical") -> RomaResult:
         mean principal angle)
 
     Returns a RomaResult whose scores carry q, na at the threshold actually
-    used, and the sample mean principal angle.  The theoretical threshold is
-    known up front, so that mode makes one Gram pass; the adapted mode makes
-    a second one for na at the recentred threshold.
+    used and, in the adapted mode only, the sample mean principal angle
+    (``mean_theta`` is None in the theoretical mode, where nothing reads
+    it).  The theoretical mode makes one Gram pass for q and na, in float32
+    up to n = 2048; the adapted mode first makes a float64 pass for the
+    mean.
+
+    The decisions are a pure function of the input values: q, na and so the
+    partition equal what the fixed-order float64 dot ``angles._dot`` over
+    every pair gives, whatever the BLAS or the block height.  The pass
+    recomputes with ``_dot`` every entry within E of the cut or within 2E
+    of a point's peak, E ~ (n + 2) 2^-24 in float32 (see ``roma.angles``).
+    In the adapted mode zeta itself comes from the float64 mean, whose last
+    bits follow the BLAS.
     """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     x = _normalized(m)
     if mode == "adapted":
-        stats = gram_scan(x)
-        spec = zeta_with_center(x.n, x.num_points, stats.mean_theta, mode)
+        mean_theta = sample_mean_angle(x)
+        spec = zeta_with_center(x.n, x.num_points, mean_theta, mode)
     else:
-        stats = None
+        mean_theta = None
         spec = compute_zeta(x.n, x.num_points)
-    scan = gram_scan(x, spec.zeta, stats=stats is None)
-    if stats is None:  # the one theoretical pass gives q and the mean too
-        stats = scan
-    scores = AngleScores(q=stats.q, na=scan.na, mean_theta=stats.mean_theta,
+    scan = gram_scan(x, spec.zeta)
+    scores = AngleScores(q=scan.q, na=scan.na, mean_theta=mean_theta,
                          zeta=spec.zeta)
     outliers = np.flatnonzero(scores.q > spec.zeta)
     inliers = np.flatnonzero(scores.q <= spec.zeta)
@@ -117,7 +125,8 @@ def roma_n(m, mode: str = "theoretical", *,
     a full-rank one).  Off by default.
 
     Stage 2 makes one Gram pass over the survivors (na and the closest
-    pair) plus one matrix-vector product for the outlier head.
+    pair, both exact against ``angles._dot``) plus one ``_dot`` row for the
+    outlier head.
 
     The inlier head is the lower column index of the closest surviving
     pair, so it follows column order: permuting the columns can make the
@@ -131,7 +140,7 @@ def roma_n(m, mode: str = "theoretical", *,
         raise DegenerateRegimeError(
             f"stage 1 kept {survivors.size} point(s); stage 2 needs at least 2")
     xs = NormalizedMatrix(x.values[:, survivors])
-    scan = gram_scan(xs, stage1.threshold.zeta, stats=False, closest=True)
+    scan = gram_scan(xs, stage1.threshold.zeta, q=False, pair=True)
     na_s = scan.na
     i_local = scan.pair[0]
     # Outlier head: survivor farthest from i*.  phi[i*, i*] = 0 can only

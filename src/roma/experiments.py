@@ -8,10 +8,12 @@ record keeps its partition and labels so the success flags can be re-derived
 after the fact (see ``audit``).
 
 An experiment is a row of data in ``_EXPERIMENTS``: its default config,
-its cells, a trial's ``SynthSpec``, its detection stage, its metrics beyond
-the truth flags (subspace recovery among them) and its summary columns.
-One pipeline, ``_run_cells``, runs every row: ``make_dataset``, detection,
-truth flags, extra metrics, and one summary row per cell.
+the config fields it reads, its cells, a trial's ``SynthSpec``, its metrics
+beyond the truth flags (subspace recovery among them) and its summary
+columns.  One pipeline, ``_run_cells``, runs every row: ``make_dataset``,
+detection, truth flags, extra metrics, and one summary row per cell.  A
+config that sets a field its experiment does not read to anything but that
+experiment's default is refused, so no setting is silently ignored.
 
 Experiments
 -----------
@@ -67,7 +69,11 @@ RECOVERY_CUTOFF = -5.0
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs for every experiment; unused fields are ignored by an experiment."""
+    """Knobs for every experiment.
+
+    Each experiment reads only some fields (``_Experiment.reads``); the
+    others must keep the values of its ``default_config``.
+    """
 
     experiment: str = "validate-threshold"
     n: int = 100
@@ -208,11 +214,11 @@ class _Experiment:
     """One experiment as data: a row of the table ``_run_cells`` reads."""
 
     defaults: dict               # ExperimentConfig fields of default_config
+    reads: frozenset             # fields read past those every experiment reads
     cells: Callable              # cfg -> list of cell dicts
     spec: Callable               # (cfg, cell, seed) -> SynthSpec
     summary: Callable            # (cfg, one cell's records) -> summary columns
     metrics: tuple = ()          # each (dataset, result) -> metrics past the flags
-    follows_stage: bool = False  # detect with cfg.stage, not always roma
 
 
 def _run_cells(cfg: ExperimentConfig, exp: _Experiment) -> ExperimentResult:
@@ -224,7 +230,7 @@ def _run_cells(cfg: ExperimentConfig, exp: _Experiment) -> ExperimentResult:
             seed = _trial_seed(cfg.seed, ci, trial)
             start = time.perf_counter()
             ds = make_dataset(exp.spec(cfg, cell, seed))
-            res = _detect(cfg, ds.matrix) if exp.follows_stage else roma(ds.matrix, cfg.mode)
+            res = _detect(cfg, ds.matrix)
             metrics = _truth_flags(res.partition, ds.matrix.labels)
             for extra in exp.metrics:
                 metrics.update(extra(ds, res))
@@ -320,22 +326,33 @@ def _recovery_summary(cfg: ExperimentConfig, rs: list) -> dict:
     return {"recovered_fraction": _mean(rs, "recovered"), "mean_lre": _mean(rs, "lre")}
 
 
+# Fields every experiment reads: ``_run_cells`` and the specs read these.
+_ALWAYS_READ = frozenset({"experiment", "n", "trials", "seed", "mode"})
+# The gamma-grid experiments, through ``_gamma_spec`` and ``_outlier_model``.
+_GAMMA_FIELDS = frozenset({"rank", "num_points", "gamma_grid", "outlier_model",
+                           "mu", "theta_max"})
+# The two-stage experiments, through ``_detect``.
+_STAGE_FIELDS = frozenset({"stage", "rank_disambiguate"})
+
 _EXPERIMENTS = {
     "validate-threshold": _Experiment(
         defaults=dict(gamma_grid=tuple(round(0.05 + 0.1 * k, 2) for k in range(10)),
                       trials=200, snr_db=20.0),
+        reads=_GAMMA_FIELDS | {"snr_db"},
         cells=_threshold_cells, spec=_gamma_spec, metrics=(_threshold_metrics,),
         summary=lambda cfg, rs: {"holds_fraction": _mean(rs, "threshold_holds"),
                                  "mean_min_outlier_q": _mean(rs, "min_outlier_q"),
                                  "zeta": rs[0].metrics["zeta"]}),
     "oip-erp": _Experiment(
         defaults=dict(gamma_grid=(0.15, 0.55, 0.95), snr_grid=(20.0, 10.0), trials=1000),
+        reads=_GAMMA_FIELDS | {"snr_grid"},
         cells=lambda cfg: [{"snr_db": s, "gamma": g}
                            for s in cfg.snr_grid for g in cfg.gamma_grid],
         spec=_gamma_spec, metrics=(_erp_metrics,), summary=_erp_summary),
     "phase-inliers": _Experiment(
         defaults=dict(num_points=2000, trials=20, snr_db=None,
                       inlier_grid=(100, 400, 700, 1000, 1300, 1600, 1900)),
+        reads=frozenset({"num_points", "snr_db", "ratio_grid", "inlier_grid"}),
         cells=_phase_inlier_cells,
         spec=lambda cfg, cell, seed: _split_spec(
             cfg, seed, cell["num_inliers"], cfg.num_points - cell["num_inliers"],
@@ -345,6 +362,7 @@ _EXPERIMENTS = {
         defaults=dict(n=100, rank=20, trials=20, snr_db=None,
                       inlier_grid=(25, 100, 400, 700, 1000),
                       outlier_grid=(100, 400, 700, 1000)),
+        reads=frozenset({"rank", "snr_db", "inlier_grid", "outlier_grid"}),
         cells=lambda cfg: [{"num_inliers": ni, "num_outliers": no}
                            for ni in cfg.inlier_grid for no in cfg.outlier_grid],
         spec=lambda cfg, cell, seed: _split_spec(
@@ -352,24 +370,27 @@ _EXPERIMENTS = {
         metrics=(_recovery_metrics,), summary=_recovery_summary),
     "structured": _Experiment(
         defaults=dict(n=200, rank=10, trials=20, stage="roma-n", snr_db=None),
+        reads=_STAGE_FIELDS | {"rank", "snr_db", "nu", "mu_grid", "split_grid"},
         cells=lambda cfg: [{"mu": m, "num_inliers": ni, "num_structured": nos}
                            for m in cfg.mu_grid for ni, nos in cfg.split_grid],
         spec=lambda cfg, cell, seed: _split_spec(
             cfg, seed, cell["num_inliers"], cell["num_structured"],
             inlier_model=ClusteredInliers(nu=cfg.nu),
             outlier_model=ClusteredOutliers(mu=cell["mu"])),
-        metrics=(_recovery_metrics,), follows_stage=True,
+        metrics=(_recovery_metrics,),
         summary=lambda cfg, rs: {**_recovery_summary(cfg, rs),
                                  "exact_fraction": _mean(rs, "erp_success")}),
     "mixed": _Experiment(
         defaults=dict(n=200, rank=10, trials=20, stage="roma-n", mu=0.2, snr_db=None,
                       num_inliers=400, outlier_grid=(100, 400, 800)),
+        reads=_STAGE_FIELDS | {"rank", "snr_db", "nu", "mu", "num_inliers",
+                               "outlier_grid"},
         cells=lambda cfg: [{"num_outliers": no} for no in cfg.outlier_grid],
         spec=lambda cfg, cell, seed: _split_spec(
             cfg, seed, cfg.num_inliers, cell["num_outliers"],
             inlier_model=ClusteredInliers(nu=cfg.nu),
             outlier_model=MixedOutliers(mu=cfg.mu)),
-        metrics=(_mixed_metrics, _recovery_metrics), follows_stage=True,
+        metrics=(_mixed_metrics, _recovery_metrics),
         summary=_recovery_summary),
 }
 
@@ -380,6 +401,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     exp = _experiment(cfg.experiment)
     if cfg.trials < 1:
         raise ValidationError(f"trials must be at least 1, got {cfg.trials}")
+    default = default_config(cfg.experiment)
+    ignored = sorted(f.name for f in dataclasses.fields(cfg)
+                     if f.name not in _ALWAYS_READ | exp.reads
+                     and getattr(cfg, f.name) != getattr(default, f.name))
+    if ignored:
+        raise ValidationError(
+            f"{cfg.experiment} does not read {', '.join(ignored)}; "
+            "leave them at its defaults")
     return _run_cells(cfg, exp)
 
 

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from roma.angles import _dot
 from roma.data import Label
 from roma.synth import (BoundedConeOutliers, ClusteredInliers, ClusteredOutliers,
                         ColumnStreams, MixedOutliers, UnstructuredOutliers, _unit,
@@ -100,6 +101,32 @@ def brute_heads(cols: np.ndarray) -> tuple[int, int, int]:
     row = table[i].copy()
     row[i] = -np.inf
     return i, j, int(np.argmax(row))
+
+
+def dot_acute_angles(cols: np.ndarray) -> np.ndarray:
+    """arccos(min(|_dot|, 1)) over every pair of the columns as given.
+
+    ``_dot`` is the fixed-order float64 dot that defines the kernel's
+    decisions; the columns are not renormalized.  The diagonal is zero.
+    """
+    n_pts = cols.shape[1]
+    i, j = np.triu_indices(n_pts, 1)
+    out = np.zeros((n_pts, n_pts))
+    out[i, j] = out[j, i] = np.arccos(np.minimum(np.abs(_dot(cols, i, j)), 1.0))
+    return out
+
+
+def dot_decisions(cols: np.ndarray, zeta: float):
+    """q, na and the heads (i, j, o) of ``brute_heads``, all by brute force
+    from ``dot_acute_angles``."""
+    table = dot_acute_angles(cols)
+    n_pts = table.shape[0]
+    np.fill_diagonal(table, np.inf)
+    q = table.min(axis=1)
+    i, j = divmod(int(np.argmin(table)), n_pts)  # first in row-major order
+    np.fill_diagonal(table, -np.inf)
+    na = (table > zeta).sum(axis=1)
+    return q, na, (i, j, int(np.argmax(table[i])))
 
 
 def brute_mean_principal(cols: np.ndarray) -> float:

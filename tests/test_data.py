@@ -248,6 +248,11 @@ def test_normalized_matrix_enforces_unit_norm():
     with pytest.raises(ValidationError):
         NormalizedMatrix(2.0 * np.eye(3))
     NormalizedMatrix(np.eye(3))
+    for bad in (np.nan, np.inf):
+        v = np.eye(3)
+        v[0, 1] = bad
+        with pytest.raises(ValidationError):
+            NormalizedMatrix(v)
 
 
 def test_partition_validation():

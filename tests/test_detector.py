@@ -57,8 +57,7 @@ def test_roma_blocked_path_agrees(monkeypatch):
                                       np.flatnonzero(q > zeta))
         np.testing.assert_array_equal(res.partition.outliers,
                                       ds.outlier_indices)
-        assert res.scores.mean_theta == pytest.approx(brute_mean_principal(v),
-                                                      abs=1e-12)
+        assert res.scores.mean_theta is None  # nothing reads it in this mode
 
 
 def test_roma_container_types_agree():

@@ -15,7 +15,9 @@ from roma.synth import SynthSpec, export_dataset, make_dataset
 
 
 def tiny(experiment, **overrides):
-    kw = dict(n=30, rank=3, num_points=40, trials=3, seed=11)
+    kw = dict(n=30, trials=3, seed=11)
+    if experiment in ("validate-threshold", "oip-erp"):  # the ones that read them
+        kw.update(rank=3, num_points=40)
     kw.update(overrides)
     return ex.default_config(experiment).replace(**kw)
 
@@ -134,6 +136,28 @@ def test_mixed_reads_snr_db(monkeypatch):
 def test_runs_need_a_trial(experiment, trials):
     with pytest.raises(ValidationError, match="trials"):
         ex.run_experiment(tiny(experiment, trials=trials))
+
+
+@pytest.mark.parametrize("experiment, field, value", [
+    ("phase-recovery", "outlier_model", "clustered"),
+    ("phase-recovery", "mu", 0.01),
+    ("validate-threshold", "stage", "roma-n"),
+    ("validate-threshold", "rank_disambiguate", True),
+    ("oip-erp", "snr_db", None),
+    ("mixed", "num_points", 40),
+])
+def test_fields_an_experiment_does_not_read_must_keep_its_defaults(
+        experiment, field, value):
+    with pytest.raises(ValidationError, match=field):
+        ex.run_experiment(tiny(experiment, trials=1, **{field: value}))
+
+
+@pytest.mark.filterwarnings("ignore:Gaussian angle surrogate")
+def test_unread_fields_at_their_defaults_are_accepted():
+    # the oip-erp trial the benchmark runs sets stage to oip-erp's default
+    cfg = tiny("oip-erp", gamma_grid=(0.2,), snr_grid=(20.0,), trials=1,
+               stage="roma", mu=0.2, snr_db=20.0)
+    assert ex.audit(ex.run_experiment(cfg))
 
 
 def test_repeated_cells_get_their_own_summaries():
@@ -266,6 +290,9 @@ def test_cli_detect(planted, capsys):
     assert report["truth"]["oip_success"] and report["truth"]["erp_success"]
     assert report["truth"]["num_true_outliers"] == 12
     assert len(report["scores"]["q"]) == 60
+    assert report["scores"]["mean_theta"] is None  # read in the adapted mode only
+    assert main(["--input", str(csv_path), "--mode", "adapted"]) == 0
+    assert 0.0 < json.loads(capsys.readouterr().out)["scores"]["mean_theta"] < np.pi
 
 
 def test_cli_detect_two_stage_and_recover(planted, capsys):
@@ -391,6 +418,13 @@ def test_cli_exit_2_on_config_conflicts(tmp_path, capsys):
 def test_cli_exit_2_on_zero_trials(experiment, capsys):
     assert main(["--experiment", experiment, "--trials", "0"]) == 2
     assert "trials must be at least 1" in capsys.readouterr().err
+
+
+def test_cli_exit_2_on_a_field_the_experiment_does_not_read(capsys):
+    argv = ["--experiment", "validate-threshold", "--stage", "roma-n",
+            "--trials", "1"]
+    assert main(argv) == 2
+    assert "does not read stage" in capsys.readouterr().err
 
 
 def test_cli_exit_3_on_infeasible_generator(capsys):

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roma import angles
-from roma.angles import gram_scan
+from roma.angles import _cut, _dot, _gram_error, gram_scan
 from roma.data import DataMatrix, normalize_columns
 from roma.detector import roma, roma_n
 from roma.synth import (ClusteredInliers, ClusteredOutliers, ColumnStreams,
                         SynthSpec, make_dataset, random_subspace)
+from roma.threshold import compute_zeta
 
-from _oracles import brute_heads, brute_min_scores, brute_na
+from _oracles import brute_heads, brute_min_scores, brute_na, dot_decisions
 
 
 def planted_values(seed=5):
@@ -35,17 +36,22 @@ def test_column_permutation_equivariance(mode):
     values = planted_values()
     rng = np.random.default_rng(0)
     perm = rng.permutation(values.shape[1])
+    # sign flips move principal angles, and so the adapted mode's center
+    signs = rng.choice([-1.0, 1.0], size=values.shape[1])
+    if mode == "adapted":
+        signs[:] = 1.0
     base = roma(DataMatrix(values), mode)
-    moved = roma(DataMatrix(values[:, perm]), mode)
-    # point j of the permuted matrix is point perm[j] of the original;
-    # the BLAS kernel may round panel-edge dot products differently, so q
-    # is only equal to the last ulp, not bitwise
+    moved = roma(DataMatrix(values[:, perm] * signs), mode)
+    # point j of the permuted matrix is point perm[j] of the original
     assert np.array_equal(moved.partition.outlier_mask(),
                           base.partition.outlier_mask()[perm])
-    assert np.allclose(moved.scores.q, base.scores.q[perm], atol=4e-15)
+    assert np.array_equal(moved.scores.q, base.scores.q[perm])
     assert np.array_equal(moved.scores.na, base.scores.na[perm])
-    assert moved.scores.mean_theta == pytest.approx(base.scores.mean_theta,
-                                                    abs=1e-12)
+    if mode == "theoretical":
+        assert moved.scores.mean_theta is None
+    else:
+        assert moved.scores.mean_theta == pytest.approx(base.scores.mean_theta,
+                                                        abs=1e-12)
 
 
 def test_sign_flips_are_bitwise_invisible():
@@ -111,7 +117,7 @@ def test_two_stage_permutation_and_signs():
 def test_two_stage_inlier_head_is_the_lower_index_of_the_closest_pair():
     values = structured_values()
     base = roma_n(DataMatrix(values))
-    scan = gram_scan(values[:, base.survivors], stats=False, closest=True)
+    scan = gram_scan(values[:, base.survivors], 1.0, q=False, pair=True)
     pair = base.survivors[list(scan.pair)]
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -175,7 +181,7 @@ def test_decisions_do_not_depend_on_block_size(seed, kind):
     runs = [roma_n_at(values, rows) for rows in (1, 7, 80)]
     base = runs[0]
     for res in runs[1:]:
-        assert_q_close(res.stage1.scores.q, base.stage1.scores.q, copies)
+        assert np.array_equal(res.stage1.scores.q, base.stage1.scores.q)
         assert np.array_equal(res.stage1.scores.na, base.stage1.scores.na)
         assert np.array_equal(res.stage1.partition.outliers,
                               base.stage1.partition.outliers)
@@ -188,6 +194,7 @@ def test_decisions_do_not_depend_on_block_size(seed, kind):
     zeta = base.stage1.threshold.zeta
     q = brute_min_scores(v)
     assert_q_close(base.stage1.scores.q, q, copies)
+    assert np.array_equal(base.stage1.scores.q, dot_decisions(v, zeta)[0])
     assert np.array_equal(base.stage1.partition.outliers, np.flatnonzero(q > zeta))
     assert np.array_equal(base.stage1.scores.na, brute_na(v, zeta))
     i, j, o = brute_heads(v[:, base.survivors])
@@ -200,21 +207,19 @@ def test_decisions_do_not_depend_on_block_size(seed, kind):
 @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(KINDS))
 @settings(max_examples=12, deadline=None)
 def test_column_permutation_relabels_decisions(seed, kind):
-    values, copies = small_structured(seed, kind)
+    values, _ = small_structured(seed, kind)
     perm = np.random.default_rng(seed + 1).permutation(80)
     base = roma_n(DataMatrix(values))
     moved = roma_n(DataMatrix(values[:, perm]))
     # point k of the permuted matrix is point perm[k] of the original
-    inverse = np.argsort(perm)
-    assert_q_close(moved.stage1.scores.q, base.stage1.scores.q[perm],
-                   inverse[list(copies)])
+    assert np.array_equal(moved.stage1.scores.q, base.stage1.scores.q[perm])
     assert np.array_equal(moved.stage1.scores.na, base.stage1.scores.na[perm])
     assert np.array_equal(moved.stage1.partition.outlier_mask(),
                           base.stage1.partition.outlier_mask()[perm])
     assert np.array_equal(np.sort(perm[moved.survivors]), base.survivors)
     survivors = values[:, base.survivors]
-    pair = set(gram_scan(survivors / np.linalg.norm(survivors, axis=0),
-                         stats=False, closest=True).pair)
+    pair = set(gram_scan(survivors / np.linalg.norm(survivors, axis=0), 1.0,
+                         q=False, pair=True).pair)
     assert {perm[moved.inlier_head], base.inlier_head} <= set(
         base.survivors[sorted(pair)])
     # the inlier head is the lower index of the closest pair, so relabelling
@@ -223,3 +228,76 @@ def test_column_permutation_relabels_decisions(seed, kind):
         assert perm[moved.outlier_head] == base.outlier_head
         assert np.array_equal(moved.partition.outlier_mask(),
                               base.partition.outlier_mask()[perm])
+
+
+def planted_near_ties(seed, gap):
+    """38 columns in R^30 whose decisions the scan's precision cannot make.
+
+    Built from orthonormal e_k, with t the cut of the theoretical zeta.
+    Point 0 has neighbours 1 and 2 at |g| 0.95 and 0.95 + gap, and point 20
+    has neighbours 5 and 12 the same way: two near-tied peaks, one along a
+    row of the band and one down a column, across blocks.  Each neighbour
+    has a closer partner of its own (3, 4, 6, 13 at 0.99), so only the hub
+    can settle its peak.  The pairs (7, 8) and (9, 10) sit at 0.999 and
+    0.999 + gap, the closest pair overall.  The pairs (14, 15), (16, 17)
+    and (18, 19) sit at t - gap/10, t and t + gap/10.  The rest are random.
+    Returns the columns and zeta.
+    """
+    n, n_pts = 30, 38
+    zeta = compute_zeta(n, n_pts).zeta
+    t = _cut(zeta)
+    rng = np.random.default_rng(seed)
+    e = np.linalg.qr(rng.standard_normal((n, n)))[0].T
+
+    def near(c, x, k):
+        return c * x + np.sqrt(1.0 - c * c) * e[k]
+
+    cols = rng.standard_normal((n_pts, n))
+    cols[0], cols[20] = e[0], e[5]
+    cols[1], cols[2] = near(0.95, e[0], 1), near(0.95 + gap, e[0], 2)
+    cols[5], cols[12] = near(0.95, e[5], 6), near(0.95 + gap, e[5], 7)
+    for partner, spoke, k in ((3, 1, 3), (4, 2, 4), (6, 5, 8), (13, 12, 9)):
+        cols[partner] = near(0.99, cols[spoke], k)
+    cols[7], cols[8] = e[10], near(0.999, e[10], 11)
+    cols[9], cols[10] = e[12], near(0.999 + gap, e[12], 13)
+    for a, c in ((14, t - gap / 10), (16, t), (18, t + gap / 10)):
+        cols[a], cols[a + 1] = e[a], near(c, e[a], a + 1)
+    return cols.T, zeta
+
+
+# Each precision with gaps inside its own bound E (see ``roma.angles``).
+@pytest.mark.parametrize("dtype, gap", [(np.float32, 1e-8), (np.float64, 4e-15)],
+                         ids=["float32", "float64"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_planted_near_ties_are_decided_exactly_at_every_block_height(
+        seed, dtype, gap, monkeypatch):
+    monkeypatch.setattr(angles, "_scan_dtype", lambda n: dtype)
+    values, zeta = planted_near_ties(seed, gap)
+    v = normalize_columns(values).values  # what roma_n scores
+    n_pts = v.shape[1]
+    err, t = _gram_error(v.shape[0], dtype), _cut(zeta)
+
+    def g(a, b):
+        return abs(float(_dot(v, a, b)[0]))
+
+    # within the bound of the cut, or of a peak: the pass cannot decide these
+    assert all(abs(g(a, a + 1) - t) < err for a in (14, 16, 18))
+    assert 0.0 < g(0, 2) - g(0, 1) < 2.0 * err
+    assert 0.0 < g(12, 20) - g(5, 20) < 2.0 * err
+    assert 0.0 < g(9, 10) - g(7, 8) < 2.0 * err
+    q, na, (i, j, _) = dot_decisions(v, zeta)
+    survivors = np.flatnonzero(q <= zeta)
+    na_s, (i_s, _, o_s) = dot_decisions(v[:, survivors], zeta)[1:]
+    assert (i, j) == (9, 10)
+    for rows in (1, 7, n_pts):
+        res = roma_n_at(values, rows)
+        assert np.array_equal(res.stage1.scores.q, q)
+        assert np.array_equal(res.stage1.scores.na, na)
+        assert np.array_equal(res.survivors, survivors)
+        assert np.array_equal(res.na_survivors, na_s)
+        assert res.inlier_head == survivors[i_s]
+        assert res.outlier_head == survivors[o_s]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(angles, "_BLOCK_BYTES", 8 * n_pts * rows)
+            mp.setattr(angles, "_MIN_BLOCKS", 1)
+            assert gram_scan(v, zeta, pair=True).pair == (i, j)
