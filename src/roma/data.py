@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -41,6 +42,8 @@ ORIENTATIONS = ("points-as-rows", "points-as-columns")
 UNIT_NORM_TOL = 1e-12
 # Orthonormality slack allowed for stored bases.
 BASIS_ORTHO_TOL = 1e-10
+# Bytes per read of the loader's line count; its peak is a few of these.
+_SURVEY_CHUNK = 1 << 14
 
 
 class Label(enum.IntEnum):
@@ -52,6 +55,20 @@ class Label(enum.IntEnum):
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _check_columns(values: np.ndarray) -> None:
+    """Refuse non-finite entries and all-zero columns.
+
+    A column is zero exactly when its sum of squares is: the squares are
+    non-negative, so no order of summing them reaches 0 otherwise.  einsum
+    sums them without an n x N temporary.
+    """
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("matrix entries must all be finite")
+    zero = np.flatnonzero(np.einsum("ij,ij->j", values, values) == 0.0)
+    if zero.size:
+        raise ValidationError(f"zero columns at indices {zero.tolist()}")
 
 
 def _check_basis(basis: np.ndarray, n: int, tol: float = BASIS_ORTHO_TOL) -> np.ndarray:
@@ -79,12 +96,7 @@ class DataMatrix:
         values = np.ascontiguousarray(self.values, dtype=float)
         if values.ndim != 2:
             raise DimensionError(f"values must be 2-d, got ndim={values.ndim}")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("matrix entries must all be finite")
-        norms = np.linalg.norm(values, axis=0)
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise ValidationError(f"zero columns at indices {zero.tolist()}")
+        _check_columns(values)
         object.__setattr__(self, "values", _freeze(values))
         if self.labels is not None:
             labels = np.ascontiguousarray(self.labels, dtype=np.int8)
@@ -207,6 +219,35 @@ def _is_number(text: str) -> bool:
         return False
 
 
+def _survey(src) -> tuple[int, bool]:
+    """The line count of a binary stream, and whether it holds a ``"``.
+
+    Lines end as ``open(newline="")`` ends them: at ``\\n``, ``\\r\\n`` or a
+    lone ``\\r``.  The stream is read a chunk at a time, so only one chunk
+    is held.
+    """
+    lines = 0
+    quoted = False
+    tail = b""  # the last byte so far, whose successor decides a lone \r
+    while chunk := src.read(_SURVEY_CHUNK):
+        lines += chunk.count(b"\n")
+        quoted = quoted or b'"' in chunk
+        if tail == b"\r" or b"\r" in chunk:
+            a = np.frombuffer(tail + chunk, dtype=np.uint8)
+            lines += int(np.count_nonzero((a[:-1] == 13) & (a[1:] != 10)))
+        tail = chunk[-1:]
+    return lines + (tail not in (b"", b"\n")), quoted
+
+
+def _split(line: str) -> list[str]:
+    """``csv.reader``'s fields of a line without ``"``, terminator included.
+
+    The terminator stays in the last field, where ``float()`` and
+    ``str.strip()`` ignore it; a bare terminator is a row of no fields.
+    """
+    return [] if line in ("\n", "\r\n", "\r") else line.split(",")
+
+
 def load_csv_matrix(path, orientation: str = "points-as-rows") -> DataMatrix:
     """Read a numeric CSV into a DataMatrix.
 
@@ -219,38 +260,59 @@ def load_csv_matrix(path, orientation: str = "points-as-rows") -> DataMatrix:
     ignored.  Errors carry 1-based file coordinates and name the first bad
     field in file order: rows are checked one at a time, width first, then
     their fields from left to right.
+
+    Memory: one pass over the file's bytes counts its records, and a second
+    parses each row straight into one float64 array of exactly the
+    matrix's size, already one point per column.  So the loader holds at
+    most about 1.5 times the matrix's bytes plus the text of one row.  A
+    file with a ``"`` has its records counted by ``csv.reader``, since a
+    quoted field may span lines.  Input that can be read only once, such as
+    a pipe, is first read whole into memory.
     """
     if orientation not in ORIENTATIONS:
         raise ValidationError(
             f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
-    rows: list[list[float]] = []
-    width = None
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        for i, raw in enumerate(reader, start=1):
-            if i == 1 and not any(_is_number(f) for f in raw):
-                continue  # header row
-            if width is None:
-                width = len(raw)
+    by_column = orientation == "points-as-rows"
+    arr = None
+    with open(path, "rb") as src:
+        if not src.seekable():  # a pipe: keep its bytes to read them twice
+            src = io.BytesIO(src.read())
+        records, quoted = _survey(src)
+        src.seek(0)
+        fh = io.TextIOWrapper(src, encoding="utf-8-sig", newline="")
+        if quoted:  # a quoted field may span lines: count records, not lines
+            records = sum(1 for _ in csv.reader(fh))
+            fh.seek(0)
+        i = 0
+        for raw in csv.reader(fh) if quoted else map(_split, fh):
+            i += 1
+            if arr is None:
+                if i == 1 and not any(_is_number(f) for f in raw):
+                    continue  # header row
+                width, k, size = len(raw), 0, records - i + 1
+                arr = np.empty((width, size) if by_column else (size, width))
             if len(raw) != width:
                 raise ParseError(
                     f"expected {width} fields, found {len(raw)}", row=i)
+            if k == size:
+                raise ParseError("file changed while it was read", row=i)
+            dest = arr[:, k] if by_column else arr[k]
             try:
-                vals = list(map(float, raw))
-                clean = all(map(math.isfinite, vals))
+                dest[:] = raw  # numpy parses each str with float()
+                clean = np.isfinite(dest).all()
             except ValueError:
                 clean = False
             if not clean:
                 # Field by field, to name the first bad one.  This also
                 # parses the few fields float() rejects only for padding
                 # that str.strip() removes (the ASCII separators \x1c-\x1f).
-                vals = [_parse_field(f.strip(), i, j + 1) for j, f in enumerate(raw)]
-            rows.append(vals)
-    if not rows:
+                dest[:] = [_parse_field(f.strip(), i, j + 1) for j, f in enumerate(raw)]
+            k += 1
+            del raw  # so that the next row's fields are not made beside these
+    if arr is None:
         raise ParseError("no data rows found")
-    arr = np.asarray(rows, dtype=float)
-    if orientation == "points-as-rows":
-        arr = arr.T
+    if k != size:
+        raise ParseError("file changed while it was read")
     n, num_points = arr.shape
     if n < 3:
         raise DimensionError(f"ambient dimension must be at least 3, got {n}")
@@ -267,7 +329,9 @@ def write_csv(matrix, path, orientation: str = "points-as-rows") -> None:
     values = matrix.values if hasattr(matrix, "values") else np.asarray(matrix, dtype=float)
     out = values.T if orientation == "points-as-rows" else values
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(out.tolist())  # floats are written as repr()
+        writer = csv.writer(fh)
+        for row in out:  # one row of Python floats at a time, not the matrix
+            writer.writerow(row.tolist())  # floats are written as repr()
 
 
 def normalize_columns(m) -> NormalizedMatrix:
@@ -279,10 +343,5 @@ def normalize_columns(m) -> NormalizedMatrix:
     values = m.values if hasattr(m, "values") else np.ascontiguousarray(m, dtype=float)
     if values.ndim != 2:
         raise DimensionError("expected a 2-d array of column points")
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("matrix entries must all be finite")
-    norms = np.linalg.norm(values, axis=0)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ValidationError(f"zero columns at indices {zero.tolist()}")
-    return NormalizedMatrix(values / norms)
+    _check_columns(values)
+    return NormalizedMatrix(values / np.linalg.norm(values, axis=0))

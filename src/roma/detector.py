@@ -87,6 +87,10 @@ def roma(m, mode: str = "theoretical") -> RomaResult:
     of a point's peak, E ~ (n + 2) 2^-24 in float32 (see ``roma.angles``).
     In the adapted mode zeta itself comes from the float64 mean, whose last
     bits follow the BLAS.
+
+    Memory: the matrix, plus O(n·N) copies (the unit-norm columns and, in
+    float32, their cast), plus the block buffers of the Gram pass, about
+    ``angles._BLOCK_BYTES`` each.  Nothing is N x N.
     """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")

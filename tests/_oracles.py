@@ -4,12 +4,14 @@ Deliberately slow and simple: bisection instead of rational approximations,
 quadrature instead of closed forms, brute-force loops instead of BLAS.
 """
 
+import csv
 import math
 
 import numpy as np
 
 from roma.angles import _dot
-from roma.data import Label
+from roma.data import DataMatrix, Label
+from roma.errors import DimensionError, ParseError, ValidationError
 from roma.synth import (BoundedConeOutliers, ClusteredInliers, ClusteredOutliers,
                         ColumnStreams, MixedOutliers, UnstructuredOutliers, _unit,
                         random_subspace)
@@ -235,3 +237,46 @@ def column_dataset(spec):
         for j in targets:
             values[:, j] += sigma * streams.noise(int(j)).standard_normal(n)
     return values, labels, basis, sigma, point_snr
+
+
+def csv_oracle(path, orientation: str = "points-as-rows") -> DataMatrix:
+    """``load_csv_matrix`` as a list of Python float rows through
+    ``csv.reader``: the same matrix, or the same error, at several times
+    the memory."""
+    def parse_field(text, row, col):
+        try:
+            value = float(text)
+        except ValueError:
+            raise ParseError(f"field {text!r} is not a number", row=row, column=col) from None
+        if not math.isfinite(value):
+            raise ParseError(f"field {text!r} is not a finite real", row=row, column=col)
+        return value
+
+    def is_number(text):
+        try:
+            return math.isfinite(float(text.strip()))
+        except ValueError:
+            return False
+
+    rows = []
+    width = None
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        for i, raw in enumerate(csv.reader(fh), start=1):
+            if i == 1 and not any(is_number(f) for f in raw):
+                continue  # header row
+            if width is None:
+                width = len(raw)
+            if len(raw) != width:
+                raise ParseError(f"expected {width} fields, found {len(raw)}", row=i)
+            rows.append([parse_field(f.strip(), i, j + 1) for j, f in enumerate(raw)])
+    if not rows:
+        raise ParseError("no data rows found")
+    arr = np.asarray(rows, dtype=float)
+    if orientation == "points-as-rows":
+        arr = arr.T
+    n, num_points = arr.shape
+    if n < 3:
+        raise DimensionError(f"ambient dimension must be at least 3, got {n}")
+    if num_points < 2:
+        raise ValidationError(f"need at least 2 points, got {num_points}")
+    return DataMatrix(arr)

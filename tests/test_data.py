@@ -1,4 +1,5 @@
-import csv
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from roma.data import (DataMatrix, Label, NormalizedMatrix, Partition,
                        SubspaceBasis, load_csv_matrix, normalize_columns,
                        write_csv)
 from roma.errors import DimensionError, ParseError, ValidationError
+
+from _oracles import csv_oracle
 
 
 def _write(tmp_path, text, name="m.csv"):
@@ -164,14 +167,6 @@ def _random_doubles(rng, shape):
     return rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 150, size=shape)
 
 
-def _float_oracle(path, orientation):
-    """The file parsed one field at a time with float()."""
-    with open(path, newline="") as fh:
-        rows = [[float(f) for f in row] for row in csv.reader(fh)]
-    arr = np.array(rows)
-    return arr.T if orientation == "points-as-rows" else arr
-
-
 def test_csv_round_trip_exact(tmp_path):
     rng = np.random.default_rng(5)
     values = _random_doubles(rng, (7, 11))
@@ -187,7 +182,7 @@ def test_csv_round_trip_exact(tmp_path):
             ",".join(repr(float(v)) for v in row) + "\r\n" for row in out)
         back = load_csv_matrix(path, orientation)
         assert back.values.tobytes() == values.tobytes()  # -0.0 keeps its sign
-        assert back.values.tobytes() == _float_oracle(path, orientation).tobytes()
+        assert back.values.tobytes() == csv_oracle(path, orientation).values.tobytes()
 
 
 def test_clean_file_never_parses_per_field(tmp_path, monkeypatch):
@@ -203,6 +198,130 @@ def test_clean_file_never_parses_per_field(tmp_path, monkeypatch):
     assert load_csv_matrix(path).num_points == 40
 
 
+# --- the loader against the row-list oracle ----------------------------------
+
+def _outcome(load, path, orientation):
+    """The matrix's shape and bytes, or the error's type, text and place."""
+    try:
+        m = load(path, orientation)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+    return m.values.shape, m.values.tobytes()
+
+
+def _same_as_oracle(path):
+    for orientation in data.ORIENTATIONS:
+        got = _outcome(load_csv_matrix, path, orientation)
+        assert got == _outcome(csv_oracle, path, orientation), orientation
+
+
+_NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_ODD_NUMBERS = st.sampled_from([
+    " 1 ", "\t2\t", "\u00a03\u2003", "1_000", "+1e-3", "-0", "5e-324", "\u0661",
+    "\x1c4\x1f", "\x0c5\u2028", "\x856\x0b", '"7"', '" 9 "', '"8\n"', '"2\r\n"'])
+_BAD_FIELDS = st.sampled_from([
+    "nan", "inf", "-inf", "1e400", "x", "", "1,5", '"1,5"', '"a""b"', "1\x00",
+    "1 2", "0x10"])
+
+
+@st.composite
+def csv_files(draw):
+    """CSV bytes: mostly numbers, with padding, quotes, headers, blank
+    lines, ragged rows and bad fields, under any mix of line ends."""
+    def field():
+        kind = draw(st.integers(0, 59))  # 1 bad field in 60, 1 odd one in 5
+        return draw(_BAD_FIELDS if kind == 0 else _ODD_NUMBERS if kind < 13 else _NUMBERS)
+
+    width = draw(st.sampled_from([1, 2] + [3, 4, 5] * 3))
+    ragged = st.sampled_from([0] * 28 + [-1, 1])
+    lines = [[field() for _ in range(width + draw(ragged))]
+             for _ in range(draw(st.integers(1, 7)))]
+    header = draw(st.sampled_from([None] * 4 + ["names", "partly numeric"]))
+    if header == "names":
+        lines.insert(0, [f"c{j}" for j in range(width)])
+    elif header == "partly numeric":
+        lines.insert(0, ["c0"] + ["1"] * (width - 1))
+    for _ in range(draw(st.sampled_from([0] * 6 + [1, 2]))):  # blank lines anywhere
+        lines.insert(draw(st.integers(0, len(lines))), [])
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""  # no final line end
+    text = "".join(",".join(row) + end for row, end in zip(lines, ends))
+    return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode()
+
+
+@given(csv_files(), st.sampled_from([1, 2, 3, data._SURVEY_CHUNK]))
+@settings(max_examples=300, deadline=None)
+def test_load_matches_the_row_list_oracle(tmp_path_factory, body, chunk):
+    path = tmp_path_factory.mktemp("oracle") / "m.csv"
+    path.write_bytes(body)
+    default = data._SURVEY_CHUNK
+    data._SURVEY_CHUNK = chunk  # line ends split across the byte pass's reads
+    try:
+        _same_as_oracle(path)
+    finally:
+        data._SURVEY_CHUNK = default
+
+
+@pytest.mark.parametrize("text", [
+    "\ufeff1,2,3\n4,5,6\n7,8,9\n",  # byte-order mark
+    "x,y,z\n1,2,3\n4,5,6\n7,8,9\n",  # header
+    "x,2,3\n1,2,3\n4,5,6\n",  # partly numeric row 1
+    "1,2,3\r\n4,5,6\r\n7,8,9\r\n",  # CRLF
+    "1,2,3\r4,5,6\r7,8,9\r",  # lone CR
+    "1,2,3\n4,5,6\r\n7,8,9\r1,1,1",  # mixed, no final line end
+    "1,2,3\n\n4,5,6\n7,8,9\n",  # blank line mid-file
+    "1,2,3\n4,5,6\n7,8,9\n\n",  # blank line at the end
+    "\n1,2,3\n4,5,6\n7,8,9\n",  # blank row 1 counts as the header
+    '"1","2","3"\n"4",5,"6"\n7,8,9\n',  # quoted
+    '\ufeff"1",2,3\n4,5,6\n7,8,9\n',  # quoted, after a byte-order mark
+    '1,"2,5",3\n4,5,6\n7,8,9\n',  # quoted comma
+    '1,"2\n",3\n4,5,6\n7,8,"9\r\n"\n',  # quoted line ends
+    " 1 ,\t2\t,\u00a03\u2003\n1_000,5,\x1c6\x1f\n7,8,9\n",  # padding, underscores
+    "1,2,3\n4,nan,6\n", "1,2,3\n4,inf,6\n", "1,2,3\n4,1e400,6\n",  # non-finite
+    "1,2,3\n4,5\n7,8,9\n", "1,2,3\n4,5,6,7\n",  # ragged
+    "1\n2\n3\n", "1\n2\n",  # a single column
+    "1,2\n3,4\n5,6\n",  # too few dimensions one way
+    "", "x,y,z\n", "\n\n",  # no data
+])
+def test_load_cases_match_the_row_list_oracle(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode())
+    _same_as_oracle(path)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_load_reads_a_pipe():
+    # a stream that can be read only once, as from `--input <(...)`
+    r, w = os.pipe()
+    os.write(w, b"x,y,z\r\n1,2,3\r\n4,5,6\r\n")
+    os.close(w)
+    try:
+        m = load_csv_matrix(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    np.testing.assert_array_equal(m.values, [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
+
+
+@pytest.mark.parametrize("shape", [(100, 2000), (50, 500)])
+@pytest.mark.parametrize("orientation", data.ORIENTATIONS)
+def test_load_memory_is_the_matrix_and_one_row(tmp_path, shape, orientation):
+    values = _random_doubles(np.random.default_rng(3), shape)
+    path = tmp_path / "m.csv"
+    write_csv(values, path, orientation)
+    with open(path, "rb") as fh:
+        row_bytes = max(map(len, fh))
+    load_csv_matrix(path, orientation)  # warm: imports and caches
+    tracemalloc.start()
+    try:
+        m = load_csv_matrix(path, orientation)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.values.tobytes() == values.tobytes()
+    assert peak <= 1.5 * values.nbytes + row_bytes, peak / values.nbytes
+
+
 # --- containers --------------------------------------------------------------
 
 def test_datamatrix_rejects_nonfinite():
@@ -215,6 +334,22 @@ def test_datamatrix_zero_column_listed():
     vals[:, 1] = 0.0
     with pytest.raises(ValidationError, match=r"\[1\]"):
         DataMatrix(vals)
+
+
+def test_zero_columns_are_those_of_zero_norm():
+    # squares that underflow to zero, subnormal ones and exact zeros: a sum
+    # of squares is zero in every order exactly when the norm is
+    vals = np.ones((4, 6))
+    vals[:, 1] = 1e-200
+    vals[:, 2] = [1e-160, 0.0, 0.0, 0.0]
+    vals[:, 3] = [1e-200, -1e-161, 0.0, 0.0]
+    vals[:, 4] = 0.0
+    vals[:, 5] = [-0.0, 5e-324, 0.0, 0.0]
+    zero = np.flatnonzero(np.linalg.norm(vals, axis=0) == 0.0).tolist()
+    assert zero == [1, 4, 5]
+    for make in (DataMatrix, normalize_columns):
+        with pytest.raises(ValidationError, match=rf"zero columns at indices \{zero}"):
+            make(vals)
 
 
 def test_datamatrix_is_frozen():
