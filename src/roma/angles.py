@@ -169,7 +169,6 @@ def _dot(v: np.ndarray, i, j) -> np.ndarray:
     _dot(v, j, i) bitwise.  Each sweep takes a few rows for many pairs at
     once, so the gathers read rows that stay in cache.
     """
-    one = np.size(i) == 1  # one column against many: gather it once per slab
     i, j = np.broadcast_arrays(np.atleast_1d(i), np.atleast_1d(j))
     n = v.shape[0]
     out = np.empty(i.size)
@@ -180,8 +179,8 @@ def _dot(v: np.ndarray, i, j) -> np.ndarray:
         ii, jj = i[s:s + step], j[s:s + step]
         for b, k in enumerate(range(0, n, _DOT_ROWS)):
             rows = v[k:k + _DOT_ROWS]
-            prod = rows.take(jj, axis=1)
-            prod *= rows[:, ii[0], None] if one else rows.take(ii, axis=1)
+            prod = rows.take(ii, axis=1)
+            prod *= rows.take(jj, axis=1)
             parts[b, :ii.size] = _tree_sum(prod)
         out[s:s + ii.size] = _tree_sum(parts[:, :ii.size])
     return out

@@ -243,9 +243,18 @@ def _split(line: str) -> list[str]:
     """``csv.reader``'s fields of a line without ``"``, terminator included.
 
     The terminator stays in the last field, where ``float()`` and
-    ``str.strip()`` ignore it; a bare terminator is a row of no fields.
+    ``str.strip()`` ignore it; a bare terminator is a row of no fields.  A
+    field longer than ``csv.field_size_limit()`` raises ``csv.Error`` as in
+    ``csv.reader``, so a file loads or fails the same with or without a
+    ``"``.  Splitting is about twice as fast as ``csv.reader``.
     """
-    return [] if line in ("\n", "\r\n", "\r") else line.split(",")
+    if line in ("\n", "\r\n", "\r"):
+        return []
+    fields = line.split(",")
+    limit = csv.field_size_limit()
+    if len(line) > limit and any(len(f.rstrip("\r\n")) > limit for f in fields):
+        raise csv.Error(f"field larger than field limit ({limit})")
+    return fields
 
 
 def load_csv_matrix(path, orientation: str = "points-as-rows") -> DataMatrix:
@@ -281,7 +290,12 @@ def load_csv_matrix(path, orientation: str = "points-as-rows") -> DataMatrix:
         src.seek(0)
         fh = io.TextIOWrapper(src, encoding="utf-8-sig", newline="")
         if quoted:  # a quoted field may span lines: count records, not lines
-            records = sum(1 for _ in csv.reader(fh))
+            records = 0
+            try:
+                for _ in csv.reader(fh):
+                    records += 1
+            except csv.Error:  # raised again below, after the rows before it
+                records += 1
             fh.seek(0)
         i = 0
         for raw in csv.reader(fh) if quoted else map(_split, fh):

@@ -318,19 +318,6 @@ def test_dot_is_within_its_share_of_the_bound():
         assert abs(Fraction(float(angles._dot(v, a, b)[0])) - exact) <= gamma * scale
 
 
-@pytest.mark.parametrize("n", [31, 32, 33, 1000])
-def test_dot_of_one_column_against_many_equals_the_pairwise_form(monkeypatch, n):
-    # a scalar i is gathered once per slab and broadcast; an index array
-    # gathers it once per pair.  Same products, same tree, same bits.
-    v = awkward_columns(n, n)
-    j = np.arange(v.shape[1])
-    for pairs in (angles._DOT_PAIRS, 7):  # one sweep, then several
-        monkeypatch.setattr(angles, "_DOT_PAIRS", pairs)
-        for i in (0, 40, v.shape[1] - 1):
-            assert np.array_equal(angles._dot(v, i, j),
-                                  angles._dot(v, np.full(j.size, i), j))
-
-
 @given(st.integers(0, 2 ** 31 - 1), st.integers(3, 9), st.integers(2, 24))
 @settings(max_examples=40, deadline=None)
 def test_angle_ranges(seed, n, pts):

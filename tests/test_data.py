@@ -1,3 +1,4 @@
+import csv
 import os
 import tracemalloc
 
@@ -204,7 +205,7 @@ def _outcome(load, path, orientation):
     """The matrix's shape and bytes, or the error's type, text and place."""
     try:
         m = load(path, orientation)
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, csv.Error) as exc:
         return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
     return m.values.shape, m.values.tobytes()
 
@@ -250,17 +251,21 @@ def csv_files(draw):
     return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode()
 
 
-@given(csv_files(), st.sampled_from([1, 2, 3, data._SURVEY_CHUNK]))
+@given(csv_files(), st.sampled_from([1, 2, 3, data._SURVEY_CHUNK]),
+       st.sampled_from([None] * 4 + [4, 12]))
 @settings(max_examples=300, deadline=None)
-def test_load_matches_the_row_list_oracle(tmp_path_factory, body, chunk):
+def test_load_matches_the_row_list_oracle(tmp_path_factory, body, chunk, limit):
     path = tmp_path_factory.mktemp("oracle") / "m.csv"
     path.write_bytes(body)
-    default = data._SURVEY_CHUNK
+    default_chunk, default_limit = data._SURVEY_CHUNK, csv.field_size_limit()
     data._SURVEY_CHUNK = chunk  # line ends split across the byte pass's reads
+    if limit is not None:  # fields over csv.reader's length limit
+        csv.field_size_limit(limit)
     try:
         _same_as_oracle(path)
     finally:
-        data._SURVEY_CHUNK = default
+        data._SURVEY_CHUNK = default_chunk
+        csv.field_size_limit(default_limit)
 
 
 @pytest.mark.parametrize("text", [
@@ -288,6 +293,27 @@ def test_load_cases_match_the_row_list_oracle(tmp_path, text):
     path = tmp_path / "m.csv"
     path.write_bytes(text.encode())
     _same_as_oracle(path)
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_load_field_limit_does_not_depend_on_a_quote(tmp_path, extra):
+    # without a '"' anywhere the rows are split, not read by csv.reader;
+    # a field's length limit must still be csv.reader's
+    long = "0" * (csv.field_size_limit() - 1 + extra) + "1"
+    outcomes = []
+    for first in ("1", '"1"'):
+        path = tmp_path / "m.csv"
+        path.write_text(f"{first},2,3\n4,5,{long}\r\n7,8,9\n", newline="")
+        _same_as_oracle(path)
+        outcomes.append(_outcome(load_csv_matrix, path, "points-as-rows"))
+        # a bad field before the long one is still the error
+        path.write_text(f"{first},2,3\n4,x,6\n7,8,{long}\n", newline="")
+        _same_as_oracle(path)
+        with pytest.raises(ParseError) as exc:
+            load_csv_matrix(path)
+        assert (exc.value.row, exc.value.column) == (2, 2)
+    assert outcomes[0] == outcomes[1]
+    assert (outcomes[0][0] is csv.Error) == bool(extra)
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
