@@ -57,16 +57,20 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _check_columns(values: np.ndarray) -> None:
+def _check_columns(values: np.ndarray, norms: np.ndarray | None = None) -> None:
     """Refuse non-finite entries and all-zero columns.
 
     A column is zero exactly when its sum of squares is: the squares are
     non-negative, so no order of summing them reaches 0 otherwise.  einsum
-    sums them without an n x N temporary.
+    sums them without an n x N temporary.  A caller that already holds the
+    column norms passes them instead (zero at the same columns), and no
+    second pass is made.
     """
     if not np.all(np.isfinite(values)):
         raise ValidationError("matrix entries must all be finite")
-    zero = np.flatnonzero(np.einsum("ij,ij->j", values, values) == 0.0)
+    if norms is None:
+        norms = np.einsum("ij,ij->j", values, values)
+    zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ValidationError(f"zero columns at indices {zero.tolist()}")
 
@@ -357,5 +361,6 @@ def normalize_columns(m) -> NormalizedMatrix:
     values = m.values if hasattr(m, "values") else np.ascontiguousarray(m, dtype=float)
     if values.ndim != 2:
         raise DimensionError("expected a 2-d array of column points")
-    _check_columns(values)
-    return NormalizedMatrix(values / np.linalg.norm(values, axis=0))
+    norms = np.linalg.norm(values, axis=0)
+    _check_columns(values, norms)
+    return NormalizedMatrix(values / norms)
