@@ -272,7 +272,8 @@ def load_csv_matrix(path, orientation: str = "points-as-rows") -> DataMatrix:
     only in part raises at its first bad field.  A UTF-8 byte-order mark is
     ignored.  Errors carry 1-based file coordinates and name the first bad
     field in file order: rows are checked one at a time, width first, then
-    their fields from left to right.
+    their fields from left to right.  A field longer than
+    ``csv.field_size_limit()`` is a ParseError at its row.
 
     Memory: one pass over the file's bytes counts its records, and a second
     parses each row straight into one float64 array of exactly the
@@ -302,31 +303,34 @@ def load_csv_matrix(path, orientation: str = "points-as-rows") -> DataMatrix:
                 records += 1
             fh.seek(0)
         i = 0
-        for raw in csv.reader(fh) if quoted else map(_split, fh):
-            i += 1
-            if arr is None:
-                if i == 1 and not any(_is_number(f) for f in raw):
-                    continue  # header row
-                width, k, size = len(raw), 0, records - i + 1
-                arr = np.empty((width, size) if by_column else (size, width))
-            if len(raw) != width:
-                raise ParseError(
-                    f"expected {width} fields, found {len(raw)}", row=i)
-            if k == size:
-                raise ParseError("file changed while it was read", row=i)
-            dest = arr[:, k] if by_column else arr[k]
-            try:
-                dest[:] = raw  # numpy parses each str with float()
-                clean = np.isfinite(dest).all()
-            except ValueError:
-                clean = False
-            if not clean:
-                # Field by field, to name the first bad one.  This also
-                # parses the few fields float() rejects only for padding
-                # that str.strip() removes (the ASCII separators \x1c-\x1f).
-                dest[:] = [_parse_field(f.strip(), i, j + 1) for j, f in enumerate(raw)]
-            k += 1
-            del raw  # so that the next row's fields are not made beside these
+        try:
+            for raw in csv.reader(fh) if quoted else map(_split, fh):
+                i += 1
+                if arr is None:
+                    if i == 1 and not any(_is_number(f) for f in raw):
+                        continue  # header row
+                    width, k, size = len(raw), 0, records - i + 1
+                    arr = np.empty((width, size) if by_column else (size, width))
+                if len(raw) != width:
+                    raise ParseError(
+                        f"expected {width} fields, found {len(raw)}", row=i)
+                if k == size:
+                    raise ParseError("file changed while it was read", row=i)
+                dest = arr[:, k] if by_column else arr[k]
+                try:
+                    dest[:] = raw  # numpy parses each str with float()
+                    clean = np.isfinite(dest).all()
+                except ValueError:
+                    clean = False
+                if not clean:
+                    # Field by field, to name the first bad one.  This also
+                    # parses the few fields float() rejects only for padding
+                    # that str.strip() removes (the ASCII separators \x1c-\x1f).
+                    dest[:] = [_parse_field(f.strip(), i, j + 1) for j, f in enumerate(raw)]
+                k += 1
+                del raw  # so that the next row's fields are not made beside these
+        except csv.Error as exc:  # a field over csv.field_size_limit()
+            raise ParseError(str(exc), row=i + 1) from None
     if arr is None:
         raise ParseError("no data rows found")
     if k != size:

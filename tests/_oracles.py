@@ -164,27 +164,21 @@ def column_inliers(model, basis, count, streams, index_offset=0):
     return cols
 
 
-def column_outliers(model, n, count, streams, basis=None, index_offset=0):
+def column_outliers(model, n, count, streams, index_offset=0):
     """Outlier columns drawn one column at a time (see ``column_dataset``)."""
-    def draw(index, size=n):
-        return streams.outlier(index_offset + index).standard_normal(size)
+    def draw(index):
+        return streams.outlier(index_offset + index).standard_normal(n)
 
     cols = np.empty((n, count))
     if isinstance(model, ClusteredOutliers):
         center = _unit(streams.outlier_center(index_offset).standard_normal(n))
-        scale = 1.0 if model.literal_scale else model.mu
         for i in range(count):
-            raw = center + scale * _unit(draw(i))
-            if model.literal_scale:
-                raw = raw / math.sqrt(1.0 + model.mu * model.mu)
-            cols[:, i] = _unit(raw)
+            cols[:, i] = _unit(center + model.mu * _unit(draw(i)))
     elif isinstance(model, BoundedConeOutliers):
-        sub = basis if model.within_subspace else None
         cos_min = math.cos(model.theta_max)
         accepted = 0
         for k in range(1000 * count):
-            g = draw(k, n if sub is None else sub.shape[1])
-            x = _unit(g if sub is None else sub @ g)
+            x = _unit(draw(k))
             if accepted == 0 or np.all(cols[:, :accepted].T @ x >= cos_min):
                 cols[:, accepted] = x
                 accepted += 1
@@ -211,7 +205,7 @@ def column_dataset(spec):
 
     Every column builds its own generator with the public
     ``ColumnStreams.stream`` and is normalized by ``_unit``: the per-column
-    definition the batched samplers must reproduce bit for bit.  Returns
+    definition the batched ``sample`` methods must reproduce bit for bit.  Returns
     (values, labels, true_basis, sigma, point_snr).
     """
     streams = ColumnStreams(spec.seed)
@@ -219,8 +213,7 @@ def column_dataset(spec):
     basis = random_subspace(n, spec.rank, streams.subspace())
     parts = [column_inliers(spec.inlier_model, basis, spec.num_inliers, streams)]
     if spec.num_outliers:
-        parts.append(column_outliers(spec.outlier_model, n, spec.num_outliers,
-                                     streams, basis))
+        parts.append(column_outliers(spec.outlier_model, n, spec.num_outliers, streams))
     labels = np.full(total, int(Label.OUTLIER), dtype=np.int8)
     labels[: spec.num_inliers] = int(Label.INLIER)
     perm = streams.shuffle().permutation(total)
@@ -230,11 +223,7 @@ def column_dataset(spec):
     if spec.snr_db is not None:
         sigma = np.linalg.norm(values) / (10.0 ** (spec.snr_db / 20.0) * math.sqrt(n * total))
         point_snr = np.sum(values * values, axis=0) / (n * sigma * sigma)
-        if spec.noise_target == "all":
-            targets = range(total)
-        else:
-            targets = np.flatnonzero(labels == int(Label.INLIER))
-        for j in targets:
+        for j in np.flatnonzero(labels == int(Label.INLIER)):
             values[:, j] += sigma * streams.noise(int(j)).standard_normal(n)
     return values, labels, basis, sigma, point_snr
 
@@ -260,15 +249,19 @@ def csv_oracle(path, orientation: str = "points-as-rows") -> DataMatrix:
 
     rows = []
     width = None
+    i = 0
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        for i, raw in enumerate(csv.reader(fh), start=1):
-            if i == 1 and not any(is_number(f) for f in raw):
-                continue  # header row
-            if width is None:
-                width = len(raw)
-            if len(raw) != width:
-                raise ParseError(f"expected {width} fields, found {len(raw)}", row=i)
-            rows.append([parse_field(f.strip(), i, j + 1) for j, f in enumerate(raw)])
+        try:
+            for i, raw in enumerate(csv.reader(fh), start=1):
+                if i == 1 and not any(is_number(f) for f in raw):
+                    continue  # header row
+                if width is None:
+                    width = len(raw)
+                if len(raw) != width:
+                    raise ParseError(f"expected {width} fields, found {len(raw)}", row=i)
+                rows.append([parse_field(f.strip(), i, j + 1) for j, f in enumerate(raw)])
+        except csv.Error as exc:  # a field over csv.field_size_limit()
+            raise ParseError(str(exc), row=i + 1) from None
     if not rows:
         raise ParseError("no data rows found")
     arr = np.asarray(rows, dtype=float)

@@ -15,7 +15,10 @@ DELETED = {
                "min_angle_scores", "count_above_threshold",
                "mean_principal_angle", "min_pair", "angle_scores"],
     "threshold": ["compute_zeta_adapted"],
-    "synth": ["assemble", "shuffle_and_label", "add_noise_snr"],
+    "synth": ["assemble", "shuffle_and_label", "add_noise_snr",
+              "sample_uniform_inliers", "sample_clustered_inliers",
+              "sample_unstructured_outliers", "sample_clustered_outliers",
+              "sample_bounded_cone", "NOISE_TARGETS"],
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,3 +204,22 @@ def test_result_arrays_read_only():
     res2 = roma_n(ds.matrix)
     with pytest.raises(ValueError):
         res2.na_survivors[0] = 3
+
+
+@pytest.mark.parametrize("detect", [roma, roma_n])
+@pytest.mark.parametrize("n, num_points", [(100, 5000), (3000, 1000)])
+def test_detector_memory_is_the_matrix_copies_and_the_block_buffers(n, num_points, detect):
+    # The stated bound: the matrix, O(n N) copies (unit columns, their
+    # float32 cast) and the Gram pass's block buffers, never an N x N table
+    # (100 MB in float32 at N = 5000).  n = 100 takes the float32 pass and
+    # n = 3000 the float64 one.  tracemalloc sees numpy's allocations only:
+    # buffers that BLAS allocates inside a product are not traced.
+    m = planted(seed=1, n=n, r=10, num_points=num_points).matrix
+    detect(m)  # warm: imports and caches
+    tracemalloc.start()
+    try:
+        detect(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * m.values.nbytes + 2 * angles._BLOCK_BYTES, peak / m.values.nbytes

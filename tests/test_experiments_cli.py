@@ -3,15 +3,20 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import roma
 import roma.experiments as ex
 from roma.cli import main
-from roma.data import Label
+from roma.data import Label, load_csv_matrix
 from roma.errors import ValidationError
-from roma.synth import SynthSpec, export_dataset, make_dataset
+from roma.synth import SynthSpec, export_dataset, load_sidecar, make_dataset
 
 
 def tiny(experiment, **overrides):
@@ -400,6 +405,16 @@ def test_cli_exit_2_on_bad_input(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("first", ["1", '"1"'])
+def test_cli_exit_2_on_a_field_over_the_csv_limit(tmp_path, capsys, first):
+    # a quote-free file is split by str.split, one with a '"' by csv.reader
+    path = tmp_path / "long.csv"
+    path.write_text(f"{first},2,3\n4,5,{'0' * 200000}1\n7,8,9\n")
+    assert main(["--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "field larger than field limit" in err and "(row 2)" in err
+
+
 def test_cli_exit_2_on_config_conflicts(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"experiment": "mixed"}))
@@ -433,3 +448,22 @@ def test_cli_exit_3_on_infeasible_generator(capsys):
             "bounded-cone", "--theta-max", "0.05"]
     assert main(argv) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_make_benchmark_script(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_benchmark.py"
+    out = tmp_path / "bench.csv"
+    src = os.path.dirname(os.path.dirname(roma.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, str(script), "--n", "12", "--rank", "3", "--num-points", "40",
+            "--gamma", "0.25", "--snr-db", "30", "--seed", "4", "--out", str(out)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "subspace LRE" in proc.stdout
+    side = load_sidecar(str(out) + ".json")
+    spec = SynthSpec(n=12, num_points=40, rank=3, gamma=0.25, seed=4, snr_db=30.0)
+    assert side["spec"] == spec
+    ds = make_dataset(spec)
+    assert np.array_equal(side["labels"], ds.matrix.labels)
+    assert np.array_equal(load_csv_matrix(out).values, ds.matrix.values)

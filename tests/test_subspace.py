@@ -4,13 +4,13 @@ import pytest
 from roma.data import DataMatrix, SubspaceBasis
 from roma.errors import DimensionError, ValidationError
 from roma.subspace import LRE_FLOOR, lre, recover_subspace
-from roma.synth import ColumnStreams, random_subspace, sample_uniform_inliers
+from roma.synth import ColumnStreams, UniformInliers, random_subspace
 
 
 def planted_columns(n=40, r=6, count=80, seed=3):
     streams = ColumnStreams(seed)
     basis = random_subspace(n, r, streams.subspace())
-    cols = sample_uniform_inliers(basis, count, streams)
+    cols = UniformInliers().sample(streams, basis, count)
     return basis, cols
 
 

@@ -1,5 +1,6 @@
 """Tests for the synthetic dataset generators."""
 
+import json
 import math
 
 import numpy as np
@@ -26,11 +27,6 @@ from roma.synth import (
     load_sidecar,
     make_dataset,
     random_subspace,
-    sample_bounded_cone,
-    sample_clustered_inliers,
-    sample_clustered_outliers,
-    sample_uniform_inliers,
-    sample_unstructured_outliers,
     spec_from_dict,
     spec_to_dict,
 )
@@ -72,18 +68,19 @@ def test_column_prefix_stable_under_count():
     # are drawn around it
     streams = ColumnStreams(5)
     basis = random_subspace(12, 3, streams.subspace())
-    small = sample_uniform_inliers(basis, 4, streams)
-    big = sample_uniform_inliers(basis, 9, streams)
+    small = UniformInliers().sample(streams, basis, 4)
+    big = UniformInliers().sample(streams, basis, 9)
     assert np.array_equal(small, big[:, :4])
-    out_small = sample_unstructured_outliers(12, 3, streams)
-    out_big = sample_unstructured_outliers(12, 7, streams)
+    out_small = UnstructuredOutliers().sample(streams, basis, 3)
+    out_big = UnstructuredOutliers().sample(streams, basis, 7)
     assert np.array_equal(out_small, out_big[:, :3])
 
 
 def test_index_offset_shifts_columns():
     streams = ColumnStreams(5)
-    block = sample_unstructured_outliers(10, 6, streams)
-    tail = sample_unstructured_outliers(10, 4, streams, index_offset=2)
+    basis = random_subspace(10, 2, streams.subspace())
+    block = UnstructuredOutliers().sample(streams, basis, 6)
+    tail = UnstructuredOutliers().sample(streams, basis, 4, index_offset=2)
     assert np.array_equal(block[:, 2:], tail)
 
 
@@ -95,20 +92,16 @@ def test_index_offset_shifts_columns():
     dict(),
     dict(inlier_model=ClusteredInliers(nu=0.1)),
     dict(outlier_model=ClusteredOutliers(mu=0.2)),
-    dict(outlier_model=ClusteredOutliers(mu=0.7, literal_scale=True)),
     dict(outlier_model=BoundedConeOutliers(theta_max=1.3)),
-    dict(outlier_model=BoundedConeOutliers(theta_max=1.0, within_subspace=True)),
     dict(inlier_model=ClusteredInliers(nu=0.3), outlier_model=ClusteredOutliers(mu=5.0),
          snr_db=20.0),
-    dict(snr_db=10.0, noise_target="all"),
     dict(n=100, num_points=300, rank=10, gamma=0.5, seed=2 ** 64 - 1, snr_db=20.0),
     dict(n=3, num_points=7, rank=3, gamma=0.0, snr_db=5.0),
     dict(inlier_model=ClusteredInliers(nu=0.1), outlier_model=MixedOutliers(mu=0.2)),
     dict(outlier_model=MixedOutliers(mu=0.2), gamma=0.0),
-    dict(outlier_model=MixedOutliers(mu=5.0), snr_db=10.0, noise_target="all"),
-], ids=["uniform", "clustered-inliers", "clustered-outliers", "literal-scale",
-        "cone", "cone-in-subspace", "clustered-noisy", "noise-all", "large", "tiny",
-        "mixed", "mixed-no-outliers", "mixed-noisy"])
+    dict(outlier_model=MixedOutliers(mu=5.0), snr_db=10.0),
+], ids=["uniform", "clustered-inliers", "clustered-outliers", "cone", "clustered-noisy",
+        "large", "tiny", "mixed", "mixed-no-outliers", "mixed-noisy"])
 def test_make_dataset_matches_per_column_oracle(overrides):
     spec = base_spec(**overrides)
     ds = make_dataset(spec)
@@ -123,9 +116,7 @@ def test_make_dataset_matches_per_column_oracle(overrides):
 
 @pytest.mark.parametrize("model", [
     UniformInliers(), ClusteredInliers(nu=0.2), UnstructuredOutliers(),
-    ClusteredOutliers(mu=0.3), ClusteredOutliers(mu=0.3, literal_scale=True),
-    BoundedConeOutliers(theta_max=1.2), BoundedConeOutliers(theta_max=1.0, within_subspace=True),
-    MixedOutliers(mu=0.3),
+    ClusteredOutliers(mu=0.3), BoundedConeOutliers(theta_max=1.2), MixedOutliers(mu=0.3),
 ])
 def test_samplers_match_per_column_oracle_at_an_offset(model):
     streams = ColumnStreams(31)
@@ -133,27 +124,9 @@ def test_samplers_match_per_column_oracle_at_an_offset(model):
     offset, count = 17, 9
     if isinstance(model, (UniformInliers, ClusteredInliers)):
         expected = column_inliers(model, basis, count, streams, offset)
-        if isinstance(model, ClusteredInliers):
-            got = sample_clustered_inliers(basis, count, model.nu, streams, offset)
-        else:
-            got = sample_uniform_inliers(basis, count, streams, offset)
     else:
-        expected = column_outliers(model, 15, count, streams, basis, offset)
-        if isinstance(model, ClusteredOutliers):
-            got = sample_clustered_outliers(15, count, model.mu, streams, offset,
-                                            literal_scale=model.literal_scale)
-        elif isinstance(model, BoundedConeOutliers):
-            got = sample_bounded_cone(15, count, model.theta_max, streams,
-                                      subspace=basis if model.within_subspace else None,
-                                      index_offset=offset)
-        elif isinstance(model, MixedOutliers):
-            k = model.num_clustered(streams, count)
-            got = np.hstack([
-                sample_clustered_outliers(15, k, model.mu, streams, offset),
-                sample_unstructured_outliers(15, count - k, streams, offset + k)])
-        else:
-            got = sample_unstructured_outliers(15, count, streams, offset)
-    assert np.array_equal(got, expected)
+        expected = column_outliers(model, 15, count, streams, offset)
+    assert np.array_equal(model.sample(streams, basis, count, offset), expected)
 
 
 def test_mixed_outliers_match_the_oracle_at_every_split():
@@ -187,14 +160,11 @@ def test_batched_path_rejects_a_zero_column(monkeypatch):
     basis = random_subspace(6, 2, streams.subspace())
     monkeypatch.setattr(ColumnStreams, "_normals",
                         lambda self, domain, indices, size: np.zeros((len(indices), size)))
-    samplers = [
-        lambda: sample_uniform_inliers(basis, 3, streams),
-        lambda: sample_clustered_inliers(basis, 3, 0.1, streams),
-        lambda: sample_unstructured_outliers(6, 3, streams),
-        lambda: sample_clustered_outliers(6, 3, 0.2, streams),
-        lambda: sample_bounded_cone(6, 3, 1.0, streams),
-        lambda: make_dataset(base_spec()),
-    ]
+    models = [UniformInliers(), ClusteredInliers(nu=0.1), UnstructuredOutliers(),
+              ClusteredOutliers(mu=0.2), BoundedConeOutliers(theta_max=1.0),
+              MixedOutliers(mu=0.2)]
+    samplers = [lambda model=model: model.sample(streams, basis, 3) for model in models]
+    samplers.append(lambda: make_dataset(base_spec()))
     for sample in samplers:
         with pytest.raises(ValidationError, match="zero vector"):
             sample()
@@ -236,8 +206,6 @@ def test_spec_validation():
         base_spec(gamma=-0.1)
     with pytest.raises(ValidationError):
         base_spec(num_points=100, gamma=0.999)  # rounds to zero inliers
-    with pytest.raises(ValidationError):
-        base_spec(noise_target="outliers")
     with pytest.raises(ValidationError):
         ClusteredInliers(nu=0.0)
     with pytest.raises(ValidationError):
@@ -307,39 +275,24 @@ def test_clustered_models_stay_tight():
     assert np.max(np.abs(inliers - basis @ (basis.T @ inliers))) < 1e-12
 
 
-def test_literal_scale_is_mu_free_after_normalization():
-    # (a + b_i)/sqrt(1+mu^2) renormalized cannot depend on mu
-    streams = ColumnStreams(9)
-    one = sample_clustered_outliers(15, 8, 0.5, streams, literal_scale=True)
-    two = sample_clustered_outliers(15, 8, 2.0, streams, literal_scale=True)
-    assert np.allclose(one, two, atol=1e-15)
-    scaled = sample_clustered_outliers(15, 8, 0.5, streams)
-    assert not np.allclose(one, scaled, atol=1e-3)
-
-
 def test_bounded_cone_respects_theta_max():
     streams = ColumnStreams(4)
-    theta = 0.8
-    cols = sample_bounded_cone(6, 10, theta, streams)
+    basis = random_subspace(6, 2, streams.subspace())
+    cone = BoundedConeOutliers(theta_max=0.8)
+    theta = cone.theta_max
+    cols = cone.sample(streams, basis, 10)
     dots = cols.T @ cols
     np.fill_diagonal(dots, 1.0)
     assert np.min(dots) >= math.cos(theta) - 1e-15
     assert np.allclose(np.linalg.norm(cols, axis=0), 1.0, atol=1e-12)
-    assert sample_bounded_cone(6, 0, theta, streams).shape == (6, 0)
-
-
-def test_bounded_cone_within_subspace():
-    streams = ColumnStreams(4)
-    basis = random_subspace(20, 3, streams.subspace())
-    cols = sample_bounded_cone(20, 6, 1.0, streams, subspace=basis)
-    residual = cols - basis @ (basis.T @ cols)
-    assert np.max(np.abs(residual)) < 1e-12
+    assert cone.sample(streams, basis, 0).shape == (6, 0)
 
 
 def test_bounded_cone_infeasible_reports_rate():
     streams = ColumnStreams(4)
+    basis = random_subspace(200, 1, streams.subspace())
     with pytest.raises(FeasibilityError) as exc:
-        sample_bounded_cone(200, 50, 0.05, streams)
+        BoundedConeOutliers(theta_max=0.05).sample(streams, basis, 50)
     assert 0.0 <= exc.value.acceptance_rate < 0.01
 
 
@@ -355,8 +308,8 @@ def test_unit_guard_rejects_zero_vector():
 def test_shuffle_preserves_columns_and_labels():
     streams = ColumnStreams(2)
     basis = random_subspace(8, 2, streams.subspace())
-    ins = sample_uniform_inliers(basis, 5, streams)
-    outs = sample_unstructured_outliers(8, 3, streams)
+    ins = UniformInliers().sample(streams, basis, 5)
+    outs = UnstructuredOutliers().sample(streams, basis, 3)
     matrix = make_dataset(SynthSpec(n=8, num_points=8, rank=2, gamma=3 / 8, seed=2)).matrix
     assert matrix.values.shape == (8, 8)
     recovered_in = matrix.values[:, matrix.labels == int(Label.INLIER)]
@@ -369,17 +322,22 @@ def test_shuffle_preserves_columns_and_labels():
 def test_shuffle_without_outliers():
     streams = ColumnStreams(2)
     basis = random_subspace(8, 2, streams.subspace())
-    ins = sample_uniform_inliers(basis, 5, streams)
+    ins = UniformInliers().sample(streams, basis, 5)
     matrix = make_dataset(SynthSpec(n=8, num_points=5, rank=2, gamma=0.0, seed=2)).matrix
     assert np.all(matrix.labels == int(Label.INLIER))
     assert sorted(map(tuple, matrix.values.T)) == sorted(map(tuple, ins.T))
 
 
-def test_make_dataset_rejects_unknown_models():
-    with pytest.raises(ValidationError):
-        make_dataset(base_spec(inlier_model="bogus"))
-    with pytest.raises(ValidationError):
-        make_dataset(base_spec(outlier_model=object()))
+def test_spec_rejects_unknown_models():
+    with pytest.raises(ValidationError, match="unknown inlier model"):
+        base_spec(inlier_model="bogus")
+    with pytest.raises(ValidationError, match="unknown outlier model"):
+        base_spec(outlier_model=object())
+    # each registry holds its own side's models only
+    with pytest.raises(ValidationError, match="unknown inlier model"):
+        base_spec(inlier_model=UnstructuredOutliers())
+    with pytest.raises(ValidationError, match="unknown outlier model"):
+        base_spec(outlier_model=ClusteredInliers(nu=0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +361,6 @@ def test_noise_targets_inliers_by_default():
     changed = noisy.matrix.values != clean.matrix.values
     assert np.all(changed[:, clean.inlier_indices])
     assert not np.any(changed[:, clean.outlier_indices])
-    everywhere = make_dataset(base_spec(snr_db=20.0, noise_target="all"))
-    assert np.all(everywhere.matrix.values != clean.matrix.values)
-    # both targets calibrate sigma on the clean matrix
-    assert everywhere.sigma == noisy.sigma
 
 
 def test_noise_deterministic_and_single_shot():
@@ -415,8 +369,6 @@ def test_noise_deterministic_and_single_shot():
     b = make_dataset(spec)
     assert np.array_equal(a.matrix.values, b.matrix.values)
     assert a.sigma == b.sigma
-    with pytest.raises(ValidationError):
-        base_spec(snr_db=10.0, noise_target="nowhere")
 
 
 def test_noisy_columns_leave_unit_sphere():
@@ -446,9 +398,8 @@ def test_make_dataset_builds_one_matrix(monkeypatch, snr_db):
 @pytest.mark.parametrize("spec", [
     base_spec(),
     base_spec(inlier_model=ClusteredInliers(nu=0.1),
-              outlier_model=ClusteredOutliers(mu=0.2, literal_scale=True),
-              snr_db=15.0, noise_target="all"),
-    base_spec(outlier_model=BoundedConeOutliers(theta_max=0.7, within_subspace=True)),
+              outlier_model=ClusteredOutliers(mu=0.2), snr_db=15.0),
+    base_spec(outlier_model=BoundedConeOutliers(theta_max=0.7)),
     base_spec(outlier_model=MixedOutliers(mu=0.2)),
 ])
 def test_spec_dict_round_trip(spec):
@@ -460,6 +411,74 @@ def test_spec_from_dict_rejects_unknown_model():
     d["outlier_model"] = {"type": "martian"}
     with pytest.raises(ValidationError):
         spec_from_dict(d)
+
+
+@pytest.mark.parametrize("where, key, value, match", [
+    ("spec", "rank", None, "missing key 'rank'"),
+    ("spec", "snr", 3.0, "takes no key 'snr'"),
+    ("inlier_model", "nu", 0.1, "UniformInliers takes no key 'nu'"),
+    ("outlier_model", "sigma", 1.0, "ClusteredOutliers takes no key 'sigma'"),
+    ("outlier_model", "mu", None, "missing key 'mu'"),
+])
+def test_spec_from_dict_names_the_bad_key(where, key, value, match):
+    d = spec_to_dict(base_spec(outlier_model=ClusteredOutliers(mu=0.2)))
+    target = d if where == "spec" else d[where]
+    if value is None:
+        del target[key]
+    else:
+        target[key] = value
+    with pytest.raises(ValidationError, match=match):
+        spec_from_dict(d)
+
+
+def test_spec_from_dict_rejects_a_non_object():
+    with pytest.raises(ValidationError, match="expected a JSON object"):
+        spec_from_dict([1, 2])
+    d = spec_to_dict(base_spec())
+    d["inlier_model"] = "uniform"
+    with pytest.raises(ValidationError, match="unknown model type"):
+        spec_from_dict(d)
+
+
+def _edited_sidecar(tmp_path, spec, edit):
+    """The sidecar of spec's dataset after ``edit`` changed its JSON payload."""
+    sidecar = export_dataset(make_dataset(spec), tmp_path / "d.csv")
+    with open(sidecar) as fh:
+        payload = json.load(fh)
+    edit(payload)
+    with open(sidecar, "w") as fh:
+        json.dump(payload, fh)
+    return sidecar
+
+
+# keys of sidecars from before these options were removed: the one value
+# still generated loads, any other is refused
+@pytest.mark.parametrize("spec, where, key, kept, other", [
+    (base_spec(snr_db=10.0), None, "noise_target", "inliers", "all"),
+    (base_spec(outlier_model=ClusteredOutliers(mu=0.2)), "outlier_model",
+     "literal_scale", False, True),
+    (base_spec(outlier_model=BoundedConeOutliers(theta_max=1.3)), "outlier_model",
+     "within_subspace", False, True),
+])
+def test_old_sidecars_load_when_they_ask_for_what_is_generated(tmp_path, spec, where,
+                                                               key, kept, other):
+    def setter(value):
+        def edit(payload):
+            (payload["spec"] if where is None else payload["spec"][where])[key] = value
+        return edit
+
+    assert load_sidecar(_edited_sidecar(tmp_path, spec, setter(kept)))["spec"] == spec
+    with pytest.raises(ValidationError, match=f"{key} = {other!r} cannot be generated"):
+        load_sidecar(_edited_sidecar(tmp_path, spec, setter(other)))
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda p: p["spec"].pop("gamma"), "missing key 'gamma'"),
+    (lambda p: p.pop("labels"), "no 'labels'"),
+], ids=["missing-field", "no-labels"])
+def test_load_sidecar_names_the_bad_key(tmp_path, edit, match):
+    with pytest.raises(ValidationError, match=match):
+        load_sidecar(_edited_sidecar(tmp_path, base_spec(), edit))
 
 
 @pytest.mark.parametrize("orientation", ["points-as-rows", "points-as-columns"])
@@ -502,7 +521,6 @@ def test_load_sidecar_with_bom(tmp_path):
 def test_load_sidecar_rejects_unknown_label(tmp_path):
     ds = make_dataset(base_spec())
     sidecar = export_dataset(ds, tmp_path / "d.csv")
-    import json
     payload = json.loads(open(sidecar).read())
     payload["labels"][0] = "maybe"
     with open(sidecar, "w") as fh:
