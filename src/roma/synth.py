@@ -12,10 +12,12 @@ index), so column j of a seed is always the same, however many columns are
 drawn around it and in whatever order; a sample reads the substreams from
 ``index_offset`` on.
 
-A sample draws all its columns in one batched pass (``ColumnStreams._normals``)
-and keeps per column only the arithmetic that decides the bits: one
-matrix-vector product and one contiguous dot-product norm per column.  A
-batched gemm or an axis norm rounds differently, so neither is used.  All
+A sample draws all its columns in one batched pass (``ColumnStreams._normals``),
+then maps and normalizes them with one stacked ``np.matmul`` per step.  A
+stacked matrix-vector matmul runs one gemv per column and a stacked row-by-
+column matmul one ddot per column, in C: the calls ``basis @ g`` and
+``row @ row`` make, so every column has the bits of the per-column
+definition.  A batched gemm or an axis norm would round differently.  All
 models but the bounded cone return a transposed row buffer, with no copy.
 """
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,11 +64,35 @@ _DOM_AUX = 0
 _MAX_INDEX = 1 << 56
 
 
-def _low_key(domain: int, index: int) -> int:
-    """Low 64 bits of a substream's Philox key; the high 64 are the seed."""
-    if not 0 <= index < _MAX_INDEX:
-        raise ValidationError(f"substream index out of range: {index}")
-    return (domain << 56) | index
+def _low_keys(domain: int, indices) -> list:
+    """Low 64 bits of each substream's Philox key, as ints; the high 64 are
+    the seed.  A ValidationError names the first index out of range."""
+    try:
+        indices = np.asarray(indices, dtype=np.int64)
+    except OverflowError:
+        indices = np.asarray(indices, dtype=object)
+    bad = np.flatnonzero((indices < 0) | (indices >= _MAX_INDEX))
+    if bad.size:
+        raise ValidationError(f"substream index out of range: {indices[bad[0]]}")
+    return ((domain << 56) | indices).tolist()
+
+
+def _check_seed(seed) -> int:
+    seed = int(seed)
+    if not 0 <= seed < (1 << 64):
+        raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return seed
+
+
+def _check_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_real(name: str, value) -> None:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValidationError(f"{name} must be a finite real, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -80,13 +107,10 @@ class ColumnStreams:
     seed: int
 
     def __post_init__(self):
-        seed = int(self.seed)
-        if not 0 <= seed < (1 << 64):
-            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
     def stream(self, domain: int, index: int) -> np.random.Generator:
-        key = (self.seed << 64) | _low_key(domain, index)
+        key = (self.seed << 64) | _low_keys(domain, [index])[0]
         return np.random.Generator(np.random.Philox(key=key))
 
     def _normals(self, domain: int, indices, size: int) -> np.ndarray:
@@ -97,7 +121,8 @@ class ColumnStreams:
         Philox has counter 0 and an exhausted buffer (``buffer_pos`` 4), so
         setting that state with the row's key reproduces it.
         """
-        out = np.empty((len(indices), size))
+        keys = _low_keys(domain, indices)
+        out = np.empty((len(keys), size))
         bitgen = np.random.Philox(0)  # any seed: the state is set per row
         gen = np.random.Generator(bitgen)
         key = [0, self.seed]  # [low word, high word]
@@ -105,8 +130,8 @@ class ColumnStreams:
                  "state": {"counter": [0, 0, 0, 0], "key": key},
                  "buffer": [0, 0, 0, 0], "buffer_pos": 4,
                  "has_uint32": 0, "uinteger": 0}
-        for row, index in zip(out, map(int, indices)):
-            key[0] = _low_key(domain, index)
+        for row, low in zip(out, keys):
+            key[0] = low
             bitgen.state = state
             gen.standard_normal(size, out=row)
         return out
@@ -157,12 +182,13 @@ def _unit(vec: np.ndarray) -> np.ndarray:
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    """Scale each row to unit length in place; bitwise ``_unit`` per row.
+    """Scale each row of a C-contiguous array to unit length in place;
+    bitwise ``_unit`` per row.
 
-    ``np.linalg.norm`` of a vector is sqrt(x . x) over contiguous memory,
-    so the norms are taken row by row the same way.
+    ``np.linalg.norm`` of a vector is sqrt(x . x), one ddot over contiguous
+    memory; the stacked (1 x n) @ (n x 1) matmul makes that ddot per row.
     """
-    norms = np.array([math.sqrt(row @ row) for row in rows])
+    norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
     if not norms.all():
         raise ValidationError("drew a zero vector; cannot normalize")
     rows /= norms[:, None]
@@ -170,11 +196,10 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _span(basis: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Row i: basis @ coords[i], one matrix-vector product per row."""
-    out = np.empty((coords.shape[0], basis.shape[0]))
-    for g, row in zip(coords, out):
-        np.matmul(basis, g, out=row)
-    return out
+    """Row i: basis @ coords[i], as a C-contiguous (count, n) array, for
+    C-contiguous coords.  The stacked matmul makes per row the one gemv
+    that ``basis @ coords[i]`` makes."""
+    return np.matmul(basis, coords[:, :, None])[:, :, 0]
 
 
 @dataclass(frozen=True)
@@ -195,6 +220,7 @@ class ClusteredInliers:
     nu: float
 
     def __post_init__(self):
+        _check_real("nu", self.nu)
         if not self.nu > 0:
             raise ValidationError(f"nu must be positive, got {self.nu!r}")
 
@@ -223,6 +249,7 @@ class ClusteredOutliers:
     mu: float
 
     def __post_init__(self):
+        _check_real("mu", self.mu)
         if not self.mu > 0:
             raise ValidationError(f"mu must be positive, got {self.mu!r}")
 
@@ -240,6 +267,7 @@ class BoundedConeOutliers:
     theta_max: float
 
     def __post_init__(self):
+        _check_real("theta_max", self.theta_max)
         if not 0.0 < self.theta_max < math.pi / 2.0:
             raise ValidationError(
                 f"theta_max must lie in (0, pi/2), got {self.theta_max!r}")
@@ -281,6 +309,7 @@ class MixedOutliers:
     mu: float
 
     def __post_init__(self):
+        _check_real("mu", self.mu)
         if not self.mu > 0:
             raise ValidationError(f"mu must be positive, got {self.mu!r}")
 
@@ -316,6 +345,12 @@ class SynthSpec:
     snr_db: float | None = None
 
     def __post_init__(self):
+        for name in ("n", "num_points", "rank", "seed"):
+            _check_int(name, getattr(self, name))
+        _check_real("gamma", self.gamma)
+        if self.snr_db is not None:
+            _check_real("snr_db", self.snr_db)
+        _check_seed(self.seed)
         if self.n < 3:
             raise ValidationError(f"ambient dimension must be at least 3, got {self.n}")
         if not 1 <= self.rank <= self.n:

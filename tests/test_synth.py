@@ -149,10 +149,31 @@ def test_batched_draws_equal_fresh_streams():
     rows = streams._normals(7, indices, 13)
     for row, index in zip(rows, indices):
         assert np.array_equal(row, streams.stream(7, int(index)).standard_normal(13))
-    with pytest.raises(ValidationError):
-        streams._normals(7, [1, 1 << 56], 3)
-    with pytest.raises(ValidationError):
+    assert streams._normals(7, [], 5).shape == (0, 5)
+    assert streams._normals(7, range(3, 3), 5).shape == (0, 5)
+    # the error names the first bad index, wherever it sits
+    with pytest.raises(ValidationError, match=f"out of range: {1 << 56}$"):
+        streams._normals(7, np.array([0, 4, 1 << 56, -1, 2]), 3)
+    with pytest.raises(ValidationError, match="out of range: -1$"):
         streams._normals(7, [-1], 3)
+    with pytest.raises(ValidationError, match=f"out of range: {1 << 64}$"):
+        streams._normals(7, [0, 1 << 64, -1], 3)
+
+
+@pytest.mark.parametrize("n, r, count", [
+    (3, 2, 0), (3, 2, 1), (3, 3, 6), (40, 40, 9), (3000, 10, 5),
+])
+def test_stacked_helpers_equal_the_per_column_products(n, r, count):
+    streams = ColumnStreams(9)
+    basis = random_subspace(n, r, streams.subspace())
+    coords = streams._normals(2, range(count), r)
+    span = synth._span(basis, coords)
+    assert span.shape == (count, n) and span.flags.c_contiguous
+    for g, row in zip(coords, span):
+        assert np.array_equal(row, basis @ g)
+    for rows in (span, streams._normals(3, range(count), n)):
+        expected = [row / math.sqrt(row @ row) for row in rows]
+        assert np.array_equal(synth._unit_rows(rows), np.reshape(expected, rows.shape))
 
 
 def test_batched_path_rejects_a_zero_column(monkeypatch):
@@ -214,6 +235,18 @@ def test_spec_validation():
         BoundedConeOutliers(theta_max=math.pi / 2.0)
     with pytest.raises(ValidationError):
         MixedOutliers(mu=0.0)
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValidationError, match="seed must be a 64-bit unsigned integer"):
+            base_spec(seed=seed)
+
+
+def test_spec_takes_numpy_scalars():
+    spec = SynthSpec(n=np.int64(20), num_points=np.int32(40), rank=np.uint8(4),
+                     gamma=np.float32(0.25), seed=np.uint64(2 ** 64 - 1),
+                     snr_db=np.float64(10.0),
+                     inlier_model=ClusteredInliers(nu=np.float32(0.1)),
+                     outlier_model=ClusteredOutliers(mu=np.float64(0.2)))
+    assert make_dataset(spec).matrix.values.shape == (20, 40)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +512,41 @@ def test_old_sidecars_load_when_they_ask_for_what_is_generated(tmp_path, spec, w
 def test_load_sidecar_names_the_bad_key(tmp_path, edit, match):
     with pytest.raises(ValidationError, match=match):
         load_sidecar(_edited_sidecar(tmp_path, base_spec(), edit))
+
+
+_CLUSTERED = base_spec(inlier_model=ClusteredInliers(nu=0.1),
+                       outlier_model=ClusteredOutliers(mu=0.2))
+_CONE = base_spec(outlier_model=BoundedConeOutliers(theta_max=1.3))
+
+
+@pytest.mark.parametrize("spec, where, key, value, match", [
+    (_CLUSTERED, None, "n", "20", "n must be an integer, got '20'"),
+    (_CLUSTERED, None, "num_points", 2.5, "num_points must be an integer, got 2.5"),
+    (_CLUSTERED, None, "rank", True, "rank must be an integer, got True"),
+    (_CLUSTERED, None, "seed", 7.0, "seed must be an integer, got 7.0"),
+    (_CLUSTERED, None, "seed", -1, "seed must be a 64-bit unsigned integer, got -1"),
+    (_CLUSTERED, None, "gamma", None, "gamma must be a finite real, got None"),
+    (_CLUSTERED, None, "gamma", "0.3", "gamma must be a finite real, got '0.3'"),
+    (_CLUSTERED, None, "gamma", float("nan"), "gamma must be a finite real, got nan"),
+    (_CLUSTERED, None, "snr_db", "20", "snr_db must be a finite real, got '20'"),
+    (_CLUSTERED, None, "snr_db", float("inf"), "snr_db must be a finite real, got inf"),
+    (_CLUSTERED, "inlier_model", "nu", None, "nu must be a finite real, got None"),
+    (_CLUSTERED, "outlier_model", "mu", "0.2", "mu must be a finite real, got '0.2'"),
+    (_CONE, "outlier_model", "theta_max", [1.0], r"theta_max must be a finite real, got \[1.0\]"),
+], ids=["n-str", "num_points-float", "rank-bool", "seed-float", "seed-negative", "gamma-null",
+        "gamma-str", "gamma-nan", "snr_db-str", "snr_db-inf", "nu-null", "mu-str",
+        "theta_max-list"])
+def test_spec_values_of_the_wrong_type_name_the_field(tmp_path, spec, where, key, value,
+                                                      match):
+    def edit(d):
+        (d if where is None else d[where])[key] = value
+
+    d = spec_to_dict(spec)
+    edit(d)
+    with pytest.raises(ValidationError, match=match):
+        spec_from_dict(d)
+    with pytest.raises(ValidationError, match=match):
+        load_sidecar(_edited_sidecar(tmp_path, spec, lambda payload: edit(payload["spec"])))
 
 
 @pytest.mark.parametrize("orientation", ["points-as-rows", "points-as-columns"])
