@@ -43,10 +43,10 @@ the cuts derived from it are rounded outwards.  ``_gram_error`` refuses
 n u >= 1/2, where gamma_n is no longer a bound.
 
 The scan recomputes with ``_dot`` every entry whose decision E leaves open:
-|g| within E of ``t`` (na), within 2E of a point's peak in the pass (q),
-and within 2E of the global peak (the closest pair).  So q, na and the
-closest pair equal what ``_dot`` over every pair gives, whatever the BLAS
-build or the block height.  ``acute_row`` is ``_dot`` throughout.
+|g| within E of ``t`` (na) and within 2E of a point's peak in the pass (q,
+and so the closest pair, whose entry is a peak of both its points).  So q,
+na and the closest pair equal what ``_dot`` over every pair gives, whatever
+the BLAS build or the block height.  ``acute_row`` is ``_dot`` throughout.
 
 The mean principal angle is informational, except in the adapted mode where
 it centres the threshold.  ``sample_mean_angle`` computes it in its own
@@ -213,11 +213,11 @@ def _at_or_above(x, dtype) -> np.ndarray:
 
 
 class GramScan(NamedTuple):
-    """What one ``gram_scan`` pass found; fields it was not asked for are None."""
+    """What one ``gram_scan`` pass found: q, na and the closest pair."""
 
-    q: np.ndarray | None
+    q: np.ndarray
     na: np.ndarray
-    pair: tuple[int, int] | None
+    pair: tuple[int, int]
 
 
 def _block_rows(n_pts: int) -> int:
@@ -254,14 +254,13 @@ class _Peaks:
         self.best = min(self.best, (float(angle[k]), int(i[k]), int(j[k])))
 
 
-def gram_scan(x, zeta: float, *, q: bool = True,
-              pair: bool = False) -> GramScan:
+def gram_scan(x, zeta: float) -> GramScan:
     """One pass over the upper band of the Gram matrix.
 
-    Always gives na_i = #{j : phi_ij > zeta}.  ``q`` adds the nearest acute
-    angle q_i; ``pair`` adds the pair (i, j), i < j, with the smallest acute
-    angle, ties in angle going to the first pair in row-major order.  Each
-    is exact against ``_dot`` (see the module docstring).
+    Gives the nearest acute angle q_i, na_i = #{j : phi_ij > zeta}, and the
+    pair (i, j), i < j, with the smallest acute angle, ties in angle going
+    to the first pair in row-major order.  Each is exact against ``_dot``
+    (see the module docstring).
     """
     zeta = float(zeta)
     if not (0.0 < zeta < _HALF_PI):
@@ -334,15 +333,13 @@ def gram_scan(x, zeta: float, *, q: bool = True,
         g[at, arg] = -1.0
         row_next[start:stop] = g.max(axis=1)
     na = n_pts - 1 - near
-    if not (q or pair):
-        return GramScan(q=None, na=na, pair=None)
 
     # Candidates: every entry within 2E of the peak it may set.  The entries
     # at a point's exact peak lie within E of it, so within 2E of the peak
-    # the pass saw; the same holds for the global peak.
+    # the pass saw.  The closest pair is at the peak of both its points, so
+    # it is among them.
     peak = np.maximum(row_max, col_max).astype(np.float64)
-    thr = _at_or_below((peak if q else np.full(n_pts, peak.max())) - 2.0 * err,
-                       dtype)
+    thr = _at_or_below(peak - 2.0 * err, dtype)
     # a second candidate along a point's row or down its column: rescan the
     # point against every other point
     full = (row_next >= thr) | (col_next >= thr)
@@ -362,8 +359,8 @@ def gram_scan(x, zeta: float, *, q: bool = True,
         r, c = np.nonzero(hit)
         p = part[c]
         found.add(np.minimum(r, p), np.maximum(r, p))
-    return GramScan(q=np.arccos(np.minimum(found.peak, 1.0)) if q else None,
-                    na=na, pair=found.best[1:] if pair else None)
+    return GramScan(q=np.arccos(np.minimum(found.peak, 1.0)), na=na,
+                    pair=found.best[1:])
 
 
 def sample_mean_angle(x) -> float:

@@ -11,6 +11,12 @@ survivor angles exceed the threshold (na), picks the tightest pair's lower
 index as the inlier head i* and the survivor farthest from it as the outlier
 head o*, then assigns every survivor to whichever head has the closer na
 count.  Ties go to the inlier side.  Stage-1 outliers stay outliers.
+
+Both stages share stage 1's Gram pass.  A stage-1 outlier has every angle
+above the threshold, so the survivors' na are stage 1's less the number of
+outliers.  The closest pair's angle, min q, is at most the threshold, so it
+is the closest surviving pair, and its lower index is the first point with
+q at the minimum.
 """
 
 from __future__ import annotations
@@ -128,9 +134,8 @@ def roma_n(m, mode: str = "theoretical", *,
     rank-to-size ratio (a tight subspace cluster looks more inlier-like than
     a full-rank one).  Off by default.
 
-    Stage 2 makes one Gram pass over the survivors (na and the closest
-    pair, both exact against ``angles._dot``) plus one ``_dot`` row for the
-    outlier head.
+    Stage 2 reads na and the closest pair off stage 1's scores (see the
+    module docstring) and adds one ``_dot`` row for the outlier head.
 
     The inlier head is the lower column index of the closest surviving
     pair, so it follows column order: permuting the columns can make the
@@ -143,14 +148,15 @@ def roma_n(m, mode: str = "theoretical", *,
     if survivors.size < 2:
         raise DegenerateRegimeError(
             f"stage 1 kept {survivors.size} point(s); stage 2 needs at least 2")
-    xs = NormalizedMatrix(x.values[:, survivors])
-    scan = gram_scan(xs, stage1.threshold.zeta, q=False, pair=True)
-    na_s = scan.na
-    i_local = scan.pair[0]
+    na_s = stage1.scores.na[survivors] - stage1.partition.outliers.size
+    # Every point of a pair tied at the smallest angle has q = min q, so the
+    # first such point is the lower index of the row-major-first tied pair.
+    head = int(np.argmin(stage1.scores.q))
+    i_local = int(np.searchsorted(survivors, head))
     # Outlier head: survivor farthest from i*.  phi[i*, i*] = 0 can only
     # attain the max when every angle is zero, and the heads must differ, so
     # i* is excluded before the argmax.
-    row = acute_row(xs, i_local)
+    row = acute_row(x, head)[survivors]
     row[i_local] = -np.inf
     o_local = int(np.argmax(row))
     dist_in = np.abs(na_s - na_s[i_local])
@@ -158,8 +164,8 @@ def roma_n(m, mode: str = "theoretical", *,
     to_outlier = dist_in > dist_out  # ties stay on the inlier side
     swapped = False
     if rank_disambiguate and to_outlier.any():
-        in_cols = xs.values[:, ~to_outlier]
-        out_cols = xs.values[:, to_outlier]
+        in_cols = x.values[:, survivors[~to_outlier]]
+        out_cols = x.values[:, survivors[to_outlier]]
         ratio_in = _numerical_rank(in_cols) / in_cols.shape[1]
         ratio_out = _numerical_rank(out_cols) / out_cols.shape[1]
         if ratio_out < ratio_in:
@@ -171,6 +177,6 @@ def roma_n(m, mode: str = "theoretical", *,
                           num_points=x.num_points)
     return RomaNResult(partition=partition, stage1=stage1, survivors=survivors,
                        na_survivors=na_s,
-                       inlier_head=int(survivors[i_local]),
+                       inlier_head=head,
                        outlier_head=int(survivors[o_local]),
                        labels_swapped=swapped)

@@ -39,7 +39,7 @@ def _exact_unit(c):
 
 
 def closest(v):
-    return gram_scan(v, 1.0, q=False, pair=True).pair
+    return gram_scan(v, 1.0).pair
 
 
 def test_min_scores_and_na_match_brute_force():
@@ -58,14 +58,14 @@ def test_count_strictly_above():
     v[0, 0] = v[2, 2] = 1.0
     v[:2, 1] = 0.7, _exact_unit(0.7)
     v[2:, 3] = 0.69, _exact_unit(0.69)
-    na = gram_scan(v, zeta, q=False).na
+    na = gram_scan(v, zeta).na
     np.testing.assert_array_equal(na, [2, 2, 3, 3])
     np.testing.assert_array_equal(na, brute_na(v, zeta))
 
 
 def test_count_ignores_self_term():
     v = unit_cloud(5, 6, 4)
-    na = gram_scan(v, 1e-12, q=False).na
+    na = gram_scan(v, 1e-12).na
     assert (na <= 5).all()  # never counts itself even at a tiny threshold
 
 
@@ -120,7 +120,7 @@ def test_blocked_matches_full(block, monkeypatch):
     v = unit_cloud(9, 33, 9)
     block_rows(monkeypatch, block, 33)
     zeta = 1.2
-    scan = gram_scan(v, zeta, pair=True)
+    scan = gram_scan(v, zeta)
     np.testing.assert_allclose(scan.q, brute_min_scores(v), rtol=0.0, atol=1e-12)
     np.testing.assert_array_equal(scan.na, brute_na(v, zeta))
     assert sample_mean_angle(v) == pytest.approx(brute_mean_principal(v),
@@ -164,7 +164,7 @@ def test_na_at_the_cut_matches_oracle(rows, monkeypatch):
     v[:2, 1] = t, _exact_unit(t)
     v[2:, 3] = -below, -_exact_unit(below)   # the antipodal side of the pair
     block_rows(monkeypatch, rows, 4)
-    na = gram_scan(v, zeta, q=False).na
+    na = gram_scan(v, zeta).na
     np.testing.assert_array_equal(na, [2, 2, 3, 3])
     np.testing.assert_array_equal(na, brute_na(v, zeta))
 
@@ -336,7 +336,7 @@ def test_high_dimensions_scan_in_float64_and_match_the_dot():
     v[:, 7], v[:, 19] = v[:, 3], -v[:, 11]
     zeta = compute_zeta(n, 30).zeta
     q, na, (i, j, _) = dot_decisions(v, zeta)
-    scan = gram_scan(v, zeta, pair=True)
+    scan = gram_scan(v, zeta)
     assert np.array_equal(scan.q, q)
     assert np.array_equal(scan.na, na)
     assert scan.pair == (i, j)

@@ -100,24 +100,36 @@ def test_global_rotation_keeps_partition(mode):
         assert rotated.threshold.zeta == base.threshold.zeta
 
 
-def test_two_stage_permutation_and_signs():
+@given(st.permutations(range(200)),
+       st.lists(st.sampled_from([-1.0, 1.0]), min_size=200, max_size=200))
+@settings(max_examples=20, deadline=None)
+def test_two_stage_permutation_and_signs(perm, signs):
     values = structured_values()
-    rng = np.random.default_rng(5)
-    perm = rng.permutation(values.shape[1])
-    signs = rng.choice([-1.0, 1.0], size=values.shape[1])
+    perm = np.array(perm)
     base = roma_n(DataMatrix(values))
     moved = roma_n(DataMatrix(values[:, perm] * signs))
-    assert np.array_equal(moved.partition.outlier_mask(),
-                          base.partition.outlier_mask()[perm])
-    # the head pair is unique here, so the heads track the permutation
-    assert perm[moved.inlier_head] == base.inlier_head
-    assert perm[moved.outlier_head] == base.outlier_head
+    # point k of the moved matrix is point perm[k] of the original
+    assert np.array_equal(moved.stage1.partition.outlier_mask(),
+                          base.stage1.partition.outlier_mask()[perm])
+    assert np.array_equal(np.sort(perm[moved.survivors]), base.survivors)
+    assert np.array_equal(
+        moved.na_survivors,
+        base.na_survivors[np.searchsorted(base.survivors, perm[moved.survivors])])
+    # the inlier head is the lower index of the closest pair, so it follows
+    # column order; only with the same head do the rest follow the move
+    v = normalize_columns(values).values[:, base.survivors]
+    pair = base.survivors[list(gram_scan(v, 1.0).pair)]
+    assert moved.inlier_head == np.argsort(perm)[pair].min()
+    if perm[moved.inlier_head] == base.inlier_head:
+        assert perm[moved.outlier_head] == base.outlier_head
+        assert np.array_equal(moved.partition.outlier_mask(),
+                              base.partition.outlier_mask()[perm])
 
 
 def test_two_stage_inlier_head_is_the_lower_index_of_the_closest_pair():
     values = structured_values()
     base = roma_n(DataMatrix(values))
-    scan = gram_scan(values[:, base.survivors], 1.0, q=False, pair=True)
+    scan = gram_scan(values[:, base.survivors], 1.0)
     pair = base.survivors[list(scan.pair)]
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -218,8 +230,7 @@ def test_column_permutation_relabels_decisions(seed, kind):
                           base.stage1.partition.outlier_mask()[perm])
     assert np.array_equal(np.sort(perm[moved.survivors]), base.survivors)
     survivors = values[:, base.survivors]
-    pair = set(gram_scan(survivors / np.linalg.norm(survivors, axis=0), 1.0,
-                         q=False, pair=True).pair)
+    pair = set(gram_scan(survivors / np.linalg.norm(survivors, axis=0), 1.0).pair)
     assert {perm[moved.inlier_head], base.inlier_head} <= set(
         base.survivors[sorted(pair)])
     # the inlier head is the lower index of the closest pair, so relabelling
@@ -300,4 +311,4 @@ def test_planted_near_ties_are_decided_exactly_at_every_block_height(
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(angles, "_BLOCK_BYTES", 8 * n_pts * rows)
             mp.setattr(angles, "_MIN_BLOCKS", 1)
-            assert gram_scan(v, zeta, pair=True).pair == (i, j)
+            assert gram_scan(v, zeta).pair == (i, j)
