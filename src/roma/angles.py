@@ -43,10 +43,11 @@ the cuts derived from it are rounded outwards.  ``_gram_error`` refuses
 n u >= 1/2, where gamma_n is no longer a bound.
 
 The scan recomputes with ``_dot`` every entry whose decision E leaves open:
-|g| within E of ``t`` (na) and within 2E of a point's peak in the pass (q,
-and so the closest pair, whose entry is a peak of both its points).  So q,
-na and the closest pair equal what ``_dot`` over every pair gives, whatever
-the BLAS build or the block height.  ``acute_row`` is ``_dot`` throughout.
+|g| within E of ``t`` (na), and |g| within 2E of the peak the pass saw for
+its row or its column point (q: a point's entry at its exact peak lies
+within E of it, so within 2E of that peak).  So q and na equal what
+``_dot`` over every pair gives, whatever the BLAS build or the block
+height.  ``acute_row`` is ``_dot`` throughout.
 
 The mean principal angle is informational, except in the adapted mode where
 it centres the threshold.  ``sample_mean_angle`` computes it in its own
@@ -87,13 +88,12 @@ _DOT_PAIRS = 4096
 _DOT_BYTES = 4 << 20
 # The largest n scanned in float32.  Its bound E ~ (n + 2) 2^-24 grows like
 # n while the spread of |g| near a point's peak shrinks like 1/sqrt(n), so
-# more and more peaks have a second entry within 2E and take a full rescan.
-# At N = 2000, float32 was up to 25% faster up to n = 2000, even at
-# n = 4000 and up to 14% slower at n = 8000, where it rescanned 7-20% of
-# the points; float64's E ~ 2(n + 1) 2^-53 left none to rescan.
+# more and more entries lie within 2E of a peak and go to ``_dot``.  At
+# N = 2000, float32 was up to 25% faster up to n = 2000 and even at
+# n = 4000, and up to 14% slower at n = 8000 (measured when such peaks
+# took a full rescan; with ``_dot`` on those entries alone, float32 and
+# float64 timed within noise at n = 2000, 4000 and 10,000).
 _F32_MAX_N = 2048
-# Bytes of the transposed column copies the pass takes at a time.
-_COPY_BYTES = 1 << 20
 
 _HALF_PI = math.pi / 2.0
 _ONE_BITS = int(np.float64(1.0).view(np.int64))
@@ -213,11 +213,10 @@ def _at_or_above(x, dtype) -> np.ndarray:
 
 
 class GramScan(NamedTuple):
-    """What one ``gram_scan`` pass found: q, na and the closest pair."""
+    """What one ``gram_scan`` pass found: q and na."""
 
     q: np.ndarray
     na: np.ndarray
-    pair: tuple[int, int]
 
 
 def _block_rows(n_pts: int) -> int:
@@ -232,35 +231,26 @@ def _checked(x) -> np.ndarray:
     return v
 
 
-class _Peaks:
-    """Exact peaks |_dot| per point, and the closest pair, over candidates."""
-
-    def __init__(self, v: np.ndarray):
-        self.v = v
-        self.peak = np.full(v.shape[1], -1.0)
-        self.best = (math.inf, 0, 0)  # (angle, i, j) of the closest pair
-
-    def add(self, i: np.ndarray, j: np.ndarray) -> None:
-        """Fold in the pairs (i[k], j[k]), each with i[k] < j[k]."""
-        if not i.size:
-            return
-        n_pts = self.peak.size
-        i, j = np.divmod(np.unique(i * n_pts + j), n_pts)  # row-major order
-        d = np.abs(_dot(self.v, i, j))
-        np.maximum.at(self.peak, i, d)
-        np.maximum.at(self.peak, j, d)
-        angle = np.arccos(np.minimum(d, 1.0))
-        k = int(np.argmin(angle))  # the first pair at the smallest angle
-        self.best = min(self.best, (float(angle[k]), int(i[k]), int(j[k])))
+def _fold(peak, v, held, thr) -> None:
+    """Fold |_dot| of each held candidate that reaches ``thr`` of one of its
+    points into the exact ``peak`` of both its points."""
+    for pairs, entries in held:
+        for s in range(0, pairs.size, _DOT_PAIRS):
+            i, j = np.divmod(pairs[s:s + _DOT_PAIRS], peak.size)
+            e = entries[s:s + _DOT_PAIRS]
+            keep = (e >= thr[i]) | (e >= thr[j])
+            i, j = i[keep], j[keep]
+            d = np.abs(_dot(v, i, j))
+            np.maximum.at(peak, i, d)
+            np.maximum.at(peak, j, d)
+    held.clear()
 
 
 def gram_scan(x, zeta: float) -> GramScan:
     """One pass over the upper band of the Gram matrix.
 
-    Gives the nearest acute angle q_i, na_i = #{j : phi_ij > zeta}, and the
-    pair (i, j), i < j, with the smallest acute angle, ties in angle going
-    to the first pair in row-major order.  Each is exact against ``_dot``
-    (see the module docstring).
+    Gives the nearest acute angle q_i and na_i = #{j : phi_ij > zeta}, each
+    exact against ``_dot`` (see the module docstring).
     """
     zeta = float(zeta)
     if not (0.0 < zeta < _HALF_PI):
@@ -272,23 +262,29 @@ def gram_scan(x, zeta: float) -> GramScan:
     err = _gram_error(v.shape[0], dtype)
     vw = v.astype(dtype, copy=False)
     rows = _block_rows(n_pts)
-    # The pass and the rescans after it share one Gram block and one mask.
     gram_buf = np.empty(rows * n_pts, dtype=dtype)
-    hit_buf = np.empty(rows * n_pts, dtype=bool)
+    hit_buf = np.empty((2, rows * n_pts), dtype=bool)
     # Diagonal and below of a block's leading square: pairs seen elsewhere.
     lower = np.tri(rows, dtype=bool)
-    # Keep each point's largest band entry, where it lies, and its
-    # next-largest entry: along its row, all in one block, and down its
-    # column, spread over the blocks above it.
-    row_max = np.empty(n_pts, dtype=dtype)
-    row_arg = np.empty(n_pts, dtype=np.int64)
-    row_next = np.empty(n_pts, dtype=dtype)
-    col_max = np.full(n_pts, -1.0, dtype=dtype)
-    col_arg = np.zeros(n_pts, dtype=np.int64)
-    col_next = np.full(n_pts, -1.0, dtype=dtype)
     near = np.zeros(n_pts, dtype=np.int64)
     # below lo: surely under t; from hi up: surely at or above it
     lo, hi = _at_or_below(cut - err, dtype), _at_or_above(cut + err, dtype)
+
+    # Candidates: the entries at or above 2E below the running peak (the
+    # largest entry so far) of their row or their column point.  A point's
+    # entry at its exact peak lies within E of it, so within 2E of the
+    # pass's final peak, which is at least every running one: the
+    # candidates hold every exact peak.  They are held as (flat pair index,
+    # entry), a quarter of a block's entries at a time, and ``_fold`` takes
+    # them to ``exact``.
+    peak = np.full(n_pts, -1.0, dtype=dtype)
+    exact = np.full(n_pts, -1.0)
+
+    def peak_floor(p):
+        return _at_or_below(p.astype(np.float64) - 2.0 * err, dtype)
+
+    cap = max(1, rows * n_pts // 4)
+    held, n_held = [], 0
     for start in range(0, n_pts, rows):
         stop = min(start + rows, n_pts)
         height, width = stop - start, n_pts - start
@@ -297,70 +293,44 @@ def gram_scan(x, zeta: float) -> GramScan:
         np.matmul(vw[:, start:stop].T, vw[:, start:], out=g)
         np.abs(g, out=g)
         np.copyto(g[:, :height], -1.0, where=lower[:height, :height])
-        top = g.max(axis=0)
-        cols = slice(start, None)
-        # Columns whose largest entry so far lies in this block: take its
-        # row, and the block's next-largest, from a transposed copy.
-        nxt = np.maximum(col_next[cols], top)
-        best = np.flatnonzero(top > col_max[cols])
-        step = max(1, _COPY_BYTES // (g.itemsize * height))
-        for s in range(0, best.size, step):
-            b = best[s:s + step]
-            tcols = g.T[b]
-            arg = tcols.argmax(axis=1)
-            col_arg[start + b] = start + arg
-            tcols[np.arange(b.size), arg] = -1.0
-            nxt[b] = np.maximum(col_max[start + b], tcols.max(axis=1))
-        col_next[cols] = nxt
-        np.maximum(col_max[cols], top, out=col_max[cols])
-        hit = np.greater_equal(g, lo, out=hit_buf[:size].reshape(shape))
+        hit, other = (b[:size].reshape(shape) for b in hit_buf)
+        np.greater_equal(g, lo, out=hit)
         row_hits = _count(hit, 1)
         near[start:stop] += row_hits
-        near[cols] += _count(hit, 0)
+        near[start:] += _count(hit, 0)
         np.greater_equal(g, hi, out=hit)
         open_rows = np.flatnonzero(_count(hit, 1) != row_hits)
         if open_rows.size:  # entries in [lo, hi): counted as near, so far
             sub = g[open_rows]
-            r, c = np.nonzero((sub >= lo) & (sub < hi))
+            r, c = np.divmod(np.flatnonzero((sub >= lo) & (sub < hi)), width)
             i, j = start + open_rows[r], start + c
             under = np.abs(_dot(v, i, j)) < cut
             np.subtract.at(near, i[under], 1)
             np.subtract.at(near, j[under], 1)
-        arg = g.argmax(axis=1)
-        at = np.arange(height)
-        row_max[start:stop] = g[at, arg]
-        row_arg[start:stop] = start + arg
-        g[at, arg] = -1.0
-        row_next[start:stop] = g.max(axis=1)
-    na = n_pts - 1 - near
-
-    # Candidates: every entry within 2E of the peak it may set.  The entries
-    # at a point's exact peak lie within E of it, so within 2E of the peak
-    # the pass saw.  The closest pair is at the peak of both its points, so
-    # it is among them.
-    peak = np.maximum(row_max, col_max).astype(np.float64)
-    thr = _at_or_below(peak - 2.0 * err, dtype)
-    # a second candidate along a point's row or down its column: rescan the
-    # point against every other point
-    full = (row_next >= thr) | (col_next >= thr)
-    rs = np.flatnonzero((row_max >= thr) & ~full)
-    cs = np.flatnonzero((col_max >= thr) & ~full)
-    found = _Peaks(v)
-    found.add(np.concatenate([rs, col_arg[cs]]), np.concatenate([row_arg[rs], cs]))
-    everyone = np.flatnonzero(full)
-    for s in range(0, everyone.size, rows):
-        part = everyone[s:s + rows]
-        shape = (n_pts, part.size)
-        g = gram_buf[:shape[0] * shape[1]].reshape(shape)
-        np.matmul(vw.T, vw[:, part], out=g)
-        np.abs(g, out=g)
-        g[part, np.arange(part.size)] = -1.0
-        hit = np.greater_equal(g, thr[part], out=hit_buf[:g.size].reshape(shape))
-        r, c = np.nonzero(hit)
-        p = part[c]
-        found.add(np.minimum(r, p), np.maximum(r, p))
-    return GramScan(q=np.arccos(np.minimum(found.peak, 1.0)), na=na,
-                    pair=found.best[1:])
+        # The peaks of this block's points are final from here on: the
+        # blocks above hold the rest of their columns.
+        np.maximum(peak[start:], g.max(axis=0), out=peak[start:])
+        np.maximum(peak[start:stop], g.max(axis=1), out=peak[start:stop])
+        thr = peak_floor(peak[start:])
+        np.greater_equal(g, thr[:height, None], out=hit)
+        np.greater_equal(g, thr, out=other)
+        np.logical_or(hit, other, out=hit)
+        # a dense block gives up its hits a few rows at a time
+        step = height if np.count_nonzero(hit) <= cap else max(1, cap // width)
+        for s in range(0, height, step):
+            i, j = np.divmod(np.flatnonzero(hit[s:s + step]), width)
+            entries = g[s + i, j]
+            i += start + s
+            j += start
+            i *= n_pts
+            i += j  # the flat pair index i * N + j, in place
+            held.append((i, entries))
+            n_held += i.size
+            if n_held > cap:
+                _fold(exact, v, held, peak_floor(peak))
+                n_held = 0
+    _fold(exact, v, held, peak_floor(peak))
+    return GramScan(q=np.arccos(np.minimum(exact, 1.0)), na=n_pts - 1 - near)
 
 
 def sample_mean_angle(x) -> float:

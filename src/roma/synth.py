@@ -139,12 +139,6 @@ class ColumnStreams:
     def subspace(self) -> np.random.Generator:
         return self.stream(_DOM_SUBSPACE, 0)
 
-    def inlier(self, index: int) -> np.random.Generator:
-        return self.stream(_DOM_INLIER, index)
-
-    def outlier(self, index: int) -> np.random.Generator:
-        return self.stream(_DOM_OUTLIER, index)
-
     def inlier_center(self, index: int = 0) -> np.random.Generator:
         return self.stream(_DOM_INLIER_CENTER, index)
 
@@ -153,9 +147,6 @@ class ColumnStreams:
 
     def shuffle(self) -> np.random.Generator:
         return self.stream(_DOM_SHUFFLE, 0)
-
-    def noise(self, column: int) -> np.random.Generator:
-        return self.stream(_DOM_NOISE, column)
 
     def aux(self, index: int) -> np.random.Generator:
         """Experiment-level draws that must not collide with column streams."""

@@ -9,12 +9,12 @@ import math
 
 import numpy as np
 
-from roma.angles import _dot
+from roma.angles import _dot, acute_row
 from roma.data import DataMatrix, Label
 from roma.errors import DimensionError, ParseError, ValidationError
-from roma.synth import (BoundedConeOutliers, ClusteredInliers, ClusteredOutliers,
-                        ColumnStreams, MixedOutliers, UnstructuredOutliers, _unit,
-                        random_subspace)
+from roma.synth import (_DOM_INLIER, _DOM_NOISE, _DOM_OUTLIER, BoundedConeOutliers,
+                        ClusteredInliers, ClusteredOutliers, ColumnStreams,
+                        MixedOutliers, UnstructuredOutliers, _unit, random_subspace)
 
 
 def erfc_cdf(x: float) -> float:
@@ -131,6 +131,20 @@ def dot_decisions(cols: np.ndarray, zeta: float):
     return q, na, (i, j, int(np.argmax(table[i])))
 
 
+def closest_pair(cols, q) -> tuple[int, int]:
+    """The closest pair (i, j), first in row-major order, read off the
+    scores q of ``cols``: i is the first point at the smallest q, and j the
+    first other point at acute angle exactly q[i] from i by ``acute_row``.
+
+    Every point of a pair at the smallest angle has q at the minimum, so no
+    such pair starts before i, and none pairs i with a point before it.
+    """
+    i = int(np.argmin(q))
+    row = acute_row(cols, i)
+    row[i] = np.nan
+    return i, int(np.flatnonzero(row == q[i])[0])
+
+
 def brute_mean_principal(cols: np.ndarray) -> float:
     """Mean principal angle (in [0, pi]) over unordered pairs."""
     cols = np.asarray(cols, dtype=float)
@@ -151,7 +165,7 @@ def column_inliers(model, basis, count, streams, index_offset=0):
     r = basis.shape[1]
 
     def in_span(index):
-        return _unit(basis @ streams.inlier(index).standard_normal(r))
+        return _unit(basis @ streams.stream(_DOM_INLIER, index).standard_normal(r))
 
     cols = np.empty((basis.shape[0], count))
     if isinstance(model, ClusteredInliers):
@@ -167,7 +181,7 @@ def column_inliers(model, basis, count, streams, index_offset=0):
 def column_outliers(model, n, count, streams, index_offset=0):
     """Outlier columns drawn one column at a time (see ``column_dataset``)."""
     def draw(index):
-        return streams.outlier(index_offset + index).standard_normal(n)
+        return streams.stream(_DOM_OUTLIER, index_offset + index).standard_normal(n)
 
     cols = np.empty((n, count))
     if isinstance(model, ClusteredOutliers):
@@ -224,7 +238,7 @@ def column_dataset(spec):
         sigma = np.linalg.norm(values) / (10.0 ** (spec.snr_db / 20.0) * math.sqrt(n * total))
         point_snr = np.sum(values * values, axis=0) / (n * sigma * sigma)
         for j in np.flatnonzero(labels == int(Label.INLIER)):
-            values[:, j] += sigma * streams.noise(int(j)).standard_normal(n)
+            values[:, j] += sigma * streams.stream(_DOM_NOISE, int(j)).standard_normal(n)
     return values, labels, basis, sigma, point_snr
 
 

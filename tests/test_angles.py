@@ -13,8 +13,8 @@ from roma.errors import DimensionError, ValidationError
 from roma.threshold import compute_zeta
 
 from _oracles import (brute_acute_angles, brute_heads, brute_mean_principal,
-                      brute_min_scores, brute_na, dot_acute_angles,
-                      dot_decisions)
+                      brute_min_scores, brute_na, closest_pair,
+                      dot_acute_angles, dot_decisions)
 
 
 def unit_cloud(n, pts, seed):
@@ -39,7 +39,7 @@ def _exact_unit(c):
 
 
 def closest(v):
-    return gram_scan(v, 1.0).pair
+    return closest_pair(v, gram_scan(v, 1.0).q)
 
 
 def test_min_scores_and_na_match_brute_force():
@@ -125,7 +125,7 @@ def test_blocked_matches_full(block, monkeypatch):
     np.testing.assert_array_equal(scan.na, brute_na(v, zeta))
     assert sample_mean_angle(v) == pytest.approx(brute_mean_principal(v),
                                                     abs=1e-12)
-    assert scan.pair == brute_heads(v)[:2]
+    assert closest_pair(v, scan.q) == brute_heads(v)[:2]
 
 
 def test_angle_scores_dispatch_agrees(monkeypatch):
@@ -339,7 +339,7 @@ def test_high_dimensions_scan_in_float64_and_match_the_dot():
     scan = gram_scan(v, zeta)
     assert np.array_equal(scan.q, q)
     assert np.array_equal(scan.na, na)
-    assert scan.pair == (i, j)
+    assert closest_pair(v, scan.q) == (i, j)
 
 
 def test_count_does_not_wrap_past_uint16():
@@ -354,9 +354,9 @@ def test_count_does_not_wrap_past_uint16():
 def test_a_column_tie_float32_cannot_see_is_rechecked():
     # Points 0 and 1 sit at |g| c and c + 1e-12 from point 4.  Both entries
     # lie down column 4 of one block, and float32 rounds both to the same
-    # value exactly (the products and sums are exact), so only the block's
-    # next-largest entry sends point 4 to a recheck.  Points 2 and 3 are
-    # closer partners of 0 and 1, so their own rows look elsewhere.
+    # value exactly (the products and sums are exact), so both must reach
+    # _dot through point 4's 2E band.  Points 2 and 3 are closer partners
+    # of 0 and 1, so their own peaks look elsewhere.
     c = 0.95
     e = np.eye(8)
 

@@ -21,6 +21,12 @@ DELETED = {
               "sample_bounded_cone", "NOISE_TARGETS"],
 }
 
+# Removed attributes, by the public class that used to have them.
+DELETED_ATTRS = {
+    ("synth", "ColumnStreams"): ["inlier", "outlier", "noise"],
+    ("angles", "GramScan"): ["pair"],
+}
+
 
 @pytest.mark.parametrize("name", ["roma"] + [f"roma.{m}" for m in MODULES])
 def test_every_export_resolves(name):
@@ -39,3 +45,10 @@ def test_deleted_names_are_gone(module):
         assert not hasattr(mod, name)
         assert name not in roma.__all__
         assert not hasattr(roma, name)
+
+
+@pytest.mark.parametrize("module, cls", sorted(DELETED_ATTRS))
+def test_deleted_attributes_are_gone(module, cls):
+    owner = getattr(importlib.import_module(f"roma.{module}"), cls)
+    for name in DELETED_ATTRS[module, cls]:
+        assert not hasattr(owner, name)

@@ -14,7 +14,7 @@ from roma.synth import (ClusteredInliers, ClusteredOutliers, SynthSpec,
                         UniformInliers, make_dataset)
 
 from _oracles import (brute_heads, brute_mean_principal, brute_min_scores,
-                      brute_na)
+                      brute_na, dot_decisions)
 
 
 def planted(seed=5, n=60, r=8, num_points=300, gamma=0.3):
@@ -320,6 +320,26 @@ def test_detector_memory_is_the_matrix_copies_and_the_block_buffers(n, num_point
     m = planted(seed=1, n=n, r=10, num_points=num_points).matrix
     peak = traced_peak(detect, m)
     assert peak <= 3 * m.values.nbytes + 2 * angles._BLOCK_BYTES, peak / m.values.nbytes
+
+
+@pytest.mark.parametrize("num_points", [2000, 3000])
+def test_tied_input_stays_within_the_memory_bound(num_points):
+    # Every column is +-d, so every entry of the Gram band ties within the
+    # error bound with every point's peak and each one goes to _dot.  Held
+    # candidates and a dense block's hits must still fit the stated bound.
+    rng = np.random.default_rng(num_points)
+    d = rng.standard_normal(100)
+    m = DataMatrix(np.outer(d, rng.choice([-1.0, 1.0], num_points)))
+    peak = traced_peak(roma, m)
+    assert peak <= 3 * m.values.nbytes + 2 * angles._BLOCK_BYTES, peak / m.values.nbytes
+    # the unit columns are +-one column bitwise, so every pair has the
+    # decisions of the first two points
+    v = normalize_columns(m).values
+    assert (np.abs(v) == np.abs(v[:, :1])).all()
+    res = roma(m)
+    q, na, _ = dot_decisions(v[:, :2], res.threshold.zeta)
+    assert (res.scores.q == q[0]).all()
+    assert (res.scores.na == na[0] * (num_points - 1)).all()
 
 
 @pytest.mark.parametrize("n, num_points", [(100, 5000), (3000, 1000)])

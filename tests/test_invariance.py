@@ -14,7 +14,8 @@ from roma.synth import (ClusteredInliers, ClusteredOutliers, ColumnStreams,
                         SynthSpec, make_dataset, random_subspace)
 from roma.threshold import compute_zeta
 
-from _oracles import brute_heads, brute_min_scores, brute_na, dot_decisions
+from _oracles import (brute_heads, brute_min_scores, brute_na, closest_pair,
+                      dot_decisions)
 
 
 def planted_values(seed=5):
@@ -118,7 +119,7 @@ def test_two_stage_permutation_and_signs(perm, signs):
     # the inlier head is the lower index of the closest pair, so it follows
     # column order; only with the same head do the rest follow the move
     v = normalize_columns(values).values[:, base.survivors]
-    pair = base.survivors[list(gram_scan(v, 1.0).pair)]
+    pair = base.survivors[list(closest_pair(v, gram_scan(v, 1.0).q))]
     assert moved.inlier_head == np.argsort(perm)[pair].min()
     if perm[moved.inlier_head] == base.inlier_head:
         assert perm[moved.outlier_head] == base.outlier_head
@@ -129,8 +130,8 @@ def test_two_stage_permutation_and_signs(perm, signs):
 def test_two_stage_inlier_head_is_the_lower_index_of_the_closest_pair():
     values = structured_values()
     base = roma_n(DataMatrix(values))
-    scan = gram_scan(values[:, base.survivors], 1.0)
-    pair = base.survivors[list(scan.pair)]
+    survivors = values[:, base.survivors]
+    pair = base.survivors[list(closest_pair(survivors, gram_scan(survivors, 1.0).q))]
     for seed in range(20):
         rng = np.random.default_rng(seed)
         perm = rng.permutation(values.shape[1])
@@ -230,7 +231,8 @@ def test_column_permutation_relabels_decisions(seed, kind):
                           base.stage1.partition.outlier_mask()[perm])
     assert np.array_equal(np.sort(perm[moved.survivors]), base.survivors)
     survivors = values[:, base.survivors]
-    pair = set(gram_scan(survivors / np.linalg.norm(survivors, axis=0), 1.0).pair)
+    unit = survivors / np.linalg.norm(survivors, axis=0)
+    pair = set(closest_pair(unit, gram_scan(unit, 1.0).q))
     assert {perm[moved.inlier_head], base.inlier_head} <= set(
         base.survivors[sorted(pair)])
     # the inlier head is the lower index of the closest pair, so relabelling
@@ -311,4 +313,4 @@ def test_planted_near_ties_are_decided_exactly_at_every_block_height(
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(angles, "_BLOCK_BYTES", 8 * n_pts * rows)
             mp.setattr(angles, "_MIN_BLOCKS", 1)
-            assert gram_scan(v, zeta).pair == (i, j)
+            assert closest_pair(v, gram_scan(v, zeta).q) == (i, j)

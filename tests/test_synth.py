@@ -44,12 +44,13 @@ def base_spec(**overrides):
 
 def test_streams_are_stateless_and_keyed():
     streams = ColumnStreams(11)
-    a = streams.inlier(3).standard_normal(5)
-    b = streams.inlier(3).standard_normal(5)
+    a = streams.stream(synth._DOM_INLIER, 3).standard_normal(5)
+    b = streams.stream(synth._DOM_INLIER, 3).standard_normal(5)
     assert np.array_equal(a, b)  # fresh generator per call, same key
-    assert not np.array_equal(a, streams.inlier(4).standard_normal(5))
-    assert not np.array_equal(a, streams.outlier(3).standard_normal(5))
-    assert not np.array_equal(a, ColumnStreams(12).inlier(3).standard_normal(5))
+    assert not np.array_equal(a, streams.stream(synth._DOM_INLIER, 4).standard_normal(5))
+    assert not np.array_equal(a, streams.stream(synth._DOM_OUTLIER, 3).standard_normal(5))
+    assert not np.array_equal(
+        a, ColumnStreams(12).stream(synth._DOM_INLIER, 3).standard_normal(5))
 
 
 def test_streams_validation():
