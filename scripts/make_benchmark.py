@@ -1,7 +1,8 @@
 """Generate a labeled benchmark dataset and score the detector on it.
 
-Writes the matrix as CSV plus a JSON sidecar (generator settings, labels,
-planted basis), then runs detection and reports how it did.
+Writes the matrix as CSV, one point per column as ``roma --input`` reads by
+default, plus a JSON sidecar (generator settings, labels, planted basis),
+then runs detection and reports how it did.
 """
 
 import argparse
@@ -24,7 +25,7 @@ def main():
     spec = SynthSpec(n=args.n, num_points=args.num_points, rank=args.rank,
                      gamma=args.gamma, seed=args.seed, snr_db=args.snr_db)
     ds = make_dataset(spec)
-    sidecar = export_dataset(ds, args.out)
+    sidecar = export_dataset(ds, args.out, orientation="points-as-columns")
     print(f"wrote {args.out} and {sidecar}")
 
     res = roma(ds.matrix)

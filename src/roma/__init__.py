@@ -27,12 +27,11 @@ from .synth import (BoundedConeOutliers, ClusteredInliers, ClusteredOutliers,
                     UniformInliers, UnstructuredOutliers, export_dataset,
                     load_sidecar, make_dataset, random_subspace,
                     spec_from_dict, spec_to_dict)
-from .theory import (ErpAlphaEstimate, ErpTrialSummary, TheoryReport,
-                     erp_alpha_estimate, erp_impossibility_alpha,
-                     max_rank_sizable, max_rank_sizable_noisy, na_bound_prob,
-                     noise_shift_bound, nonempty_prob_lower_bound, p_inlier,
-                     sizable_cluster_gap_condition, structured_exact_prob,
-                     theory_report)
+from .theory import (ErpAlphaEstimate, ErpTrialSummary, erp_alpha_estimate,
+                     erp_impossibility_alpha, max_rank_sizable,
+                     max_rank_sizable_noisy, na_bound_prob, noise_shift_bound,
+                     nonempty_prob_lower_bound, p_inlier,
+                     sizable_cluster_gap_condition, structured_exact_prob)
 from .threshold import ThresholdSpec, compute_cn, compute_zeta
 
 __version__ = "0.1.0"
@@ -52,7 +51,6 @@ __all__ = [
     "max_rank_sizable", "max_rank_sizable_noisy", "noise_shift_bound",
     "na_bound_prob", "structured_exact_prob", "sizable_cluster_gap_condition",
     "erp_alpha_estimate", "ErpTrialSummary", "ErpAlphaEstimate",
-    "TheoryReport", "theory_report",
     # subspace recovery
     "recover_subspace", "lre", "LRE_FLOOR",
     # synthetic data

@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -68,7 +67,6 @@ from .errors import DimensionError, ValidationError
 
 __all__ = [
     "AngleScores",
-    "GramScan",
     "gram_scan",
     "sample_mean_angle",
     "acute_row",
@@ -199,24 +197,42 @@ def _count(hit: np.ndarray, axis: int) -> np.ndarray:
     return total
 
 
-def _at_or_below(x, dtype) -> np.ndarray:
-    """A ``dtype`` value at or below each exact x, given x to within half
-    an ulp as float64: one float64 step down, then rounded down."""
-    x = np.nextafter(np.asarray(x, dtype=np.float64), -np.inf)
-    y = x.astype(dtype)
-    return np.where(y > x, np.nextafter(y, dtype(-np.inf)), y)
+def _rounded(x, dtype, side: int) -> np.ndarray:
+    """A ``dtype`` value at or below (``side`` -1) or at or above (+1) each
+    exact x, given x in float64 to within 2^-53.
+
+    It is x + side * eps in float64, eps = ``np.finfo(dtype).eps``, cast
+    once to ``dtype``.  Every x here is a cut in [0, 1] or a peak in
+    [-1, 1 + E], moved by at most 2E, and E < 2^-12 (float32 up to n = 2048,
+    float64 up to n = 2^39): so |x| < 2.  There a float64 rounding moves a
+    value by at most 2^-53 and the cast by at most half an ulp of ``dtype``,
+    2^-24 for float32 and nothing for float64.  Between them, the error in
+    the given x, the rounding of the shift and the cast move the result
+    back towards x by at most 2^-53 + 2^-53 + 2^-24 < 2^-23 = eps in
+    float32, and by 2^-52 = eps in float64: never past the exact x.
+    """
+    return (np.asarray(x, dtype=np.float64)
+            + side * float(np.finfo(dtype).eps)).astype(dtype)
 
 
-def _at_or_above(x, dtype) -> np.ndarray:
-    """A ``dtype`` value at or above each exact x (see ``_at_or_below``)."""
-    return -_at_or_below(-np.asarray(x, dtype=np.float64), dtype)
-
-
-class GramScan(NamedTuple):
-    """What one ``gram_scan`` pass found: q and na."""
+@dataclass(frozen=True, eq=False)
+class AngleScores:
+    """Per-point angle statistics at a fixed threshold zeta: q is the
+    nearest-neighbor acute angle, na counts acute angles strictly above
+    zeta."""
 
     q: np.ndarray
     na: np.ndarray
+
+    def __post_init__(self):
+        q = np.asarray(self.q, dtype=float)
+        na = np.asarray(self.na, dtype=np.int64)
+        if q.shape != na.shape or q.ndim != 1:
+            raise DimensionError("q and na must be 1-d arrays of equal length")
+        q.setflags(write=False)
+        na.setflags(write=False)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "na", na)
 
 
 def _block_rows(n_pts: int) -> int:
@@ -246,7 +262,7 @@ def _fold(peak, v, held, thr) -> None:
     held.clear()
 
 
-def gram_scan(x, zeta: float) -> GramScan:
+def gram_scan(x, zeta: float) -> AngleScores:
     """One pass over the upper band of the Gram matrix.
 
     Gives the nearest acute angle q_i and na_i = #{j : phi_ij > zeta}, each
@@ -268,7 +284,7 @@ def gram_scan(x, zeta: float) -> GramScan:
     lower = np.tri(rows, dtype=bool)
     near = np.zeros(n_pts, dtype=np.int64)
     # below lo: surely under t; from hi up: surely at or above it
-    lo, hi = _at_or_below(cut - err, dtype), _at_or_above(cut + err, dtype)
+    lo, hi = _rounded(cut - err, dtype, -1), _rounded(cut + err, dtype, 1)
 
     # Candidates: the entries at or above 2E below the running peak (the
     # largest entry so far) of their row or their column point.  A point's
@@ -281,7 +297,7 @@ def gram_scan(x, zeta: float) -> GramScan:
     exact = np.full(n_pts, -1.0)
 
     def peak_floor(p):
-        return _at_or_below(p.astype(np.float64) - 2.0 * err, dtype)
+        return _rounded(p.astype(np.float64) - 2.0 * err, dtype, -1)
 
     cap = max(1, rows * n_pts // 4)
     held, n_held = [], 0
@@ -330,7 +346,7 @@ def gram_scan(x, zeta: float) -> GramScan:
                 _fold(exact, v, held, peak_floor(peak))
                 n_held = 0
     _fold(exact, v, held, peak_floor(peak))
-    return GramScan(q=np.arccos(np.minimum(exact, 1.0)), na=n_pts - 1 - near)
+    return AngleScores(q=np.arccos(np.minimum(exact, 1.0)), na=n_pts - 1 - near)
 
 
 def sample_mean_angle(x) -> float:
@@ -366,29 +382,3 @@ def acute_row(x, i: int) -> np.ndarray:
     row = np.arccos(np.minimum(dots, 1.0))
     row[i] = 0.0
     return row
-
-
-@dataclass(frozen=True, eq=False)
-class AngleScores:
-    """Per-point angle statistics at a fixed threshold.
-
-    q is the nearest-neighbor acute angle, na counts acute angles strictly
-    above ``zeta``, and mean_theta is the sample mean principal angle over
-    unordered pairs.  Only the adapted threshold reads the mean, so it is
-    computed in that mode alone and is None in the theoretical mode.
-    """
-
-    q: np.ndarray
-    na: np.ndarray
-    mean_theta: float | None
-    zeta: float
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        na = np.asarray(self.na, dtype=np.int64)
-        if q.shape != na.shape or q.ndim != 1:
-            raise DimensionError("q and na must be 1-d arrays of equal length")
-        q.setflags(write=False)
-        na.setflags(write=False)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "na", na)

@@ -58,15 +58,18 @@ def build_parser() -> argparse.ArgumentParser:
                         "rank-to-size ratios")
     d.add_argument("--recover", action="store_true",
                    help="also compute an orthonormal basis from the estimated inliers")
-    d.add_argument("--rank", type=int, default=None,
-                   help="basis rank for --recover (default: auto)")
+    d.add_argument("--rank", dest="basis_rank", metavar="RANK", type=int,
+                   default=None, help="basis rank for --recover (default: auto)")
 
+    # A flag whose dest names an ExperimentConfig field sets that field;
+    # --noiseless sets snr_db to None.
     e = p.add_argument_group("experiments")
     e.add_argument("--trials", type=int, default=None, help="trials per grid cell")
     e.add_argument("--seed", type=int, default=None, help="master seed")
-    e.add_argument("--n", dest="dim", type=int, default=None, help="ambient dimension")
-    e.add_argument("--subspace-rank", type=int, default=None,
-                   help="true subspace dimension")
+    e.add_argument("--n", metavar="DIM", type=int, default=None,
+                   help="ambient dimension")
+    e.add_argument("--subspace-rank", dest="rank", metavar="SUBSPACE_RANK",
+                   type=int, default=None, help="true subspace dimension")
     e.add_argument("--num-points", type=int, default=None, help="total points N")
     e.add_argument("--num-inliers", type=int, default=None,
                    help="inlier count (mixed experiment)")
@@ -141,7 +144,8 @@ def _detect_report(args) -> dict:
         "num_outliers": int(final.outliers.size),
         "scores": {"q": res.scores.q.tolist(),
                    "na": res.scores.na.tolist(),
-                   "mean_theta": res.scores.mean_theta},
+                   "mean_theta": (res.threshold.center if mode == "adapted"
+                                  else None)},
     }
     if stage2 is not None:
         report["stage2"] = {
@@ -153,7 +157,7 @@ def _detect_report(args) -> dict:
             "labels_swapped": stage2.labels_swapped,
         }
     if args.recover:
-        rank = "auto" if args.rank is None else args.rank
+        rank = "auto" if args.basis_rank is None else args.basis_rank
         basis = recover_subspace(matrix, final.inliers, rank=rank)
         report["recovered"] = {"rank": basis.rank,
                                "basis": basis.values.tolist()}
@@ -163,19 +167,6 @@ def _detect_report(args) -> dict:
         truth = _read_labels(args.labels, matrix.num_points)
         report["truth"] = _truth_block(final, truth)
     return report
-
-
-_FLAG_FIELDS = {
-    # argparse dest -> ExperimentConfig field
-    "trials": "trials", "seed": "seed",
-    "dim": "n", "subspace_rank": "rank", "num_points": "num_points",
-    "num_inliers": "num_inliers", "snr_db": "snr_db",
-    "gamma_grid": "gamma_grid", "snr_grid": "snr_grid", "mu_grid": "mu_grid",
-    "inlier_grid": "inlier_grid", "outlier_grid": "outlier_grid",
-    "ratio_grid": "ratio_grid", "outlier_model": "outlier_model",
-    "mu": "mu", "nu": "nu", "theta_max": "theta_max",
-    "mode": "mode", "stage": "stage", "rank_disambiguate": "rank_disambiguate",
-}
 
 
 def _experiment_config(args) -> ExperimentConfig:
@@ -193,15 +184,12 @@ def _experiment_config(args) -> ExperimentConfig:
     else:
         cfg = default_config(args.experiment)
     overrides = {}
-    for dest, field in _FLAG_FIELDS.items():
-        value = getattr(args, dest)
-        # store_true flags: absence means "leave the config alone"
-        if dest == "rank_disambiguate" and value is False:
+    for field in dataclasses.fields(ExperimentConfig):
+        value = getattr(args, field.name, None)
+        # unset flags, store_true ones included, leave the config alone
+        if value is None or value is False:
             continue
-        if value is not None:
-            if isinstance(value, list):
-                value = tuple(value)
-            overrides[field] = value
+        overrides[field.name] = tuple(value) if isinstance(value, list) else value
     if args.noiseless:
         overrides["snr_db"] = None
     return cfg.replace(**overrides)

@@ -79,12 +79,11 @@ def roma(m, mode: str = "theoretical") -> RomaResult:
     mode : "theoretical" (center pi/2) or "adapted" (center at the sample
         mean principal angle)
 
-    Returns a RomaResult whose scores carry q, na at the threshold actually
-    used and, in the adapted mode only, the sample mean principal angle
-    (``mean_theta`` is None in the theoretical mode, where nothing reads
-    it).  The theoretical mode makes one Gram pass for q and na, in float32
-    up to n = 2048; the adapted mode first makes a float64 pass for the
-    mean.
+    Returns a RomaResult whose scores carry q and na at the threshold
+    actually used; in the adapted mode ``threshold.center`` is the sample
+    mean principal angle.  The theoretical mode makes one Gram pass for q
+    and na, in float32 up to n = 2048; the adapted mode first makes a
+    float64 pass for the mean.
 
     The decisions are a pure function of the input values: q, na and so the
     partition equal what the fixed-order float64 dot ``angles._dot`` over
@@ -102,14 +101,10 @@ def roma(m, mode: str = "theoretical") -> RomaResult:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     x = _normalized(m)
     if mode == "adapted":
-        mean_theta = sample_mean_angle(x)
-        spec = zeta_with_center(x.n, x.num_points, mean_theta, mode)
+        spec = zeta_with_center(x.n, x.num_points, sample_mean_angle(x), mode)
     else:
-        mean_theta = None
         spec = compute_zeta(x.n, x.num_points)
-    scan = gram_scan(x, spec.zeta)
-    scores = AngleScores(q=scan.q, na=scan.na, mean_theta=mean_theta,
-                         zeta=spec.zeta)
+    scores = gram_scan(x, spec.zeta)
     outliers = np.flatnonzero(scores.q > spec.zeta)
     inliers = np.flatnonzero(scores.q <= spec.zeta)
     partition = Partition(inliers=inliers, outliers=outliers,

@@ -372,7 +372,6 @@ class SynthDataset:
     matrix: DataMatrix
     spec: SynthSpec
     sigma: float | None = None
-    point_snr: np.ndarray | None = None
 
     @property
     def inlier_indices(self) -> np.ndarray:
@@ -406,27 +405,25 @@ def make_dataset(spec: SynthSpec) -> SynthDataset:
     inliers = spec.inlier_model.sample(streams, basis, spec.num_inliers)
     outliers = spec.outlier_model.sample(streams, basis, spec.num_outliers)
     values, labels = _shuffle(inliers, outliers, streams)
-    sigma = point_snr = None
+    sigma = None
     if spec.snr_db is not None:
-        sigma, point_snr = _add_noise(values, labels, spec.snr_db, streams)
+        sigma = _add_noise(values, labels, spec.snr_db, streams)
     matrix = DataMatrix(values, labels=labels, true_basis=basis)
-    return SynthDataset(matrix=matrix, spec=spec, sigma=sigma, point_snr=point_snr)
+    return SynthDataset(matrix=matrix, spec=spec, sigma=sigma)
 
 
 def _add_noise(values: np.ndarray, labels: np.ndarray, snr_db: float,
-               streams: ColumnStreams) -> tuple[float, np.ndarray]:
+               streams: ColumnStreams) -> float:
     """Add white Gaussian noise to the inlier columns, in place, calibrated to
     a matrix-level SNR in dB: sigma = ||M||_F / (10^(snr_db/20) sqrt(n N))
-    over the full C-ordered matrix.  Returns (sigma, point_snr), where
-    point_snr_i = ||m_i||^2 / (n sigma^2) of the clean columns."""
+    over the full C-ordered matrix.  Returns sigma."""
     n, total = values.shape
     sigma = np.linalg.norm(values) / (10.0 ** (snr_db / 20.0) * math.sqrt(n * total))
-    point_snr = np.sum(values * values, axis=0) / (n * sigma * sigma)
     targets = np.flatnonzero(labels == int(Label.INLIER))
     noise = streams._normals(_DOM_NOISE, targets, n)
     noise *= sigma
     values[:, targets] += noise.T
-    return float(sigma), point_snr
+    return float(sigma)
 
 
 _MODEL_NAMES = {cls: name for registry in (_INLIER_MODELS, _OUTLIER_MODELS)

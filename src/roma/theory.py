@@ -9,15 +9,15 @@ the probability that the acute angle between two inliers sharing an
 r-dimensional subspace stays above the threshold; everything else (exact-
 recovery impossibility, the nonempty-estimate bound, admissible ranks, the
 count-separation guarantees for clustered outliers) is a function of it and
-of the point counts.  Bounds are reported raw; they can leave [0, 1] in
-parameter corners, which the report flags instead of silently clamping.
+of the point counts.  Bounds are returned raw, never clamped; they can
+leave [0, 1] in parameter corners.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,15 +37,7 @@ __all__ = [
     "ErpTrialSummary",
     "ErpAlphaEstimate",
     "erp_alpha_estimate",
-    "TheoryReport",
-    "theory_report",
-    "NOISE_SHIFT_BOTH_ENDS_FACTOR",
 ]
-
-# ``noise_shift_bound`` follows the single-sided statement; a worst case with
-# both endpoints of a pair perturbed doubles the shift.  Multiply by this
-# factor to get the conservative two-sided version.
-NOISE_SHIFT_BOTH_ENDS_FACTOR = 2.0
 
 
 def _check_counts(n: int, r: int, num_points: int) -> tuple[int, int, int]:
@@ -130,8 +122,9 @@ def noise_shift_bound(snr: float) -> float:
     """Expected worst-case angle perturbation arccos(1 - 1/(2 sqrt(snr))).
 
     ``snr`` is the per-point signal-to-noise ratio ||m||^2 / E||e||^2, at
-    least 1/4 so the arccos argument stays within [0, 1].  See
-    NOISE_SHIFT_BOTH_ENDS_FACTOR for the two-sided worst case.
+    least 1/4 so the arccos argument stays within [0, 1].  This is the
+    single-sided statement: a worst case with both endpoints of a pair
+    perturbed doubles the shift.
     """
     snr = float(snr)
     if snr < 0.25:
@@ -222,7 +215,6 @@ class ErpTrialSummary:
 class ErpAlphaEstimate:
     union_alpha: float      # N_I * P_hat(q_inlier > zeta), the union-bound rate
     empirical_alpha: float  # observed fraction of trials missing an inlier
-    trials: int
 
 
 def erp_alpha_estimate(summary: ErpTrialSummary) -> ErpAlphaEstimate:
@@ -232,97 +224,4 @@ def erp_alpha_estimate(summary: ErpTrialSummary) -> ErpAlphaEstimate:
     return ErpAlphaEstimate(
         union_alpha=summary.num_inliers * rate,
         empirical_alpha=float(1.0 - recovered.mean()),
-        trials=recovered.size,
-    )
-
-
-@dataclass(frozen=True)
-class TheoryReport:
-    """Bundle of the closed-form quantities for one parameter point.
-
-    Probability-typed fields are clamped to [0, 1]; ``raw`` keeps the
-    unclamped formula outputs and ``notes`` records which fields were out of
-    range or otherwise caveated.
-    """
-
-    n: int
-    rank: int
-    num_points: int
-    num_inliers: int
-    num_structured: int | None
-    snr: float | None
-    p_inlier: float
-    oip_alpha: float
-    erp_alpha_lower: float
-    nonempty_prob: float
-    max_rank: float
-    max_rank_noisy: float | None
-    noise_shift: float | None
-    na_prob: float | None
-    exact_prob: float | None
-    gap_condition: bool | None
-    raw: dict = field(default_factory=dict)
-    notes: tuple = ()
-
-
-def _clamp(name: str, value: float, raw: dict, notes: list) -> float:
-    raw[name] = value
-    if value < 0.0 or value > 1.0:
-        notes.append(f"{name} formula value {value:.4g} outside [0, 1]; clamped")
-        return min(max(value, 0.0), 1.0)
-    return value
-
-
-def theory_report(n: int, rank: int, num_points: int, num_inliers: int,
-                  num_structured: int | None = None,
-                  snr: float | None = None) -> TheoryReport:
-    """Evaluate every bound that applies to the given parameter point."""
-    raw: dict = {}
-    notes: list = []
-    p = p_inlier(n, rank, num_points)
-    erp_lower = erp_impossibility_alpha(n, rank, num_points, num_inliers)
-    raw["erp_alpha_lower"] = erp_lower
-    if erp_lower < 0.0:
-        notes.append("erp_alpha_lower is negative: the impossibility bound is vacuous here")
-    nonempty = _clamp("nonempty_prob",
-                      nonempty_prob_lower_bound(n, rank, num_points, num_inliers),
-                      raw, notes)
-    max_rank_noisy = noise_shift = None
-    if snr is not None:
-        max_rank_noisy = max_rank_sizable_noisy(n, num_points, snr)
-        noise_shift = noise_shift_bound(snr)
-        notes.append("noise_shift follows the single-sided statement; "
-                     f"multiply by {NOISE_SHIFT_BOTH_ENDS_FACTOR:g} for the "
-                     "two-sided worst case")
-    na_prob = exact_prob = None
-    gap = None
-    if num_structured is not None:
-        na_prob = _clamp("na_prob",
-                         na_bound_prob(num_points, num_inliers, num_structured),
-                         raw, notes)
-        exact_prob = _clamp("exact_prob",
-                            structured_exact_prob(num_points, num_inliers, num_structured),
-                            raw, notes)
-        if num_inliers > num_structured:
-            gap = sizable_cluster_gap_condition(n, rank, num_points,
-                                                num_inliers, num_structured)
-        else:
-            notes.append("gap condition undefined: num_inliers <= num_structured")
-    return TheoryReport(
-        n=int(n), rank=int(rank), num_points=int(num_points),
-        num_inliers=int(num_inliers),
-        num_structured=None if num_structured is None else int(num_structured),
-        snr=snr,
-        p_inlier=p,
-        oip_alpha=1.0 / int(num_points),
-        erp_alpha_lower=erp_lower,
-        nonempty_prob=nonempty,
-        max_rank=max_rank_sizable(n, num_points),
-        max_rank_noisy=max_rank_noisy,
-        noise_shift=noise_shift,
-        na_prob=na_prob,
-        exact_prob=exact_prob,
-        gap_condition=gap,
-        raw=raw,
-        notes=tuple(notes),
     )

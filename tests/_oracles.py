@@ -220,7 +220,7 @@ def column_dataset(spec):
     Every column builds its own generator with the public
     ``ColumnStreams.stream`` and is normalized by ``_unit``: the per-column
     definition the batched ``sample`` methods must reproduce bit for bit.  Returns
-    (values, labels, true_basis, sigma, point_snr).
+    (values, labels, true_basis, sigma).
     """
     streams = ColumnStreams(spec.seed)
     n, total = spec.n, spec.num_points
@@ -233,13 +233,12 @@ def column_dataset(spec):
     perm = streams.shuffle().permutation(total)
     # C order, as DataMatrix stores it: the column sums below depend on it
     values, labels = np.ascontiguousarray(np.hstack(parts)[:, perm]), labels[perm]
-    sigma = point_snr = None
+    sigma = None
     if spec.snr_db is not None:
         sigma = np.linalg.norm(values) / (10.0 ** (spec.snr_db / 20.0) * math.sqrt(n * total))
-        point_snr = np.sum(values * values, axis=0) / (n * sigma * sigma)
         for j in np.flatnonzero(labels == int(Label.INLIER)):
             values[:, j] += sigma * streams.stream(_DOM_NOISE, int(j)).standard_normal(n)
-    return values, labels, basis, sigma, point_snr
+    return values, labels, basis, sigma
 
 
 def csv_oracle(path, orientation: str = "points-as-rows") -> DataMatrix:

@@ -247,10 +247,8 @@ def test_scan_domain_errors():
 
 def test_angle_scores_validation():
     with pytest.raises(DimensionError):
-        AngleScores(q=np.zeros(3), na=np.zeros(4, dtype=int),
-                    mean_theta=1.5, zeta=1.0)
-    scores = AngleScores(q=np.zeros(3), na=np.zeros(3, dtype=int),
-                         mean_theta=1.5, zeta=1.0)
+        AngleScores(q=np.zeros(3), na=np.zeros(4, dtype=int))
+    scores = AngleScores(q=np.zeros(3), na=np.zeros(3, dtype=int))
     with pytest.raises(ValueError):
         scores.q[0] = 1.0
 

@@ -1,5 +1,6 @@
 """The public API: every exported name resolves, and deleted names stay gone."""
 
+import dataclasses
 import importlib
 import pkgutil
 
@@ -13,18 +14,22 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(roma.__path__))
 DELETED = {
     "angles": ["pairwise_acute_angles", "pairwise_principal_angles",
                "min_angle_scores", "count_above_threshold",
-               "mean_principal_angle", "min_pair", "angle_scores"],
+               "mean_principal_angle", "min_pair", "angle_scores",
+               "GramScan"],
     "threshold": ["compute_zeta_adapted"],
     "synth": ["assemble", "shuffle_and_label", "add_noise_snr",
               "sample_uniform_inliers", "sample_clustered_inliers",
               "sample_unstructured_outliers", "sample_clustered_outliers",
               "sample_bounded_cone", "NOISE_TARGETS"],
+    "theory": ["TheoryReport", "theory_report", "NOISE_SHIFT_BOTH_ENDS_FACTOR"],
 }
 
 # Removed attributes, by the public class that used to have them.
 DELETED_ATTRS = {
     ("synth", "ColumnStreams"): ["inlier", "outlier", "noise"],
-    ("angles", "GramScan"): ["pair"],
+    ("synth", "SynthDataset"): ["point_snr"],
+    ("angles", "AngleScores"): ["mean_theta", "zeta"],
+    ("theory", "ErpAlphaEstimate"): ["trials"],
 }
 
 
@@ -50,5 +55,8 @@ def test_deleted_names_are_gone(module):
 @pytest.mark.parametrize("module, cls", sorted(DELETED_ATTRS))
 def test_deleted_attributes_are_gone(module, cls):
     owner = getattr(importlib.import_module(f"roma.{module}"), cls)
+    fields = ({f.name for f in dataclasses.fields(owner)}
+              if dataclasses.is_dataclass(owner) else set())
     for name in DELETED_ATTRS[module, cls]:
         assert not hasattr(owner, name)
+        assert name not in fields

@@ -60,7 +60,6 @@ def test_roma_blocked_path_agrees(monkeypatch):
                                       np.flatnonzero(q > zeta))
         np.testing.assert_array_equal(res.partition.outliers,
                                       ds.outlier_indices)
-        assert res.scores.mean_theta is None  # nothing reads it in this mode
 
 
 def test_roma_container_types_agree():
@@ -88,10 +87,11 @@ def test_roma_adapted_centers_at_sample_mean():
     ds = planted(seed=10, num_points=200)
     res = roma(ds.matrix, "adapted")
     assert res.threshold.mode == "adapted"
-    assert res.threshold.center == pytest.approx(res.scores.mean_theta, abs=0.0)
+    mean = angles.sample_mean_angle(normalize_columns(ds.matrix))
+    assert res.threshold.center == mean
     sigma = 1.0 / math.sqrt(ds.matrix.n - 2)
     assert res.threshold.zeta == pytest.approx(
-        res.scores.mean_theta - res.threshold.c_n * sigma, abs=1e-15)
+        mean - res.threshold.c_n * sigma, abs=1e-15)
 
 
 def test_roma_all_points_isolated_flags_everything():

@@ -297,7 +297,9 @@ def test_cli_detect(planted, capsys):
     assert len(report["scores"]["q"]) == 60
     assert report["scores"]["mean_theta"] is None  # read in the adapted mode only
     assert main(["--input", str(csv_path), "--mode", "adapted"]) == 0
-    assert 0.0 < json.loads(capsys.readouterr().out)["scores"]["mean_theta"] < np.pi
+    report = json.loads(capsys.readouterr().out)
+    assert 0.0 < report["scores"]["mean_theta"] < np.pi
+    assert report["scores"]["mean_theta"] == report["threshold"]["center"]
 
 
 def test_cli_detect_two_stage_and_recover(planted, capsys):
@@ -466,4 +468,10 @@ def test_make_benchmark_script(tmp_path):
     assert side["spec"] == spec
     ds = make_dataset(spec)
     assert np.array_equal(side["labels"], ds.matrix.labels)
-    assert np.array_equal(load_csv_matrix(out).values, ds.matrix.values)
+    loaded = load_csv_matrix(out, orientation="points-as-columns")
+    assert np.array_equal(loaded.values, ds.matrix.values)
+    # the CLI reads the file as written and flags the points the script scores
+    report = tmp_path / "report.json"
+    assert main(["--input", str(out), "--out", str(report)]) == 0
+    flagged = json.loads(report.read_text())["outliers"]
+    assert flagged == roma.roma(ds.matrix).partition.outliers.tolist()

@@ -48,11 +48,8 @@ def test_column_permutation_equivariance(mode):
                           base.partition.outlier_mask()[perm])
     assert np.array_equal(moved.scores.q, base.scores.q[perm])
     assert np.array_equal(moved.scores.na, base.scores.na[perm])
-    if mode == "theoretical":
-        assert moved.scores.mean_theta is None
-    else:
-        assert moved.scores.mean_theta == pytest.approx(base.scores.mean_theta,
-                                                        abs=1e-12)
+    assert moved.threshold.center == pytest.approx(base.threshold.center,
+                                                   abs=1e-12)
 
 
 def test_sign_flips_are_bitwise_invisible():

@@ -106,13 +106,11 @@ def test_index_offset_shifts_columns():
 def test_make_dataset_matches_per_column_oracle(overrides):
     spec = base_spec(**overrides)
     ds = make_dataset(spec)
-    values, labels, basis, sigma, point_snr = column_dataset(spec)
+    values, labels, basis, sigma = column_dataset(spec)
     assert np.array_equal(ds.matrix.values, values)
     assert np.array_equal(ds.matrix.labels, labels)
     assert np.array_equal(ds.matrix.true_basis, basis)
     assert ds.sigma == sigma
-    assert (ds.point_snr is None and point_snr is None) or \
-        np.array_equal(ds.point_snr, point_snr)
 
 
 @pytest.mark.parametrize("model", [
@@ -137,7 +135,7 @@ def test_mixed_outliers_match_the_oracle_at_every_split():
         spec = base_spec(num_points=10, gamma=0.2, seed=seed,
                          outlier_model=MixedOutliers(mu=0.2))
         splits.add(spec.outlier_model.num_clustered(ColumnStreams(seed), 2))
-        values, labels, _, _, _ = column_dataset(spec)
+        values, labels, _, _ = column_dataset(spec)
         ds = make_dataset(spec)
         assert np.array_equal(ds.matrix.values, values)
         assert np.array_equal(ds.matrix.labels, labels)
@@ -385,7 +383,9 @@ def test_noise_sigma_and_point_snr_formulas():
     ds = make_dataset(spec)
     n = spec.n
     assert ds.sigma == pytest.approx(10.0 ** (-20.0 / 20.0) / math.sqrt(n), rel=1e-12)
-    assert np.allclose(ds.point_snr, 10.0 ** (20.0 / 10.0), rtol=1e-9)
+    clean = make_dataset(base_spec()).matrix.values
+    point_snr = np.sum(clean * clean, axis=0) / (n * ds.sigma ** 2)
+    assert np.allclose(point_snr, 10.0 ** (20.0 / 10.0), rtol=1e-9)
 
 
 def test_noise_targets_inliers_by_default():

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from roma.theory import (NOISE_SHIFT_BOTH_ENDS_FACTOR, ErpAlphaEstimate,
-                         ErpTrialSummary, erp_alpha_estimate,
-                         erp_impossibility_alpha, max_rank_sizable,
-                         max_rank_sizable_noisy, na_bound_prob,
-                         noise_shift_bound, nonempty_prob_lower_bound,
-                         p_inlier, sizable_cluster_gap_condition,
-                         structured_exact_prob, theory_report)
+from roma.theory import (ErpAlphaEstimate, ErpTrialSummary,
+                         erp_alpha_estimate, erp_impossibility_alpha,
+                         max_rank_sizable, max_rank_sizable_noisy,
+                         na_bound_prob, noise_shift_bound,
+                         nonempty_prob_lower_bound, p_inlier,
+                         sizable_cluster_gap_condition, structured_exact_prob)
 
 # mpmath reference values (50 digits, rounded to float)
 
@@ -91,7 +90,6 @@ def test_noise_shift_reference():
     assert noise_shift_bound(100.0) == pytest.approx(0.31756042929152136, rel=1e-14)
     # at the domain edge the perturbation can reach a right angle
     assert noise_shift_bound(0.25) == pytest.approx(math.pi / 2.0, rel=1e-14)
-    assert NOISE_SHIFT_BOTH_ENDS_FACTOR == 2.0
 
 
 def test_noise_shift_domain_and_monotonicity():
@@ -151,7 +149,6 @@ def test_erp_alpha_estimate():
     assert isinstance(est, ErpAlphaEstimate)
     assert est.empirical_alpha == pytest.approx(0.25)
     assert est.union_alpha == pytest.approx(100 * 3 / 400)
-    assert est.trials == 4
 
 
 def test_erp_trial_summary_validation():
@@ -161,57 +158,3 @@ def test_erp_trial_summary_validation():
         ErpTrialSummary((True,), 5, 4, 1)
     with pytest.raises(ValueError):
         ErpTrialSummary((True,), 0, 0, 1)
-
-
-# --- report ------------------------------------------------------------------
-
-def test_theory_report_plain():
-    rep = theory_report(100, 20, 1000, 100)
-    assert rep.p_inlier == pytest.approx(0.99116180298983931, rel=1e-13)
-    assert rep.oip_alpha == pytest.approx(1e-3)
-    assert rep.erp_alpha_lower == pytest.approx(0.13267364118035222, rel=1e-12)
-    assert rep.max_rank == pytest.approx(3.671592179284711, rel=1e-12)
-    assert rep.na_prob is None and rep.gap_condition is None
-    assert rep.max_rank_noisy is None and rep.noise_shift is None
-
-
-def test_theory_report_negative_bound_noted():
-    with pytest.warns(UserWarning):
-        rep = theory_report(10000, 3, 100, 50)
-    assert rep.erp_alpha_lower < 0.0  # reported raw, not clamped
-    assert any("vacuous" in note for note in rep.notes)
-
-
-def test_theory_report_structured_and_noise():
-    rep = theory_report(100, 20, 1000, 900, num_structured=100, snr=100.0)
-    assert rep.na_prob == pytest.approx(0.99990990990990991, rel=1e-13)
-    assert rep.exact_prob == pytest.approx(0.99981981981981982, rel=1e-13)
-    assert rep.gap_condition is False
-    assert rep.noise_shift == pytest.approx(0.31756042929152136, rel=1e-13)
-    assert any("single-sided" in note for note in rep.notes)
-
-
-def test_theory_report_gap_undefined_note():
-    rep = theory_report(100, 20, 1000, 100, num_structured=900)
-    assert rep.gap_condition is None
-    assert any("undefined" in note for note in rep.notes)
-
-
-def test_clamp_mechanism():
-    # the probability formulas stay in range across sane parameters, so the
-    # clamp is exercised directly
-    from roma.theory import _clamp
-    raw, notes = {}, []
-    assert _clamp("x", -0.25, raw, notes) == 0.0
-    assert _clamp("y", 1.75, raw, notes) == 1.0
-    assert _clamp("z", 0.5, raw, notes) == 0.5
-    assert raw == {"x": -0.25, "y": 1.75, "z": 0.5}
-    assert len(notes) == 2 and all("clamped" in n for n in notes)
-
-
-def test_theory_report_fields_in_range():
-    rep = theory_report(100, 20, 6, 3, num_structured=3)
-    for name in ("nonempty_prob", "na_prob", "exact_prob"):
-        value = getattr(rep, name)
-        assert 0.0 <= value <= 1.0
-        assert rep.raw[name] == value  # nothing needed clamping here
