@@ -2,8 +2,9 @@
 
 Two jobs: run the detector on a CSV matrix (``--experiment detect``, the
 default) and run the Monte Carlo experiment suites.  Results go to --out or
-stdout; --format picks csv or json for experiment tables.  Exit codes:
-0 success, 2 bad input or config, 3 infeasible generator.
+stdout; --format picks csv or json for experiment tables.  A flag of the
+job that does not run is refused.  Exit codes: 0 success, 2 bad input,
+flags or config, 3 infeasible generator.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .data import Label, Partition, load_csv_matrix
 from .detector import roma, roma_n
 from .errors import FeasibilityError, RomaError
 from .experiments import ExperimentConfig, config_from_dict, default_config
-from .subspace import lre, recover_subspace
+from .subspace import recover_subspace
 from .threshold import MODES
 
 __all__ = ["main", "build_parser"]
@@ -35,12 +36,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Angle-based outlier detection for subspace recovery.")
     p.add_argument("--experiment", choices=_CHOICES, default="detect",
                    help="what to run (default: detect on --input)")
-    p.add_argument("--config", metavar="FILE",
-                   help="JSON config for experiments; explicit flags override it")
     p.add_argument("--out", metavar="FILE", help="write results here instead of stdout")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="experiment output format (detect always emits json)")
+    p.add_argument("--mode", choices=MODES, default=None,
+                   help="threshold center: pi/2 (theoretical, the default) or "
+                        "the sample mean angle (adapted)")
+    p.add_argument("--stage", choices=_STAGES, default=None,
+                   help="one-stage or two-stage detection (default: roma, or "
+                        "the experiment's)")
+    p.add_argument("--rank-disambiguate", action="store_true",
+                   help="let stage two swap cluster labels by comparing "
+                        "rank-to-size ratios")
 
+    # Both jobs read the flags above; each refuses those of the other's
+    # group (``_refuse_unread``).
     d = p.add_argument_group("detect")
     d.add_argument("--input", metavar="CSV", help="data matrix, one point per column")
     d.add_argument("--labels", metavar="FILE",
@@ -48,14 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "for scoring the detection")
     d.add_argument("--orientation", choices=("columns", "rows"), default="columns",
                    help="whether points are columns or rows of --input")
-    d.add_argument("--mode", choices=MODES, default=None,
-                   help="threshold center: pi/2 (theoretical, the default) or "
-                        "the sample mean angle (adapted)")
-    d.add_argument("--stage", choices=_STAGES, default=None,
-                   help="one-stage (default) or two-stage detection")
-    d.add_argument("--rank-disambiguate", action="store_true",
-                   help="let stage two swap cluster labels by comparing "
-                        "rank-to-size ratios")
     d.add_argument("--recover", action="store_true",
                    help="also compute an orthonormal basis from the estimated inliers")
     d.add_argument("--rank", dest="basis_rank", metavar="RANK", type=int,
@@ -64,6 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
     # A flag whose dest names an ExperimentConfig field sets that field;
     # --noiseless sets snr_db to None.
     e = p.add_argument_group("experiments")
+    e.add_argument("--config", metavar="FILE",
+                   help="JSON config for experiments; explicit flags override it")
+    e.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="experiment output format (detect always emits json)")
     e.add_argument("--trials", type=int, default=None, help="trials per grid cell")
     e.add_argument("--seed", type=int, default=None, help="master seed")
     e.add_argument("--n", metavar="DIM", type=int, default=None,
@@ -161,8 +165,6 @@ def _detect_report(args) -> dict:
         basis = recover_subspace(matrix, final.inliers, rank=rank)
         report["recovered"] = {"rank": basis.rank,
                                "basis": basis.values.tolist()}
-        if matrix.true_basis is not None:
-            report["recovered"]["lre"] = lre(matrix.true_basis, basis)
     if args.labels:
         truth = _read_labels(args.labels, matrix.num_points)
         report["truth"] = _truth_block(final, truth)
@@ -205,8 +207,24 @@ def _emit(text: str, out) -> None:
             sys.stdout.write("\n")
 
 
+def _refuse_unread(parser: argparse.ArgumentParser, args) -> None:
+    """Exit 2 naming each set flag of the job that does not run.
+
+    A flag counts as set when its value differs from its default.
+    """
+    other = "experiments" if args.experiment == "detect" else "detect"
+    (group,) = [g for g in parser._action_groups if g.title == other]
+    unread = [a.option_strings[0] for a in group._group_actions
+              if getattr(args, a.dest) != a.default]
+    if unread:
+        parser.error(f"--experiment {args.experiment} does not read "
+                     f"{', '.join(unread)}")
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _refuse_unread(parser, args)
     try:
         if args.experiment == "detect":
             report = _detect_report(args)

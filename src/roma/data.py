@@ -49,30 +49,11 @@ _SURVEY_CHUNK = 1 << 14
 class Label(enum.IntEnum):
     INLIER = 0
     OUTLIER = 1
-    UNKNOWN = 2
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-def _check_columns(values: np.ndarray, norms: np.ndarray | None = None) -> None:
-    """Refuse non-finite entries and all-zero columns.
-
-    A column is zero exactly when its sum of squares is: the squares are
-    non-negative, so no order of summing them reaches 0 otherwise.  einsum
-    sums them without an n x N temporary.  A caller that already holds the
-    column norms passes them instead (zero at the same columns), and no
-    second pass is made.
-    """
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("matrix entries must all be finite")
-    if norms is None:
-        norms = np.einsum("ij,ij->j", values, values)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ValidationError(f"zero columns at indices {zero.tolist()}")
 
 
 def _check_basis(basis: np.ndarray, n: int, tol: float = BASIS_ORTHO_TOL) -> np.ndarray:
@@ -100,7 +81,14 @@ class DataMatrix:
         values = np.ascontiguousarray(self.values, dtype=float)
         if values.ndim != 2:
             raise DimensionError(f"values must be 2-d, got ndim={values.ndim}")
-        _check_columns(values)
+        if not np.all(np.isfinite(values)):
+            raise ValidationError("matrix entries must all be finite")
+        # A column is zero exactly when its sum of squares is: the squares
+        # are non-negative, so no order of summing them reaches 0 otherwise.
+        # einsum sums them without an n x N temporary.
+        zero = np.flatnonzero(np.einsum("ij,ij->j", values, values) == 0.0)
+        if zero.size:
+            raise ValidationError(f"zero columns at indices {zero.tolist()}")
         object.__setattr__(self, "values", _freeze(values))
         if self.labels is not None:
             labels = np.ascontiguousarray(self.labels, dtype=np.int8)
@@ -156,28 +144,35 @@ class NormalizedMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """Disjoint inlier/outlier index sets covering range(num_points)."""
+    """Disjoint inlier/outlier index sets covering range(num_points).
+
+    Both sides are stored sorted, as read-only int64 arrays.
+    """
 
     inliers: np.ndarray
     outliers: np.ndarray
     num_points: int
 
     def __post_init__(self):
-        inl = np.unique(np.asarray(self.inliers, dtype=np.int64))
-        out = np.unique(np.asarray(self.outliers, dtype=np.int64))
-        if inl.size != np.asarray(self.inliers).size or out.size != np.asarray(self.outliers).size:
-            raise ValidationError("duplicate indices in partition")
-        if np.intersect1d(inl, out).size:
-            raise ValidationError("inlier and outlier sets overlap")
-        total = inl.size + out.size
-        if total != self.num_points:
+        if not (isinstance(self.num_points, (int, np.integer)) and self.num_points >= 0):
+            raise ValidationError(f"num_points must be a count, got {self.num_points!r}")
+        # One rule: every listed index lies in [0, N) and each of the N
+        # points is listed exactly once.
+        outliers = np.asarray(self.outliers, dtype=np.int64)
+        listed = np.concatenate([np.asarray(self.inliers, dtype=np.int64), outliers])
+        bad = listed[(listed < 0) | (listed >= self.num_points)]
+        if bad.size:
             raise ValidationError(
-                f"partition covers {total} of {self.num_points} points")
-        all_idx = np.union1d(inl, out)
-        if total and (all_idx[0] < 0 or all_idx[-1] >= self.num_points):
-            raise ValidationError("partition indices out of range")
-        object.__setattr__(self, "inliers", _freeze(inl))
-        object.__setattr__(self, "outliers", _freeze(out))
+                f"partition index {bad[0]} lies outside [0, {self.num_points})")
+        counts = np.bincount(listed, minlength=self.num_points)
+        wrong = np.flatnonzero(counts != 1)
+        if wrong.size:
+            raise ValidationError(
+                f"point {wrong[0]} is listed {counts[wrong[0]]} times, not once")
+        mask = np.zeros(self.num_points, dtype=bool)
+        mask[outliers] = True
+        object.__setattr__(self, "inliers", _freeze(np.flatnonzero(~mask)))
+        object.__setattr__(self, "outliers", _freeze(np.flatnonzero(mask)))
 
     def outlier_mask(self) -> np.ndarray:
         mask = np.zeros(self.num_points, dtype=bool)
@@ -359,12 +354,10 @@ def write_csv(matrix, path, orientation: str = "points-as-rows") -> None:
 def normalize_columns(m) -> NormalizedMatrix:
     """Scale every column to unit Euclidean norm.
 
-    Accepts a DataMatrix, NormalizedMatrix, or plain array.  Idempotent to
-    within one rounding per entry.
+    Accepts a DataMatrix, a NormalizedMatrix, or raw points, which go
+    through ``DataMatrix`` and so its checks; no column norm is then zero.
+    Idempotent to within one rounding per entry.
     """
-    values = m.values if hasattr(m, "values") else np.ascontiguousarray(m, dtype=float)
-    if values.ndim != 2:
-        raise DimensionError("expected a 2-d array of column points")
-    norms = np.linalg.norm(values, axis=0)
-    _check_columns(values, norms)
-    return NormalizedMatrix(values / norms)
+    if not isinstance(m, (DataMatrix, NormalizedMatrix)):
+        m = DataMatrix(m)
+    return NormalizedMatrix(m.values / np.linalg.norm(m.values, axis=0))

@@ -28,13 +28,10 @@ import numpy as np
 from .angles import AngleScores, acute_row, gram_scan, sample_mean_angle
 from .data import DataMatrix, NormalizedMatrix, Partition, normalize_columns
 from .errors import DegenerateRegimeError, ValidationError
+from .subspace import numerical_rank
 from .threshold import MODES, ThresholdSpec, compute_zeta, zeta_with_center
 
 __all__ = ["RomaResult", "RomaNResult", "roma", "roma_n"]
-
-# Singular values below this fraction of the largest count as zero when
-# ranking clusters for label disambiguation.
-RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,10 +111,7 @@ def roma(m, mode: str = "theoretical") -> RomaResult:
 
 def _numerical_rank(cols: np.ndarray) -> int:
     centered = cols - cols.mean(axis=1, keepdims=True)
-    s = np.linalg.svd(centered, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int((s > RANK_TOL * s[0]).sum())
+    return numerical_rank(np.linalg.svd(centered, compute_uv=False))
 
 
 def roma_n(m, mode: str = "theoretical", *,

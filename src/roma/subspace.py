@@ -9,15 +9,20 @@ import numpy as np
 from .data import SubspaceBasis
 from .errors import DimensionError, ValidationError
 
-__all__ = ["recover_subspace", "lre", "LRE_FLOOR"]
+__all__ = ["recover_subspace", "numerical_rank", "lre", "LRE_FLOOR"]
 
 # log10 recovery errors are floored here; residuals at the level of double
 # rounding are indistinguishable from zero.
 LRE_FLOOR = -16.0
 
-# Singular values below this fraction of the largest are treated as zero
-# when the rank is chosen automatically.
-AUTO_RANK_TOL = 1e-8
+# Singular values at or below this fraction of the largest count as zero.
+RANK_TOL = 1e-8
+
+
+def numerical_rank(s: np.ndarray) -> int:
+    """How many singular values ``s``, largest first, exceed RANK_TOL times
+    the largest; 0 when they are all zero."""
+    return int((s > RANK_TOL * s[0]).sum())
 
 
 def recover_subspace(m, inliers, rank="auto") -> SubspaceBasis:
@@ -27,8 +32,8 @@ def recover_subspace(m, inliers, rank="auto") -> SubspaceBasis:
     ----------
     m : DataMatrix or array of column points
     inliers : indices of the columns to use (nonempty)
-    rank : "auto" keeps singular values above AUTO_RANK_TOL times the
-        largest; an integer forces that many leading vectors.
+    rank : "auto" keeps as many leading vectors as ``numerical_rank``
+        counts; an integer forces that many.
     """
     values = m.values if hasattr(m, "values") else np.asarray(m, dtype=float)
     inliers = np.asarray(inliers, dtype=np.int64)
@@ -41,7 +46,7 @@ def recover_subspace(m, inliers, rank="auto") -> SubspaceBasis:
     if rank == "auto":
         if s[0] == 0.0:
             raise ValidationError("selected columns are all zero")
-        r = int((s > AUTO_RANK_TOL * s[0]).sum())
+        r = numerical_rank(s)
     else:
         r = int(rank)
         if not 1 <= r <= min(cols.shape):

@@ -17,9 +17,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-
-import numpy as np
 
 from .statcore import normal_cdf
 from .threshold import compute_cn
@@ -34,9 +31,6 @@ __all__ = [
     "na_bound_prob",
     "structured_exact_prob",
     "sizable_cluster_gap_condition",
-    "ErpTrialSummary",
-    "ErpAlphaEstimate",
-    "erp_alpha_estimate",
 ]
 
 
@@ -186,42 +180,3 @@ def sizable_cluster_gap_condition(n: int, r: int, num_points: int,
             f"gap condition needs num_inliers > num_structured, got {ni} <= {nos}")
     p = p_inlier(n, r, num_points)
     return (ni - nos) > 2.0 * (ni - 1) * p
-
-
-@dataclass(frozen=True)
-class ErpTrialSummary:
-    """Monte Carlo inputs for the exact-recovery failure estimate.
-
-    ``all_inliers_recovered`` holds one flag per trial; the exceedance pair
-    pools, across trials, how many true inliers scored q above the threshold
-    out of how many were seen.
-    """
-
-    all_inliers_recovered: tuple[bool, ...]
-    inlier_exceed_count: int
-    inlier_total: int
-    num_inliers: int
-
-    def __post_init__(self):
-        if len(self.all_inliers_recovered) == 0:
-            raise ValueError("need at least one trial")
-        if not 0 <= self.inlier_exceed_count <= self.inlier_total:
-            raise ValueError("exceedance count must lie within the total")
-        if self.inlier_total < 1 or self.num_inliers < 1:
-            raise ValueError("totals must be positive")
-
-
-@dataclass(frozen=True)
-class ErpAlphaEstimate:
-    union_alpha: float      # N_I * P_hat(q_inlier > zeta), the union-bound rate
-    empirical_alpha: float  # observed fraction of trials missing an inlier
-
-
-def erp_alpha_estimate(summary: ErpTrialSummary) -> ErpAlphaEstimate:
-    """Union-bound failure rate alongside the directly observed one."""
-    rate = summary.inlier_exceed_count / summary.inlier_total
-    recovered = np.asarray(summary.all_inliers_recovered, dtype=bool)
-    return ErpAlphaEstimate(
-        union_alpha=summary.num_inliers * rate,
-        empirical_alpha=float(1.0 - recovered.mean()),
-    )

@@ -21,7 +21,8 @@ DELETED = {
               "sample_uniform_inliers", "sample_clustered_inliers",
               "sample_unstructured_outliers", "sample_clustered_outliers",
               "sample_bounded_cone", "NOISE_TARGETS"],
-    "theory": ["TheoryReport", "theory_report", "NOISE_SHIFT_BOTH_ENDS_FACTOR"],
+    "theory": ["TheoryReport", "theory_report", "NOISE_SHIFT_BOTH_ENDS_FACTOR",
+               "ErpTrialSummary", "ErpAlphaEstimate", "erp_alpha_estimate"],
 }
 
 # Removed attributes, by the public class that used to have them.
@@ -29,7 +30,7 @@ DELETED_ATTRS = {
     ("synth", "ColumnStreams"): ["inlier", "outlier", "noise"],
     ("synth", "SynthDataset"): ["point_snr"],
     ("angles", "AngleScores"): ["mean_theta", "zeta"],
-    ("theory", "ErpAlphaEstimate"): ["trials"],
+    ("data", "Label"): ["UNKNOWN"],
 }
 
 

@@ -398,6 +398,8 @@ def test_datamatrix_labels():
     with pytest.raises(ValidationError):
         DataMatrix(np.eye(3), labels=[0, 1, 7])
     with pytest.raises(ValidationError):
+        DataMatrix(np.eye(3), labels=[0, 1, 2])  # no label besides the two
+    with pytest.raises(ValidationError):
         DataMatrix(np.eye(3)).label_indices(Label.INLIER)
 
 
@@ -420,17 +422,28 @@ def test_normalized_matrix_enforces_unit_norm():
 
 
 def test_partition_validation():
-    Partition(inliers=[0, 2], outliers=[1], num_points=3)
-    with pytest.raises(ValidationError):
-        Partition(inliers=[0, 0], outliers=[1, 2], num_points=3)
-    with pytest.raises(ValidationError):
-        Partition(inliers=[0, 1], outliers=[1, 2], num_points=3)
-    with pytest.raises(ValidationError):
-        Partition(inliers=[0], outliers=[2], num_points=3)
-    with pytest.raises(ValidationError):
-        Partition(inliers=[0, 1], outliers=[3], num_points=3)
-    with pytest.raises(ValidationError):
-        Partition(inliers=[-1, 0], outliers=[1, 2], num_points=3)
+    part = Partition(inliers=[2, 0], outliers=(1,), num_points=3)
+    for side, expected in ((part.inliers, [0, 2]), (part.outliers, [1])):
+        assert side.tolist() == expected  # sorted
+        assert side.dtype == np.int64 and not side.flags.writeable
+
+
+@pytest.mark.parametrize("inliers, outliers, num_points, match", [
+    ([0, 0], [1, 2], 3, "point 0 is listed 2 times"),
+    ([0, 1], [1, 2], 3, "point 1 is listed 2 times"),
+    ([0], [2], 3, "point 1 is listed 0 times"),
+    ([0, 1], [3], 3, r"index 3 lies outside \[0, 3\)"),
+    ([-1, 0], [1, 2], 3, r"index -1 lies outside \[0, 3\)"),
+    ([0, 1], [2], 4, "point 3 is listed 0 times"),
+    ([0, 1], [2], 2, r"index 2 lies outside \[0, 2\)"),
+    ([], [], -1, "num_points must be a count, got -1"),
+    ([0, 1], [2], 3.0, "num_points must be a count, got 3.0"),
+], ids=["duplicate", "overlap", "gap", "out-of-range", "negative",
+        "num_points-above", "num_points-below", "num_points-negative",
+        "num_points-float"])
+def test_partition_lists_each_point_once(inliers, outliers, num_points, match):
+    with pytest.raises(ValidationError, match=match):
+        Partition(inliers=inliers, outliers=outliers, num_points=num_points)
 
 
 def test_partition_mask_and_empty_sides():

@@ -60,8 +60,14 @@ def test_oip_erp_tiny():
     assert ex.audit(result)
     (row,) = result.summary
     assert row["trials"] == 4
-    for key in ("alpha_oip", "alpha_erp", "erp_union_alpha"):
-        assert 0.0 <= row[key] <= 1.0
+    assert 0.0 <= row["alpha_oip"] <= 1.0
+    # the observed rate, and N_I times the pooled inlier exceedance rate
+    trials = [rec.row() for rec in result.records]
+    recovered = sum(t["erp_success"] for t in trials)
+    assert row["alpha_erp"] == 1.0 - recovered / len(trials)
+    exceed = sum(t["inlier_exceed"] for t in trials)
+    seen = sum(t["num_true_inliers"] for t in trials)
+    assert row["erp_union_alpha"] == trials[0]["num_true_inliers"] * (exceed / seen)
     assert row["theory_oip_alpha"] == 1.0 / cfg.num_points
     # the impossibility bound may be vacuous (negative) at tiny sizes
     assert row["theory_erp_alpha_lower"] <= 1.0
@@ -442,6 +448,21 @@ def test_cli_exit_2_on_a_field_the_experiment_does_not_read(capsys):
             "--trials", "1"]
     assert main(argv) == 2
     assert "does not read stage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["--experiment", "validate-threshold", "--rank", "7"], "--rank"),
+    (["--experiment", "mixed", "--orientation", "rows"], "--orientation"),
+    (["--input", "d.csv", "--n", "30", "--format", "json", "--trials", "5"],
+     "--format, --trials, --n"),
+    (["--input", "d.csv", "--noiseless"], "--noiseless"),
+], ids=["experiment-rank", "experiment-orientation", "detect-n-format-trials",
+        "detect-noiseless"])
+def test_cli_exit_2_on_a_flag_the_job_does_not_read(argv, unread, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"does not read {unread}" in capsys.readouterr().err
 
 
 def test_cli_exit_3_on_infeasible_generator(capsys):

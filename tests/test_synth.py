@@ -591,8 +591,9 @@ def test_load_sidecar_rejects_unknown_label(tmp_path):
     ds = make_dataset(base_spec())
     sidecar = export_dataset(ds, tmp_path / "d.csv")
     payload = json.loads(open(sidecar).read())
-    payload["labels"][0] = "maybe"
-    with open(sidecar, "w") as fh:
-        json.dump(payload, fh)
-    with pytest.raises(ValidationError):
-        load_sidecar(sidecar)
+    for label in ("maybe", "unknown"):  # a point is an inlier or an outlier
+        payload["labels"][0] = label
+        with open(sidecar, "w") as fh:
+            json.dump(payload, fh)
+        with pytest.raises(ValidationError, match=f"unknown label '{label}'"):
+            load_sidecar(sidecar)

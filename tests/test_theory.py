@@ -1,12 +1,9 @@
 import math
 
-import numpy as np
 import pytest
 
-from roma.theory import (ErpAlphaEstimate, ErpTrialSummary,
-                         erp_alpha_estimate, erp_impossibility_alpha,
-                         max_rank_sizable, max_rank_sizable_noisy,
-                         na_bound_prob, noise_shift_bound,
+from roma.theory import (erp_impossibility_alpha, max_rank_sizable,
+                         max_rank_sizable_noisy, na_bound_prob, noise_shift_bound,
                          nonempty_prob_lower_bound, p_inlier,
                          sizable_cluster_gap_condition, structured_exact_prob)
 
@@ -135,26 +132,3 @@ def test_gap_condition_both_branches():
     assert sizable_cluster_gap_condition(100, 20, 1000, 900, 100) is False
     with pytest.raises(ValueError):
         sizable_cluster_gap_condition(100, 20, 1000, 100, 900)
-
-
-# --- Monte Carlo estimate plumbing -------------------------------------------
-
-def test_erp_alpha_estimate():
-    summary = ErpTrialSummary(
-        all_inliers_recovered=(True, True, False, True),
-        inlier_exceed_count=3,
-        inlier_total=400,
-        num_inliers=100)
-    est = erp_alpha_estimate(summary)
-    assert isinstance(est, ErpAlphaEstimate)
-    assert est.empirical_alpha == pytest.approx(0.25)
-    assert est.union_alpha == pytest.approx(100 * 3 / 400)
-
-
-def test_erp_trial_summary_validation():
-    with pytest.raises(ValueError):
-        ErpTrialSummary((), 0, 1, 1)
-    with pytest.raises(ValueError):
-        ErpTrialSummary((True,), 5, 4, 1)
-    with pytest.raises(ValueError):
-        ErpTrialSummary((True,), 0, 0, 1)
