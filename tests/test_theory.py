@@ -1,6 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import pytest
+
+from roma.experiments import _erp_summary, default_config
 
 from roma.theory import (erp_impossibility_alpha, max_rank_sizable,
                          max_rank_sizable_noisy, na_bound_prob, noise_shift_bound,
@@ -132,3 +135,20 @@ def test_gap_condition_both_branches():
     assert sizable_cluster_gap_condition(100, 20, 1000, 900, 100) is False
     with pytest.raises(ValueError):
         sizable_cluster_gap_condition(100, 20, 1000, 100, 900)
+
+
+# --- Monte Carlo estimate plumbing -------------------------------------------
+
+def test_erp_alpha_estimate():
+    # four trials of 100 true inliers each: one misses ERP, 3 inliers exceed
+    cfg = default_config("oip-erp")
+    records = [SimpleNamespace(metrics={"oip_success": True, "erp_success": ok,
+                                        "inlier_exceed": k, "num_true_inliers": 100})
+               for ok, k in [(True, 1), (True, 0), (False, 2), (True, 0)]]
+    row = _erp_summary(cfg, records)
+    assert row["alpha_erp"] == pytest.approx(0.25)
+    assert row["erp_union_alpha"] == pytest.approx(100 * 3 / 400)
+    assert row["alpha_oip"] == 0.0
+    assert row["theory_oip_alpha"] == 1.0 / cfg.num_points
+    assert row["theory_erp_alpha_lower"] == erp_impossibility_alpha(
+        cfg.n, cfg.rank, cfg.num_points, 100)
