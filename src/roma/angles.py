@@ -9,6 +9,9 @@ each block along both its rows and its columns.  That is half the Gram
 flops of a full product.  Each block holds about ``_BLOCK_BYTES``, so the
 kernel's temporary memory is O(block * N) and never N x N.
 
+The kernels take a ``NormalizedMatrix`` or an (n, N) array of unit columns
+and rescale nothing; other columns are a ValidationError.
+
 No decision takes arccos over the N^2 entries.  Two identities give the
 scores from |g| directly:
 
@@ -62,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import UNIT_NORM_TOL, NormalizedMatrix, normalize_columns
+from .data import UNIT_NORM_TOL, NormalizedMatrix
 from .errors import DimensionError, ValidationError
 
 __all__ = [
@@ -102,20 +105,16 @@ _U16_MAX = 2 ** 16 - 1
 def _values(x) -> np.ndarray:
     if isinstance(x, NormalizedMatrix):
         return x.values
-    if hasattr(x, "values"):
-        return normalize_columns(x).values
     return NormalizedMatrix(np.asarray(x, dtype=float)).values
 
 
 def _cut(theta: float) -> float:
-    """Smallest double t in [0, 1] with np.arccos(t) <= theta.
+    """Smallest double t in (0, 1] with np.arccos(t) <= theta < pi/2.
 
     With arccos non-increasing, |g| >= t exactly when
     arccos(min(|g|, 1)) <= theta.  The bisection runs over the bit patterns
     of non-negative doubles, which sort like the doubles themselves.
     """
-    if np.arccos(0.0) <= theta:
-        return 0.0
     lo, hi = 0, _ONE_BITS  # arccos(lo) > theta >= arccos(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2

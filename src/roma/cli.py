@@ -3,8 +3,9 @@
 Two jobs: run the detector on a CSV matrix (``--experiment detect``, the
 default) and run the Monte Carlo experiment suites.  Results go to --out or
 stdout; --format picks csv or json for experiment tables.  A flag of the
-job that does not run is refused.  Exit codes: 0 success, 2 bad input,
-flags or config, 3 infeasible generator.
+job that does not run is refused, and so are --rank without --recover and
+--rank-disambiguate without --stage roma-n.  Exit codes: 0 success, 2 bad
+input, flags or config, 3 infeasible generator.
 """
 
 from __future__ import annotations
@@ -208,7 +209,8 @@ def _emit(text: str, out) -> None:
 
 
 def _refuse_unread(parser: argparse.ArgumentParser, args) -> None:
-    """Exit 2 naming each set flag of the job that does not run.
+    """Exit 2 naming each set flag of the job that does not run, and each
+    detect flag that the rest of the detect run would not read.
 
     A flag counts as set when its value differs from its default.
     """
@@ -219,6 +221,12 @@ def _refuse_unread(parser: argparse.ArgumentParser, args) -> None:
     if unread:
         parser.error(f"--experiment {args.experiment} does not read "
                      f"{', '.join(unread)}")
+    if args.experiment != "detect":
+        return  # run_experiment refuses the config fields a run does not read
+    if args.basis_rank is not None and not args.recover:
+        parser.error("--rank needs --recover")
+    if args.rank_disambiguate and args.stage != "roma-n":
+        parser.error("--rank-disambiguate needs --stage roma-n")
 
 
 def main(argv=None) -> int:

@@ -2,18 +2,20 @@
 
 Points are stored one per column in float64 matrices.  CSV files may lay
 points out either way; ``orientation`` says which.  Files are read as UTF-8
-with an optional byte-order mark.  A field is read with Python's ``float()``
-after ``str.strip()``: surrounding whitespace, quotes and digit underscores
-(``1_000``) are accepted, and the value must be finite.  An optional single
-header row is auto-detected: a first row none of whose fields parse as
-finite numbers.  A first row that parses only in part is a data row with a
-bad field, not a header.  A malformed file raises at its first bad field in
-file order, with 1-based row and column.  All containers are frozen and
-their arrays are marked read-only after validation.
+with an optional byte-order mark; a byte that is not UTF-8 raises at its
+line.  A field is read with Python's ``float()`` after ``str.strip()``:
+surrounding whitespace, quotes and digit underscores (``1_000``) are
+accepted, and the value must be finite.  An optional single header row is
+auto-detected: a first row none of whose fields parse as finite numbers.
+A first row that parses only in part is a data row with a bad field, not a
+header.  A malformed file raises at its first bad field in file order, with
+1-based row and column.  All containers are frozen and their arrays are
+marked read-only after validation.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import enum
 import io
@@ -56,7 +58,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _check_basis(basis: np.ndarray, n: int, tol: float = BASIS_ORTHO_TOL) -> np.ndarray:
+def _check_basis(basis: np.ndarray, n: int) -> np.ndarray:
     basis = np.ascontiguousarray(basis, dtype=float)
     if basis.ndim != 2 or basis.shape[0] != n:
         raise DimensionError(
@@ -64,7 +66,7 @@ def _check_basis(basis: np.ndarray, n: int, tol: float = BASIS_ORTHO_TOL) -> np.
     if basis.shape[1] < 1 or basis.shape[1] > n:
         raise DimensionError(f"basis rank must lie in [1, {n}], got {basis.shape[1]}")
     gram = basis.T @ basis
-    if not np.allclose(gram, np.eye(basis.shape[1]), atol=tol, rtol=0.0):
+    if not np.allclose(gram, np.eye(basis.shape[1]), atol=BASIS_ORTHO_TOL, rtol=0.0):
         raise ValidationError("basis columns are not orthonormal")
     return basis
 
@@ -193,10 +195,6 @@ class SubspaceBasis:
         object.__setattr__(self, "values", _freeze(_check_basis(values, values.shape[0])))
 
     @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def rank(self) -> int:
         return self.values.shape[1]
 
@@ -229,13 +227,48 @@ def _survey(src) -> tuple[int, bool]:
     quoted = False
     tail = b""  # the last byte so far, whose successor decides a lone \r
     while chunk := src.read(_SURVEY_CHUNK):
-        lines += chunk.count(b"\n")
+        lines += _line_ends(tail, chunk)
         quoted = quoted or b'"' in chunk
-        if tail == b"\r" or b"\r" in chunk:
-            a = np.frombuffer(tail + chunk, dtype=np.uint8)
-            lines += int(np.count_nonzero((a[:-1] == 13) & (a[1:] != 10)))
         tail = chunk[-1:]
     return lines + (tail not in (b"", b"\n")), quoted
+
+
+def _line_ends(tail: bytes, chunk: bytes) -> int:
+    """The line ends that ``chunk`` decides: each ``\\n``, and each ``\\r``
+    followed by a byte other than ``\\n``.  ``tail`` is the byte before the
+    chunk; a ``\\r`` that ends the chunk waits for the next one.
+    """
+    ends = chunk.count(b"\n")
+    if tail == b"\r" or b"\r" in chunk:
+        a = np.frombuffer(tail + chunk, dtype=np.uint8)
+        ends += int(np.count_nonzero((a[:-1] == 13) & (a[1:] != 10)))
+    return ends
+
+
+def _undecodable_line(src) -> int | None:
+    """The 1-based line of the first byte of ``src`` that is not UTF-8, with
+    lines ended as in ``_survey``; None when every byte decodes.
+
+    The loader's text reader decodes ahead in chunks, so the row it was
+    parsing when decoding failed need not hold the bad byte.  Only a file
+    that fails to decode is read again here.
+    """
+    src.seek(0)
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    ends, tail = 0, b""
+    while True:
+        chunk = src.read(_SURVEY_CHUNK)
+        try:
+            decoder.decode(chunk, final=not chunk)
+        except UnicodeDecodeError as exc:
+            # exc.object: the bytes held over from the chunk before, then this one
+            bad = exc.start - (len(exc.object) - len(chunk))
+            # a bad byte is never \n or \r, so it decides a \r just before it
+            return ends + _line_ends(tail, chunk[:max(0, bad + 1)]) + 1
+        if not chunk:
+            return None  # the file changed after it failed to decode
+        ends += _line_ends(tail, chunk)
+        tail = chunk[-1:]
 
 
 def _split(line: str) -> list[str]:
@@ -268,7 +301,8 @@ def load_csv_matrix(path, orientation: str = "points-as-rows") -> DataMatrix:
     ignored.  Errors carry 1-based file coordinates and name the first bad
     field in file order: rows are checked one at a time, width first, then
     their fields from left to right.  A field longer than
-    ``csv.field_size_limit()`` is a ParseError at its row.
+    ``csv.field_size_limit()`` is a ParseError at its row, and so is a byte
+    that is not UTF-8, at its line.
 
     Memory: one pass over the file's bytes counts its records, and a second
     parses each row straight into one float64 array of exactly the
@@ -289,16 +323,16 @@ def load_csv_matrix(path, orientation: str = "points-as-rows") -> DataMatrix:
         records, quoted = _survey(src)
         src.seek(0)
         fh = io.TextIOWrapper(src, encoding="utf-8-sig", newline="")
-        if quoted:  # a quoted field may span lines: count records, not lines
-            records = 0
-            try:
-                for _ in csv.reader(fh):
-                    records += 1
-            except csv.Error:  # raised again below, after the rows before it
-                records += 1
-            fh.seek(0)
         i = 0
         try:
+            if quoted:  # a quoted field may span lines: count records, not lines
+                records = 0
+                try:
+                    for _ in csv.reader(fh):
+                        records += 1
+                except csv.Error:  # raised again below, after the rows before it
+                    records += 1
+                fh.seek(0)
             for raw in csv.reader(fh) if quoted else map(_split, fh):
                 i += 1
                 if arr is None:
@@ -326,6 +360,8 @@ def load_csv_matrix(path, orientation: str = "points-as-rows") -> DataMatrix:
                 del raw  # so that the next row's fields are not made beside these
         except csv.Error as exc:  # a field over csv.field_size_limit()
             raise ParseError(str(exc), row=i + 1) from None
+        except UnicodeDecodeError:
+            raise ParseError("not UTF-8 text", row=_undecodable_line(src)) from None
     if arr is None:
         raise ParseError("no data rows found")
     if k != size:

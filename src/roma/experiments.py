@@ -400,8 +400,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.trials < 1:
         raise ValidationError(f"trials must be at least 1, got {cfg.trials}")
     default = default_config(cfg.experiment)
+    reads = _ALWAYS_READ | exp.reads
+    if cfg.stage == "roma":  # ``_detect`` reads rank_disambiguate for roma-n only
+        reads -= {"rank_disambiguate"}
     ignored = sorted(f.name for f in dataclasses.fields(cfg)
-                     if f.name not in _ALWAYS_READ | exp.reads
+                     if f.name not in reads
                      and getattr(cfg, f.name) != getattr(default, f.name))
     if ignored:
         raise ValidationError(

@@ -428,10 +428,6 @@ def _add_noise(values: np.ndarray, labels: np.ndarray, snr_db: float,
 
 _MODEL_NAMES = {cls: name for registry in (_INLIER_MODELS, _OUTLIER_MODELS)
                 for name, cls in registry.items()}
-# Keys of sidecars from before an option was removed, and the one value still generated.
-_RETIRED = {SynthSpec: {"noise_target": "inliers"},
-            ClusteredOutliers: {"literal_scale": False},
-            BoundedConeOutliers: {"within_subspace": False}}
 
 
 def _params(cls, d, where: str) -> dict:
@@ -439,19 +435,14 @@ def _params(cls, d, where: str) -> dict:
     that ``cls`` does not take or that ``d`` lacks."""
     if not isinstance(d, dict):
         raise ValidationError(f"{where}: expected a JSON object, got {d!r}")
-    retired = _RETIRED.get(cls, {})
-    for key, kept in retired.items():
-        if d.get(key, kept) != kept:
-            raise ValidationError(f"{where}: {key} = {d[key]!r} cannot be generated")
-    params = {k: v for k, v in d.items() if k not in retired}
     fields = {f.name: f for f in dataclasses.fields(cls)}
-    for key in params:
+    for key in d:
         if key not in fields:
             raise ValidationError(f"{where}: {cls.__name__} takes no key {key!r}")
     for key, f in fields.items():
-        if key not in params and f.default is dataclasses.MISSING:
+        if key not in d and f.default is dataclasses.MISSING:
             raise ValidationError(f"{where}: missing key {key!r}")
-    return params
+    return dict(d)
 
 
 def _model_from_dict(d, registry: dict, where: str):
@@ -478,12 +469,10 @@ def spec_from_dict(d: dict) -> SynthSpec:
 
 
 def export_dataset(dataset: SynthDataset, csv_path,
-                   orientation: str = "points-as-rows",
-                   sidecar_path=None) -> str:
-    """Write the dataset as CSV plus a JSON sidecar (spec, labels, basis)."""
+                   orientation: str = "points-as-rows") -> str:
+    """Write the CSV and its JSON sidecar (spec, labels, basis), <csv_path>.json."""
     write_csv(dataset.matrix, csv_path, orientation)
-    if sidecar_path is None:
-        sidecar_path = str(csv_path) + ".json"
+    sidecar_path = str(csv_path) + ".json"
     payload = {
         "orientation": orientation,
         "spec": spec_to_dict(dataset.spec),
@@ -493,7 +482,7 @@ def export_dataset(dataset: SynthDataset, csv_path,
     }
     with open(sidecar_path, "w") as fh:
         json.dump(payload, fh, indent=1)
-    return str(sidecar_path)
+    return sidecar_path
 
 
 def load_sidecar(path) -> dict:

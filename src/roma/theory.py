@@ -40,8 +40,6 @@ def _check_counts(n: int, r: int, num_points: int) -> tuple[int, int, int]:
         raise ValueError(f"ambient dimension must be at least 3, got {n}")
     if not 3 <= r <= n:
         raise ValueError(f"rank must lie in [3, n={n}], got {r}")
-    if num_points < 2:
-        raise ValueError(f"need at least 2 points, got {num_points}")
     return n, r, num_points
 
 

@@ -55,16 +55,22 @@ def compute_cn(num_points: int) -> float:
 
 
 def zeta_with_center(n: int, num_points: int, center: float, mode: str) -> ThresholdSpec:
-    """Assemble a ThresholdSpec for an explicit center angle."""
+    """Assemble a ThresholdSpec for an explicit center angle.
+
+    zeta must lie in (0, pi/2), where the detector's scan is defined;
+    outside it is a DegenerateRegimeError.
+    """
     n = int(n)
-    if n < 3:
-        raise ValueError(f"ambient dimension must be at least 3, got {n}")
     c_n = compute_cn(num_points)
     zeta = center - c_n * angle_sigma(n)
     if zeta <= 0.0:
         raise DegenerateRegimeError(
             f"threshold {zeta:.4f} <= 0 at n={n}, N={num_points}; "
             "the angle concentration is too weak for this dimension")
+    if zeta >= _HALF_PI:
+        raise DegenerateRegimeError(
+            f"threshold {zeta:.4f} >= pi/2 at n={n}, N={num_points}; "
+            f"the center {float(center):.4f} lies too far above pi/2")
     return ThresholdSpec(n=n, num_points=int(num_points), c_n=c_n, zeta=zeta,
                          mode=mode, center=float(center))
 

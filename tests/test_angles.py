@@ -128,7 +128,7 @@ def test_blocked_matches_full(block, monkeypatch):
     assert closest_pair(v, scan.q) == brute_heads(v)[:2]
 
 
-def test_angle_scores_dispatch_agrees(monkeypatch):
+def test_every_block_height_gives_the_oracle_scores(monkeypatch):
     # every block size the byte budget can pick gives the oracle's scores
     v = unit_cloud(7, 30, 10)
     for rows in (1, 4, 30):
@@ -169,20 +169,27 @@ def test_na_at_the_cut_matches_oracle(rows, monkeypatch):
     np.testing.assert_array_equal(na, brute_na(v, zeta))
 
 
-def test_angle_scores_normalizes_containers_only():
-    # containers are normalized on the way in; a bare array must already be
-    # unit norm so silent rescaling never hides a data bug
+def test_kernels_take_unit_columns_and_refuse_others():
+    # a NormalizedMatrix or an array of unit columns, the same bits either
+    # way; the kernels rescale nothing, so silent rescaling never hides a
+    # data bug
     from roma.data import DataMatrix
     rng = np.random.default_rng(11)
     raw = rng.standard_normal((6, 12)) * 7.5
-    a = gram_scan(DataMatrix(raw), 1.0)
-    b = gram_scan(normalize_columns(raw), 1.0)
-    np.testing.assert_allclose(a.q, b.q, rtol=0.0, atol=1e-12)
-    with pytest.raises(ValidationError):
-        gram_scan(raw, 1.0)
+    unit = normalize_columns(raw)
+    a, b = gram_scan(unit, 1.0), gram_scan(unit.values, 1.0)
+    assert np.array_equal(a.q, b.q) and np.array_equal(a.na, b.na)
+    assert sample_mean_angle(unit) == sample_mean_angle(unit.values)
+    assert np.array_equal(acute_row(unit, 3), acute_row(unit.values, 3))
+    for kernel in (lambda x: gram_scan(x, 1.0), sample_mean_angle,
+                   lambda x: acute_row(x, 0)):
+        with pytest.raises(ValidationError, match="not unit norm"):
+            kernel(raw)
+        with pytest.raises(TypeError):
+            kernel(DataMatrix(raw))
 
 
-def test_min_pair_finds_planted_pair(monkeypatch):
+def test_closest_pair_finds_planted_pair(monkeypatch):
     v = unit_cloud(6, 25, 12)
     w = v[:, 4] + 1e-6 * v[:, 9]
     v[:, 17] = w / np.linalg.norm(w)
@@ -191,7 +198,7 @@ def test_min_pair_finds_planted_pair(monkeypatch):
     assert closest(v) == (4, 17)
 
 
-def test_min_pair_tie_breaks_row_major(monkeypatch):
+def test_closest_pair_tie_breaks_row_major(monkeypatch):
     # standard basis columns give exact 0/1 dot products, so the two planted
     # coincident pairs tie at angle exactly zero
     v = np.zeros((6, 10))
@@ -207,7 +214,7 @@ def test_min_pair_tie_breaks_row_major(monkeypatch):
         assert closest(v) == (0, 3)
 
 
-def test_min_pair_ties_in_angle_not_gram(monkeypatch):
+def test_closest_pair_ties_in_angle_not_gram(monkeypatch):
     # two Gram values one double apart with the same arccos: the pairs tie
     # in angle, so the first in row-major order wins, not the larger |g|
     lo = 0.3

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -31,6 +32,7 @@ DELETED_ATTRS = {
     ("synth", "SynthDataset"): ["point_snr"],
     ("angles", "AngleScores"): ["mean_theta", "zeta"],
     ("data", "Label"): ["UNKNOWN"],
+    ("data", "SubspaceBasis"): ["n"],
     ("theory", "ErpAlphaEstimate"): ["trials"],
 }
 
@@ -67,3 +69,10 @@ def test_deleted_attributes_are_gone(module, cls):
     for name in DELETED_ATTRS[module, cls]:
         assert not hasattr(owner, name)
         assert name not in fields
+
+
+def test_export_dataset_takes_no_sidecar_path():
+    # the sidecar is always written beside the CSV, at <csv>.json
+    from roma.synth import export_dataset
+    assert list(inspect.signature(export_dataset).parameters) == [
+        "dataset", "csv_path", "orientation"]

@@ -319,6 +319,24 @@ def test_load_field_limit_does_not_depend_on_a_quote(tmp_path, extra):
         assert outcomes[0][2:] == (2, None)
 
 
+@pytest.mark.parametrize("chunk", [1, 2, data._SURVEY_CHUNK])
+@pytest.mark.parametrize("body, line", [
+    (b"1,2,3\n4,5,6\n7,\xff8,9\n", 3),
+    (b'1,2,3\n"4",5,6\r\xff7,8,9\n', 3),  # csv.reader counts its records
+    (b"".join(b"%d,2,3\r\n" % k for k in range(3000)) + b"7,\xe2\x82,9\n", 3001),
+], ids=["quote-free", "quoted", "past-8-KiB"])
+def test_load_names_the_line_of_the_first_byte_that_is_not_utf8(
+        tmp_path, monkeypatch, body, line, chunk):
+    # the text reader decodes 8 KiB ahead, so the row it was parsing need
+    # not hold the bad byte; a small chunk splits a bad sequence across reads
+    path = tmp_path / "m.csv"
+    path.write_bytes(body)
+    monkeypatch.setattr(data, "_SURVEY_CHUNK", chunk)
+    with pytest.raises(ParseError, match="not UTF-8") as exc:
+        load_csv_matrix(path)
+    assert (exc.value.row, exc.value.column) == (line, None)
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_load_reads_a_pipe():
     # a stream that can be read only once, as from `--input <(...)`

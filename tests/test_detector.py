@@ -7,14 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from roma import angles, detector
-from roma.data import DataMatrix, Label, NormalizedMatrix, normalize_columns
-from roma.detector import RomaNResult, RomaResult, roma, roma_n
+from roma.data import DataMatrix, Label, normalize_columns
+from roma.detector import roma, roma_n
 from roma.errors import DegenerateRegimeError, ValidationError
 from roma.synth import (ClusteredInliers, ClusteredOutliers, SynthSpec,
                         UniformInliers, make_dataset)
 
-from _oracles import (brute_heads, brute_mean_principal, brute_min_scores,
-                      brute_na, dot_decisions)
+from _oracles import brute_heads, brute_min_scores, brute_na, dot_decisions
 
 
 def planted(seed=5, n=60, r=8, num_points=300, gamma=0.3):
@@ -92,6 +91,19 @@ def test_roma_adapted_centers_at_sample_mean():
     sigma = 1.0 / math.sqrt(ds.matrix.n - 2)
     assert res.threshold.zeta == pytest.approx(
         mean - res.threshold.c_n * sigma, abs=1e-15)
+
+
+def test_adapted_mode_refuses_a_threshold_at_or_above_half_pi():
+    # two tight antipodal pairs: every acute angle is small but the mean
+    # principal angle is about 2.04, so the adapted zeta (about 1.81) would
+    # lie above pi/2, where the scan is undefined
+    rng = np.random.default_rng(0)
+    u = np.eye(100)[0]
+    w = 0.01 * rng.standard_normal((100, 4))
+    x = np.column_stack([u + w[:, 0], u + w[:, 1], -u + w[:, 2], -u + w[:, 3]])
+    with pytest.raises(DegenerateRegimeError, match="center 2.04"):
+        roma(x, "adapted")
+    assert roma(x).partition.outliers.size == 0
 
 
 def test_roma_all_points_isolated_flags_everything():

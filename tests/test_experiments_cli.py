@@ -16,7 +16,8 @@ import roma.experiments as ex
 from roma.cli import main
 from roma.data import Label, load_csv_matrix
 from roma.errors import ValidationError
-from roma.synth import SynthSpec, export_dataset, load_sidecar, make_dataset
+from roma.synth import (ClusteredOutliers, SynthSpec, export_dataset, load_sidecar,
+                        make_dataset)
 
 
 def tiny(experiment, **overrides):
@@ -161,6 +162,24 @@ def test_fields_an_experiment_does_not_read_must_keep_its_defaults(
         experiment, field, value):
     with pytest.raises(ValidationError, match=field):
         ex.run_experiment(tiny(experiment, trials=1, **{field: value}))
+
+
+@pytest.mark.parametrize("experiment", ["structured", "mixed"])
+def test_rank_disambiguate_is_unread_at_stage_roma(experiment):
+    # _detect reads rank_disambiguate only for roma-n
+    cfg = tiny(experiment, trials=1, stage="roma", rank_disambiguate=True)
+    with pytest.raises(ValidationError, match="does not read rank_disambiguate"):
+        ex.run_experiment(cfg)
+    assert ex.audit(ex.run_experiment(cfg.replace(rank_disambiguate=False)))
+
+
+def test_gamma_experiments_draw_clustered_outliers():
+    cfg = tiny("validate-threshold", gamma_grid=(0.3,), trials=1,
+               outlier_model="clustered", mu=0.05)
+    (rec,) = ex.run_experiment(cfg).records
+    spec = ex._gamma_spec(cfg, rec.cell, rec.seed)
+    assert spec.outlier_model == ClusteredOutliers(mu=0.05)
+    assert np.array_equal(rec.labels, make_dataset(spec).matrix.labels)
 
 
 @pytest.mark.filterwarnings("ignore:Gaussian angle surrogate")
@@ -437,6 +456,39 @@ def test_cli_exit_2_on_config_conflicts(tmp_path, capsys):
     assert main(["--experiment", "mixed", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("experiment, fields, message", [
+    ("validate-threshold", {"num_points": 40, "outlier_model": "bogus"},
+     "unknown outlier model 'bogus'"),
+    ("validate-threshold", {"num_points": 40, "outlier_model": "bounded-cone"},
+     "bounded-cone outliers need theta_max"),
+    ("structured", {"split_grid": [[20, 10]], "stage": "bogus"},
+     "stage must be 'roma' or 'roma-n', got 'bogus'"),
+], ids=["outlier-model", "cone-without-theta-max", "stage"])
+def test_cli_exit_2_on_a_bad_config_value(tmp_path, capsys, experiment, fields, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 30, "rank": 3, "trials": 1, **fields}))
+    assert main(["--experiment", experiment, "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_exit_2_on_bad_labels(planted, tmp_path, capsys):
+    csv_path, labels_path, _ = planted
+    bad = tmp_path / "labels.txt"
+    bad.write_text(labels_path.read_text() + "inlier\n")
+    assert main(["--input", str(csv_path), "--labels", str(bad)]) == 2
+    assert "got 61 labels for 60 points" in capsys.readouterr().err
+    bad.write_text(labels_path.read_text().replace("inlier", "maybe", 1))
+    assert main(["--input", str(csv_path), "--labels", str(bad)]) == 2
+    assert "unrecognized label 'maybe'" in capsys.readouterr().err
+
+
+def test_cli_exit_2_on_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"1,2,3\n4,5,6\n7,\xff8,9\n")
+    assert main(["--input", str(path)]) == 2
+    assert "not UTF-8 text (row 3)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("experiment", ["oip-erp", "validate-threshold", "mixed"])
 def test_cli_exit_2_on_zero_trials(experiment, capsys):
     assert main(["--experiment", experiment, "--trials", "0"]) == 2
@@ -463,6 +515,28 @@ def test_cli_exit_2_on_a_flag_the_job_does_not_read(argv, unread, capsys):
         main(argv)
     assert exc.value.code == 2
     assert f"does not read {unread}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--input", "d.csv", "--rank", "5"], "--rank needs --recover"),
+    (["--input", "d.csv", "--rank-disambiguate"],
+     "--rank-disambiguate needs --stage roma-n"),
+    (["--input", "d.csv", "--stage", "roma", "--rank-disambiguate", "--recover"],
+     "--rank-disambiguate needs --stage roma-n"),
+], ids=["rank-without-recover", "disambiguate-default-stage",
+        "disambiguate-stage-roma"])
+def test_cli_exit_2_on_a_detect_flag_the_run_does_not_read(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_exit_2_on_rank_disambiguate_when_an_experiment_runs_stage_roma(capsys):
+    argv = ["--experiment", "structured", "--stage", "roma", "--rank-disambiguate",
+            "--trials", "1"]
+    assert main(argv) == 2
+    assert "does not read rank_disambiguate" in capsys.readouterr().err
 
 
 def test_cli_exit_3_on_infeasible_generator(capsys):

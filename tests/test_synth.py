@@ -485,25 +485,21 @@ def _edited_sidecar(tmp_path, spec, edit):
     return sidecar
 
 
-# keys of sidecars from before these options were removed: the one value
-# still generated loads, any other is refused
-@pytest.mark.parametrize("spec, where, key, kept, other", [
-    (base_spec(snr_db=10.0), None, "noise_target", "inliers", "all"),
+# keys of options removed before this version: a sidecar that holds one is
+# refused by the key's name, even at the one value still generated
+@pytest.mark.parametrize("spec, where, key, value", [
+    (base_spec(snr_db=10.0), None, "noise_target", "inliers"),
     (base_spec(outlier_model=ClusteredOutliers(mu=0.2)), "outlier_model",
-     "literal_scale", False, True),
+     "literal_scale", False),
     (base_spec(outlier_model=BoundedConeOutliers(theta_max=1.3)), "outlier_model",
-     "within_subspace", False, True),
+     "within_subspace", False),
 ])
-def test_old_sidecars_load_when_they_ask_for_what_is_generated(tmp_path, spec, where,
-                                                               key, kept, other):
-    def setter(value):
-        def edit(payload):
-            (payload["spec"] if where is None else payload["spec"][where])[key] = value
-        return edit
+def test_sidecars_with_a_removed_option_are_refused(tmp_path, spec, where, key, value):
+    def edit(payload):
+        (payload["spec"] if where is None else payload["spec"][where])[key] = value
 
-    assert load_sidecar(_edited_sidecar(tmp_path, spec, setter(kept)))["spec"] == spec
-    with pytest.raises(ValidationError, match=f"{key} = {other!r} cannot be generated"):
-        load_sidecar(_edited_sidecar(tmp_path, spec, setter(other)))
+    with pytest.raises(ValidationError, match=f"takes no key {key!r}"):
+        load_sidecar(_edited_sidecar(tmp_path, spec, edit))
 
 
 @pytest.mark.parametrize("edit, match", [

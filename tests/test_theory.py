@@ -61,6 +61,19 @@ def test_erp_impossibility_domain():
         erp_impossibility_alpha(100, 20, 1000, 1001)
 
 
+def test_nonempty_bound_domain():
+    for num_inliers in (2, 1001):
+        with pytest.raises(ValueError, match="num_inliers must lie in"):
+            nonempty_prob_lower_bound(100, 20, 1000, num_inliers)
+
+
+def test_max_rank_domain():
+    with pytest.raises(ValueError, match="ambient dimension must be at least 3"):
+        max_rank_sizable(2, 100)
+    with pytest.raises(ValueError, match="ambient dimension must be at least 3"):
+        max_rank_sizable_noisy(2, 100, 10.0)
+
+
 def test_nonempty_bound_reference():
     assert nonempty_prob_lower_bound(100, 10, 1000, 200) == pytest.approx(
         0.95172501422667048, rel=1e-13)
@@ -125,6 +138,8 @@ def test_count_bounds_domain():
         na_bound_prob(100, 0, 10)
     with pytest.raises(ValueError):
         structured_exact_prob(100, 90, 0)
+    with pytest.raises(ValueError, match="need at least 2 points"):
+        na_bound_prob(1, 1, 1)
 
 
 def test_gap_condition_both_branches():

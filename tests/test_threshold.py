@@ -109,3 +109,15 @@ def test_explicit_center_round_trip():
     assert spec.zeta == pytest.approx(1.4 - spec.c_n / math.sqrt(48), abs=1e-15)
     with pytest.raises(DegenerateRegimeError):
         zeta_with_center(50, 200, 0.3, "adapted")
+
+
+def test_explicit_center_refuses_a_threshold_at_or_above_half_pi():
+    # the scan is defined for zeta in (0, pi/2); a center far enough above
+    # pi/2, as the adapted mode gives on antipodal data, would leave it
+    spec = zeta_with_center(100, 4, 1.7, "adapted")
+    assert spec.zeta < math.pi / 2.0
+    edge = math.pi / 2.0 + spec.c_n / math.sqrt(98)
+    for center in (edge + 1e-12, 2.04):
+        with pytest.raises(DegenerateRegimeError,
+                           match=rf">= pi/2 .* center {center:.4f}"):
+            zeta_with_center(100, 4, center, "adapted")
