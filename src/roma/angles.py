@@ -10,7 +10,8 @@ flops of a full product.  Each block holds about ``_BLOCK_BYTES``, so the
 kernel's temporary memory is O(block * N) and never N x N.
 
 The kernels take a ``NormalizedMatrix`` or an (n, N) array of unit columns
-and rescale nothing; other columns are a ValidationError.
+and rescale nothing; other columns, and a ``DataMatrix``, are a
+ValidationError.
 
 No decision takes arccos over the N^2 entries.  Two identities give the
 scores from |g| directly:
@@ -65,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import UNIT_NORM_TOL, NormalizedMatrix
+from .data import UNIT_NORM_TOL, DataMatrix, NormalizedMatrix
 from .errors import DimensionError, ValidationError
 
 __all__ = [
@@ -105,6 +106,10 @@ _U16_MAX = 2 ** 16 - 1
 def _values(x) -> np.ndarray:
     if isinstance(x, NormalizedMatrix):
         return x.values
+    if isinstance(x, DataMatrix):
+        raise ValidationError(
+            "the kernels take unit columns: pass normalize_columns(m), "
+            "not a DataMatrix")
     return NormalizedMatrix(np.asarray(x, dtype=float)).values
 
 

@@ -111,7 +111,9 @@ def roma(m, mode: str = "theoretical") -> RomaResult:
 
 def _numerical_rank(cols: np.ndarray) -> int:
     centered = cols - cols.mean(axis=1, keepdims=True)
-    return numerical_rank(np.linalg.svd(centered, compute_uv=False))
+    # centered.T = Q R: R has the singular values of centered.
+    return numerical_rank(np.linalg.svd(np.linalg.qr(centered.T, mode="r"),
+                                        compute_uv=False))
 
 
 def roma_n(m, mode: str = "theoretical", *,

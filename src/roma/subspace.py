@@ -26,7 +26,13 @@ def numerical_rank(s: np.ndarray) -> int:
 
 
 def recover_subspace(m, inliers, rank="auto") -> SubspaceBasis:
-    """Thin SVD basis of the selected columns.
+    """Leading left singular vectors of the selected columns.
+
+    U and s come from the SVD of R^T, where R is the triangular factor of
+    a QR of the tall transpose of the k selected columns: cols.T = Q R
+    gives cols = R^T Q^T, the same U and s from an n x min(n, k) problem.
+    The basis is defined up to the sign of each column; its span is what
+    recovery fixes.
 
     Parameters
     ----------
@@ -42,7 +48,8 @@ def recover_subspace(m, inliers, rank="auto") -> SubspaceBasis:
     if inliers.min() < 0 or inliers.max() >= values.shape[1]:
         raise ValidationError("inlier indices out of range")
     cols = values[:, inliers]
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    u, s, _ = np.linalg.svd(np.linalg.qr(cols.T, mode="r").T,
+                            full_matrices=False)
     if rank == "auto":
         if s[0] == 0.0:
             raise ValidationError("selected columns are all zero")

@@ -487,10 +487,19 @@ def export_dataset(dataset: SynthDataset, csv_path,
 
 def load_sidecar(path) -> dict:
     """Read a sidecar back; labels become a Label-coded int8 array."""
-    with open(path, encoding="utf-8-sig") as fh:
-        payload = json.load(fh)
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            payload = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"sidecar {path} is not UTF-8 JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValidationError(f"sidecar {path} must hold a JSON object, "
+                              f"not {type(payload).__name__}")
     if "labels" not in payload:
         raise ValidationError(f"sidecar {path} has no 'labels'")
+    if not (isinstance(payload["labels"], list)
+            and all(isinstance(lab, str) for lab in payload["labels"])):
+        raise ValidationError(f"sidecar {path}: 'labels' must be a list of strings")
     name_to_code = {lab.name.lower(): np.int8(int(lab)) for lab in Label}
     try:
         labels = np.array([name_to_code[lab] for lab in payload["labels"]], dtype=np.int8)

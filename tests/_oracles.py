@@ -159,6 +159,15 @@ def brute_mean_principal(cols: np.ndarray) -> float:
     return float(np.mean(vals))
 
 
+def svd_subspace(cols: np.ndarray, rank="auto"):
+    """Rank, singular values and leading left singular vectors of ``cols``
+    from one direct thin SVD.  "auto" counts the singular values above
+    1e-8 times the largest, ``subspace.RANK_TOL`` written out."""
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    r = int((s > 1e-8 * s[0]).sum()) if rank == "auto" else rank
+    return r, s, u[:, :r]
+
+
 
 def column_inliers(model, basis, count, streams, index_offset=0):
     """Inlier columns drawn one column at a time (see ``column_dataset``)."""

@@ -185,7 +185,7 @@ def test_kernels_take_unit_columns_and_refuse_others():
                    lambda x: acute_row(x, 0)):
         with pytest.raises(ValidationError, match="not unit norm"):
             kernel(raw)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValidationError, match="normalize_columns"):
             kernel(DataMatrix(raw))
 
 

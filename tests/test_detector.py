@@ -13,7 +13,8 @@ from roma.errors import DegenerateRegimeError, ValidationError
 from roma.synth import (ClusteredInliers, ClusteredOutliers, SynthSpec,
                         UniformInliers, make_dataset)
 
-from _oracles import brute_heads, brute_min_scores, brute_na, dot_decisions
+from _oracles import (brute_heads, brute_min_scores, brute_na, dot_decisions,
+                      svd_subspace)
 
 
 def planted(seed=5, n=60, r=8, num_points=300, gamma=0.3):
@@ -360,3 +361,17 @@ def test_roma_n_memory_is_roma_s_plus_vectors(n, num_points):
     # second pass's buffers: only O(N) vectors (counts, one _dot row).
     m = planted(seed=1, n=n, r=10, num_points=num_points).matrix
     assert traced_peak(roma_n, m) <= traced_peak(roma, m) + 64 * num_points
+
+
+@pytest.mark.parametrize("count", [6, 20, 30, 45, 300])  # around k = n = 30
+@pytest.mark.parametrize("r", [1, 4, 12])
+def test_numerical_rank_matches_a_direct_svd(count, r):
+    # a cluster: r-dim deviations about a common point, so centred rank r
+    # (or count - 1 when fewer points than that)
+    rng = np.random.default_rng(100 * count + r)
+    center = rng.standard_normal((30, 1))
+    cols = center + rng.standard_normal((30, r)) @ rng.standard_normal((r, count))
+    want = min(r, count - 1)
+    centered = cols - cols.mean(axis=1, keepdims=True)
+    assert svd_subspace(centered)[0] == want
+    assert detector._numerical_rank(cols) == want

@@ -6,6 +6,8 @@ from roma.errors import DimensionError, ValidationError
 from roma.subspace import LRE_FLOOR, lre, recover_subspace
 from roma.synth import ColumnStreams, UniformInliers, random_subspace
 
+from _oracles import svd_subspace
+
 
 def planted_columns(n=40, r=6, count=80, seed=3):
     streams = ColumnStreams(seed)
@@ -70,6 +72,36 @@ def test_recover_accepts_datamatrix():
     basis, cols = planted_columns()
     rec = recover_subspace(DataMatrix(cols), np.arange(80))
     assert lre(basis, rec) <= -12.0
+
+
+def spread_columns(n, r, count, seed, noise=0.0):
+    """count columns on a random r-dim subspace of R^n whose directions
+    carry weights r, r - 1, ..., 1, so leading subspaces are well apart."""
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    cols = basis @ (np.arange(r, 0, -1.0)[:, None] * rng.standard_normal((r, count)))
+    return cols + noise * rng.standard_normal((n, count))
+
+
+def assert_matches_svd(cols, rec, rank):
+    r, s, u = svd_subspace(cols, rank)
+    assert rec.rank == r
+    # U^T cols = S V^T: each basis vector carries its singular value, in order
+    got = np.linalg.norm(rec.values.T @ cols, axis=1)
+    assert np.max(np.abs(got - s[:r])) <= 1e-13 * s[0]
+    proj = rec.values @ rec.values.T - u @ u.T
+    assert np.max(np.abs(proj)) <= 1e-12
+
+
+@pytest.mark.parametrize("count", [12, 30, 200])  # k < n, k == n, k > n
+def test_recover_matches_a_direct_svd(count):
+    cols = spread_columns(30, 5, count, seed=count)
+    rec = recover_subspace(cols, np.arange(count))
+    assert rec.rank == 5  # noiseless rank-5 data
+    assert_matches_svd(cols, rec, "auto")
+    assert_matches_svd(cols, recover_subspace(cols, np.arange(count), rank=3), 3)
+    noisy = spread_columns(30, 5, count, seed=count, noise=1e-3)
+    assert_matches_svd(noisy, recover_subspace(noisy, np.arange(count), rank=5), 5)
 
 
 def test_lre_identical_basis_at_rounding_level():

@@ -593,3 +593,19 @@ def test_load_sidecar_rejects_unknown_label(tmp_path):
             json.dump(payload, fh)
         with pytest.raises(ValidationError, match=f"unknown label '{label}'"):
             load_sidecar(sidecar)
+
+
+@pytest.mark.parametrize("content, match", [
+    (b'{"labels": ["inlier"', "not UTF-8 JSON"),
+    (b"\xff", "not UTF-8 JSON"),
+    (b"5", "must hold a JSON object, not int"),
+    (b'{"labels": 5}', "'labels' must be a list of strings"),
+    (b'{"labels": [["inlier"]]}', "'labels' must be a list of strings"),
+], ids=["truncated", "not-utf8", "not-an-object", "labels-not-a-list",
+        "label-not-a-string"])
+def test_load_sidecar_refuses_unparsable_files_by_path(tmp_path, content, match):
+    sidecar = tmp_path / "d.json"
+    sidecar.write_bytes(content)
+    with pytest.raises(ValidationError, match=match) as info:
+        load_sidecar(sidecar)
+    assert str(sidecar) in str(info.value)
