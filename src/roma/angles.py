@@ -51,7 +51,9 @@ The scan recomputes with ``_dot`` every entry whose decision E leaves open:
 its row or its column point (q: a point's entry at its exact peak lies
 within E of it, so within 2E of that peak).  So q and na equal what
 ``_dot`` over every pair gives, whatever the BLAS build or the block
-height.  ``acute_row`` is ``_dot`` throughout.
+height.  ``acute_row`` is ``_dot`` throughout.  A pass without the na counts
+(``count_na=False``) leaves out the compares with the cut and the open band;
+its scores count na on first read (see ``AngleScores``).
 
 The mean principal angle is informational, except in the adapted mode where
 it centres the threshold.  ``sample_mean_angle`` computes it in its own
@@ -62,11 +64,10 @@ follow the BLAS's rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .data import UNIT_NORM_TOL, DataMatrix, NormalizedMatrix
+from .data import UNIT_NORM_TOL, DataMatrix, NormalizedMatrix, _freeze, _owned
 from .errors import DimensionError, ValidationError
 
 __all__ = [
@@ -110,7 +111,7 @@ def _values(x) -> np.ndarray:
         raise ValidationError(
             "the kernels take unit columns: pass normalize_columns(m), "
             "not a DataMatrix")
-    return NormalizedMatrix(np.asarray(x, dtype=float)).values
+    return NormalizedMatrix(x).values
 
 
 def _cut(theta: float) -> float:
@@ -219,24 +220,42 @@ def _rounded(x, dtype, side: int) -> np.ndarray:
             + side * float(np.finfo(dtype).eps)).astype(dtype)
 
 
-@dataclass(frozen=True, eq=False)
 class AngleScores:
-    """Per-point angle statistics at a fixed threshold zeta: q is the
-    nearest-neighbor acute angle, na counts acute angles strictly above
-    zeta."""
+    """Per-point angle statistics at a fixed threshold zeta: ``q`` is the
+    nearest-neighbor acute angle, ``na`` counts acute angles strictly above
+    zeta.  Both are read-only 1-d arrays of one entry per point.
 
-    q: np.ndarray
-    na: np.ndarray
+    Scores from a pass without counts (``gram_scan(..., count_na=False)``)
+    hold that pass's unit columns and zeta in place of ``na``.  The first
+    read of ``na`` counts it by one counted ``gram_scan`` over them, keeps
+    the counts and drops the columns.  So until then the scores hold an
+    n x N float64 array, and they pickle as data, columns or counts.
+    """
 
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        na = np.asarray(self.na, dtype=np.int64)
+    def __init__(self, q, na):
+        q, na = _owned(q, np.float64), _owned(na, np.int64)
         if q.shape != na.shape or q.ndim != 1:
             raise DimensionError("q and na must be 1-d arrays of equal length")
-        q.setflags(write=False)
-        na.setflags(write=False)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "na", na)
+        self._q, self._na, self._pending = q, na, None
+
+    @classmethod
+    def _uncounted(cls, q: np.ndarray, v: np.ndarray, zeta: float) -> AngleScores:
+        """Scores whose na is counted from unit columns ``v`` at ``zeta``
+        on first read."""
+        scores = cls.__new__(cls)
+        scores._q, scores._na, scores._pending = q, None, (v, zeta)
+        return scores
+
+    @property
+    def q(self) -> np.ndarray:
+        return self._q
+
+    @property
+    def na(self) -> np.ndarray:
+        if self._na is None:
+            v, zeta = self._pending
+            self._na, self._pending = gram_scan(v, zeta).na, None
+        return self._na
 
 
 def _block_rows(n_pts: int) -> int:
@@ -266,16 +285,17 @@ def _fold(peak, v, held, thr) -> None:
     held.clear()
 
 
-def gram_scan(x, zeta: float) -> AngleScores:
+def gram_scan(x, zeta: float, *, count_na: bool = True) -> AngleScores:
     """One pass over the upper band of the Gram matrix.
 
     Gives the nearest acute angle q_i and na_i = #{j : phi_ij > zeta}, each
-    exact against ``_dot`` (see the module docstring).
+    exact against ``_dot`` (see the module docstring).  With ``count_na``
+    False the pass leaves out the counting steps, and the scores count na
+    on first read by a counted pass (see ``AngleScores``).
     """
     zeta = float(zeta)
     if not (0.0 < zeta < _HALF_PI):
         raise ValueError(f"threshold must lie in (0, pi/2), got {zeta!r}")
-    cut = _cut(zeta)
     v = _checked(x)
     n_pts = v.shape[1]
     dtype = _scan_dtype(v.shape[0])
@@ -286,9 +306,11 @@ def gram_scan(x, zeta: float) -> AngleScores:
     hit_buf = np.empty((2, rows * n_pts), dtype=bool)
     # Diagonal and below of a block's leading square: pairs seen elsewhere.
     lower = np.tri(rows, dtype=bool)
-    near = np.zeros(n_pts, dtype=np.int64)
-    # below lo: surely under t; from hi up: surely at or above it
-    lo, hi = _rounded(cut - err, dtype, -1), _rounded(cut + err, dtype, 1)
+    if count_na:
+        cut = _cut(zeta)
+        near = np.zeros(n_pts, dtype=np.int64)
+        # below lo: surely under t; from hi up: surely at or above it
+        lo, hi = _rounded(cut - err, dtype, -1), _rounded(cut + err, dtype, 1)
 
     # Candidates: the entries at or above 2E below the running peak (the
     # largest entry so far) of their row or their column point.  A point's
@@ -314,19 +336,20 @@ def gram_scan(x, zeta: float) -> AngleScores:
         np.abs(g, out=g)
         np.copyto(g[:, :height], -1.0, where=lower[:height, :height])
         hit, other = (b[:size].reshape(shape) for b in hit_buf)
-        np.greater_equal(g, lo, out=hit)
-        row_hits = _count(hit, 1)
-        near[start:stop] += row_hits
-        near[start:] += _count(hit, 0)
-        np.greater_equal(g, hi, out=hit)
-        open_rows = np.flatnonzero(_count(hit, 1) != row_hits)
-        if open_rows.size:  # entries in [lo, hi): counted as near, so far
-            sub = g[open_rows]
-            r, c = np.divmod(np.flatnonzero((sub >= lo) & (sub < hi)), width)
-            i, j = start + open_rows[r], start + c
-            under = np.abs(_dot(v, i, j)) < cut
-            np.subtract.at(near, i[under], 1)
-            np.subtract.at(near, j[under], 1)
+        if count_na:
+            np.greater_equal(g, lo, out=hit)
+            row_hits = _count(hit, 1)
+            near[start:stop] += row_hits
+            near[start:] += _count(hit, 0)
+            np.greater_equal(g, hi, out=hit)
+            open_rows = np.flatnonzero(_count(hit, 1) != row_hits)
+            if open_rows.size:  # entries in [lo, hi): counted as near, so far
+                sub = g[open_rows]
+                r, c = np.divmod(np.flatnonzero((sub >= lo) & (sub < hi)), width)
+                i, j = start + open_rows[r], start + c
+                under = np.abs(_dot(v, i, j)) < cut
+                np.subtract.at(near, i[under], 1)
+                np.subtract.at(near, j[under], 1)
         # The peaks of this block's points are final from here on: the
         # blocks above hold the rest of their columns.
         np.maximum(peak[start:], g.max(axis=0), out=peak[start:])
@@ -350,7 +373,10 @@ def gram_scan(x, zeta: float) -> AngleScores:
                 _fold(exact, v, held, peak_floor(peak))
                 n_held = 0
     _fold(exact, v, held, peak_floor(peak))
-    return AngleScores(q=np.arccos(np.minimum(exact, 1.0)), na=n_pts - 1 - near)
+    q = _freeze(np.arccos(np.minimum(exact, 1.0)))
+    if count_na:
+        return AngleScores(q, _freeze(n_pts - 1 - near))
+    return AngleScores._uncounted(q, v, zeta)
 
 
 def sample_mean_angle(x) -> float:

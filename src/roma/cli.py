@@ -19,7 +19,7 @@ import numpy as np
 
 from . import experiments
 from .data import Label, Partition, load_csv_matrix
-from .detector import roma, roma_n
+from .detector import _stage1, roma_n
 from .errors import FeasibilityError, RomaError
 from .experiments import ExperimentConfig, config_from_dict, default_config
 from .subspace import recover_subspace
@@ -132,7 +132,7 @@ def _detect_report(args) -> dict:
     orientation = f"points-as-{args.orientation}"
     matrix = load_csv_matrix(args.input, orientation=orientation)
     if stage == "roma":
-        res = roma(matrix, mode)
+        res = _stage1(matrix, mode, count_na=True)  # the report prints na
         stage2 = None
     else:
         res2 = roma_n(matrix, mode, rank_disambiguate=args.rank_disambiguate)

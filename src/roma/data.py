@@ -58,8 +58,18 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _owned(x, dtype) -> np.ndarray:
+    """``x`` as a read-only C-contiguous ``dtype`` array that no caller can
+    write through: a read-only array that already is one is taken as it is,
+    anything else is copied once."""
+    if (isinstance(x, np.ndarray) and not x.flags.writeable
+            and x.flags.c_contiguous and x.dtype == dtype):
+        return x
+    return _freeze(np.array(x, dtype=dtype, order="C"))
+
+
 def _check_basis(basis: np.ndarray, n: int) -> np.ndarray:
-    basis = np.ascontiguousarray(basis, dtype=float)
+    basis = _owned(basis, np.float64)
     if basis.ndim != 2 or basis.shape[0] != n:
         raise DimensionError(
             f"basis must be an {n} x r matrix, got shape {basis.shape}")
@@ -80,7 +90,7 @@ class DataMatrix:
     true_basis: np.ndarray | None = None
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=float)
+        values = _owned(self.values, np.float64)
         if values.ndim != 2:
             raise DimensionError(f"values must be 2-d, got ndim={values.ndim}")
         if not np.all(np.isfinite(values)):
@@ -91,19 +101,19 @@ class DataMatrix:
         zero = np.flatnonzero(np.einsum("ij,ij->j", values, values) == 0.0)
         if zero.size:
             raise ValidationError(f"zero columns at indices {zero.tolist()}")
-        object.__setattr__(self, "values", _freeze(values))
+        object.__setattr__(self, "values", values)
         if self.labels is not None:
-            labels = np.ascontiguousarray(self.labels, dtype=np.int8)
+            labels = _owned(self.labels, np.int8)
             if labels.shape != (values.shape[1],):
                 raise DimensionError(
                     f"labels must have one entry per point, got shape {labels.shape}")
             valid = np.isin(labels, [int(v) for v in Label])
             if not valid.all():
                 raise ValidationError("labels must be Label values")
-            object.__setattr__(self, "labels", _freeze(labels))
+            object.__setattr__(self, "labels", labels)
         if self.true_basis is not None:
             object.__setattr__(
-                self, "true_basis", _freeze(_check_basis(self.true_basis, values.shape[0])))
+                self, "true_basis", _check_basis(self.true_basis, values.shape[0]))
 
     @property
     def n(self) -> int:
@@ -126,14 +136,14 @@ class NormalizedMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=float)
+        values = _owned(self.values, np.float64)
         if values.ndim != 2:
             raise DimensionError(f"values must be 2-d, got ndim={values.ndim}")
         norms = np.linalg.norm(values, axis=0)
         # written so that a NaN norm fails it too
         if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):
             raise ValidationError("columns are not unit norm")
-        object.__setattr__(self, "values", _freeze(values))
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:
@@ -189,10 +199,10 @@ class SubspaceBasis:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=float)
+        values = _owned(self.values, np.float64)
         if values.ndim != 2:
             raise DimensionError("basis must be 2-d")
-        object.__setattr__(self, "values", _freeze(_check_basis(values, values.shape[0])))
+        object.__setattr__(self, "values", _check_basis(values, values.shape[0]))
 
     @property
     def rank(self) -> int:
@@ -371,7 +381,7 @@ def load_csv_matrix(path, orientation: str = "points-as-rows") -> DataMatrix:
         raise DimensionError(f"ambient dimension must be at least 3, got {n}")
     if num_points < 2:
         raise ValidationError(f"need at least 2 points, got {num_points}")
-    return DataMatrix(arr)
+    return DataMatrix(_freeze(arr))
 
 
 def write_csv(matrix, path, orientation: str = "points-as-rows") -> None:
@@ -396,4 +406,4 @@ def normalize_columns(m) -> NormalizedMatrix:
     """
     if not isinstance(m, (DataMatrix, NormalizedMatrix)):
         m = DataMatrix(m)
-    return NormalizedMatrix(m.values / np.linalg.norm(m.values, axis=0))
+    return NormalizedMatrix(_freeze(m.values / np.linalg.norm(m.values, axis=0)))

@@ -12,11 +12,12 @@ index as the inlier head i* and the survivor farthest from it as the outlier
 head o*, then assigns every survivor to whichever head has the closer na
 count.  Ties go to the inlier side.  Stage-1 outliers stay outliers.
 
-Both stages share stage 1's Gram pass.  A stage-1 outlier has every angle
-above the threshold, so the survivors' na are stage 1's less the number of
-outliers.  The closest pair's angle, min q, is at most the threshold, so it
-is the closest surviving pair, and its lower index is the first point with
-q at the minimum.
+Both stages share stage 1's Gram pass, which ``roma_n`` makes with the na
+counts (``roma`` alone leaves them to be counted on first read).  A
+stage-1 outlier has every angle above the threshold, so the survivors' na
+are stage 1's less the number of outliers.  The closest pair's angle,
+min q, is at most the threshold, so it is the closest surviving pair, and
+its lower index is the first point with q at the minimum.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import AngleScores, acute_row, gram_scan, sample_mean_angle
-from .data import DataMatrix, NormalizedMatrix, Partition, normalize_columns
+from .data import NormalizedMatrix, Partition, _freeze, _owned, normalize_columns
 from .errors import DegenerateRegimeError, ValidationError
 from .subspace import numerical_rank
 from .threshold import MODES, ThresholdSpec, compute_zeta, zeta_with_center
@@ -53,9 +54,7 @@ class RomaNResult:
 
     def __post_init__(self):
         for name in ("survivors", "na_survivors"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _owned(getattr(self, name), np.int64))
 
 
 def _normalized(m) -> NormalizedMatrix:
@@ -78,9 +77,11 @@ def roma(m, mode: str = "theoretical") -> RomaResult:
 
     Returns a RomaResult whose scores carry q and na at the threshold
     actually used; in the adapted mode ``threshold.center`` is the sample
-    mean principal angle.  The theoretical mode makes one Gram pass for q
-    and na, in float32 up to n = 2048; the adapted mode first makes a
-    float64 pass for the mean.
+    mean principal angle.  The theoretical mode makes one Gram pass for q,
+    in float32 up to n = 2048; the adapted mode first makes a float64 pass
+    for the mean.  Stage 1 reads q alone, so na is counted on first read of
+    ``scores.na``, by one more Gram pass over the same unit columns and
+    zeta, and then kept (see ``AngleScores``).
 
     The decisions are a pure function of the input values: q, na and so the
     partition equal what the fixed-order float64 dot ``angles._dot`` over
@@ -92,8 +93,15 @@ def roma(m, mode: str = "theoretical") -> RomaResult:
 
     Memory: the matrix, plus O(n·N) copies (the unit-norm columns and, in
     float32, their cast), plus the block buffers of the Gram pass, about
-    ``angles._BLOCK_BYTES`` each.  Nothing is N x N.
+    ``angles._BLOCK_BYTES`` each.  Nothing is N x N.  The result keeps the
+    unit-norm columns (n x N float64) until ``scores.na`` is first read.
     """
+    return _stage1(m, mode, count_na=False)
+
+
+def _stage1(m, mode: str, *, count_na: bool) -> RomaResult:
+    """``roma`` with ``gram_scan``'s ``count_na``: True counts na in the
+    pass, for a caller that reads it."""
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     x = _normalized(m)
@@ -101,7 +109,7 @@ def roma(m, mode: str = "theoretical") -> RomaResult:
         spec = zeta_with_center(x.n, x.num_points, sample_mean_angle(x), mode)
     else:
         spec = compute_zeta(x.n, x.num_points)
-    scores = gram_scan(x, spec.zeta)
+    scores = gram_scan(x, spec.zeta, count_na=count_na)
     outliers = np.flatnonzero(scores.q > spec.zeta)
     inliers = np.flatnonzero(scores.q <= spec.zeta)
     partition = Partition(inliers=inliers, outliers=outliers,
@@ -134,12 +142,12 @@ def roma_n(m, mode: str = "theoretical", *,
     from that point.
     """
     x = _normalized(m)
-    stage1 = roma(x, mode)
+    stage1 = _stage1(x, mode, count_na=True)
     survivors = stage1.partition.inliers
     if survivors.size < 2:
         raise DegenerateRegimeError(
             f"stage 1 kept {survivors.size} point(s); stage 2 needs at least 2")
-    na_s = stage1.scores.na[survivors] - stage1.partition.outliers.size
+    na_s = _freeze(stage1.scores.na[survivors] - stage1.partition.outliers.size)
     # Every point of a pair tied at the smallest angle has q = min q, so the
     # first such point is the lower index of the row-major-first tied pair.
     head = int(np.argmin(stage1.scores.q))

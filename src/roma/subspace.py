@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .data import SubspaceBasis
+from .data import SubspaceBasis, _freeze
 from .errors import DimensionError, ValidationError
 
 __all__ = ["recover_subspace", "numerical_rank", "lre", "LRE_FLOOR"]
@@ -59,7 +59,7 @@ def recover_subspace(m, inliers, rank="auto") -> SubspaceBasis:
         if not 1 <= r <= min(cols.shape):
             raise ValidationError(
                 f"rank must lie in [1, {min(cols.shape)}], got {r}")
-    return SubspaceBasis(u[:, :r])
+    return SubspaceBasis(_freeze(np.ascontiguousarray(u[:, :r])))
 
 
 def lre(true_basis, est_basis) -> float:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataMatrix, Label, write_csv
+from .data import DataMatrix, Label, _freeze, write_csv
 from .errors import FeasibilityError, ValidationError
 
 __all__ = [
@@ -408,7 +408,8 @@ def make_dataset(spec: SynthSpec) -> SynthDataset:
     sigma = None
     if spec.snr_db is not None:
         sigma = _add_noise(values, labels, spec.snr_db, streams)
-    matrix = DataMatrix(values, labels=labels, true_basis=basis)
+    matrix = DataMatrix(_freeze(values), labels=_freeze(labels),
+                        true_basis=_freeze(basis))
     return SynthDataset(matrix=matrix, spec=spec, sigma=sigma)
 
 
@@ -505,11 +506,17 @@ def load_sidecar(path) -> dict:
         labels = np.array([name_to_code[lab] for lab in payload["labels"]], dtype=np.int8)
     except KeyError as exc:
         raise ValidationError(f"unknown label {exc.args[0]!r} in sidecar") from None
+    basis = payload.get("true_basis")
+    if basis is not None:
+        try:
+            basis = np.asarray(basis, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"sidecar {path}: 'true_basis' is not a numeric matrix: {exc}") from None
     return {
         "orientation": payload.get("orientation", "points-as-rows"),
         "spec": spec_from_dict(payload["spec"]) if "spec" in payload else None,
         "sigma": payload.get("sigma"),
         "labels": labels,
-        "true_basis": None if payload.get("true_basis") is None
-        else np.asarray(payload["true_basis"], dtype=float),
+        "true_basis": basis,
     }

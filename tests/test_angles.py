@@ -255,9 +255,12 @@ def test_scan_domain_errors():
 def test_angle_scores_validation():
     with pytest.raises(DimensionError):
         AngleScores(q=np.zeros(3), na=np.zeros(4, dtype=int))
-    scores = AngleScores(q=np.zeros(3), na=np.zeros(3, dtype=int))
+    q = np.zeros(3)
+    scores = AngleScores(q=q, na=np.zeros(3, dtype=np.int64))
     with pytest.raises(ValueError):
         scores.q[0] = 1.0
+    q[0] = 1.0  # the caller's array stays writeable and apart
+    assert scores.q[0] == 0.0
 
 
 def awkward_columns(n, seed):

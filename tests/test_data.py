@@ -12,6 +12,7 @@ from roma import data
 from roma.data import (DataMatrix, Label, NormalizedMatrix, Partition,
                        SubspaceBasis, load_csv_matrix, normalize_columns,
                        write_csv)
+from roma.detector import roma
 from roma.errors import DimensionError, ParseError, ValidationError
 
 from _oracles import csv_oracle
@@ -405,6 +406,40 @@ def test_datamatrix_is_frozen():
         m.values[0, 0] = 5.0
     with pytest.raises(AttributeError):
         m.values = np.eye(3)
+
+
+@pytest.mark.parametrize("build, given", [
+    (lambda a: DataMatrix(a).values, np.eye(3)),
+    (lambda a: DataMatrix(np.eye(3), labels=a).labels, np.array([0, 1, 1], dtype=np.int8)),
+    (lambda a: DataMatrix(np.eye(3), true_basis=a).true_basis, np.eye(3)),
+    (lambda a: NormalizedMatrix(a).values, np.eye(3)),
+    (lambda a: SubspaceBasis(a).values, np.eye(3)),
+    (lambda a: normalize_columns(a).values, np.eye(3)),
+], ids=["values", "labels", "true_basis", "normalized", "basis", "normalize_columns"])
+def test_containers_copy_a_writeable_array(build, given):
+    # a writeable C-contiguous array of the stored dtype, the case numpy
+    # would hand over uncopied, stays the caller's
+    stored = build(given)
+    assert given.flags.writeable
+    before = stored.copy()
+    given.flat[0] += 1
+    np.testing.assert_array_equal(stored, before)
+    assert not stored.flags.writeable
+
+
+def test_a_read_only_array_is_taken_as_it_is():
+    a = np.eye(3)
+    a.setflags(write=False)
+    assert DataMatrix(a).values is a
+    assert NormalizedMatrix(a).values is a
+
+
+def test_roma_leaves_the_callers_array_writeable():
+    a = np.random.default_rng(0).standard_normal((10, 40))
+    res = roma(a)
+    assert a.flags.writeable
+    a[:] = 1.0  # every column now equal: every q would be 0
+    assert (res.scores.q > 0).all()
 
 
 def test_datamatrix_labels():

@@ -1,4 +1,6 @@
+import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -6,12 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from roma import angles, detector
-from roma.data import DataMatrix, Label, normalize_columns
+from roma import angles, cli, detector
+from roma.data import DataMatrix, Label, normalize_columns, write_csv
 from roma.detector import roma, roma_n
 from roma.errors import DegenerateRegimeError, ValidationError
 from roma.synth import (ClusteredInliers, ClusteredOutliers, SynthSpec,
-                        UniformInliers, make_dataset)
+                        UniformInliers, UnstructuredOutliers, make_dataset)
 
 from _oracles import (brute_heads, brute_min_scores, brute_na, dot_decisions,
                       svd_subspace)
@@ -249,9 +251,9 @@ def test_roma_n_makes_one_gram_pass(mode, rank_disambiguate, monkeypatch):
     # stage 2 reads stage 1's scan; a second pass would double the Gram work
     calls = []
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return angles.gram_scan(*args)
+        return angles.gram_scan(*args, **kwargs)
 
     monkeypatch.setattr(detector, "gram_scan", counting)
     res = roma_n(planted(seed=32, gamma=0.2).matrix, mode,
@@ -375,3 +377,109 @@ def test_numerical_rank_matches_a_direct_svd(count, r):
     centered = cols - cols.mean(axis=1, keepdims=True)
     assert svd_subspace(centered)[0] == want
     assert detector._numerical_rank(cols) == want
+
+
+# The sweep the bitwise gates run on: N in {200, 1000, 2000}, unstructured
+# and clustered (mu = 0.05) outliers, seeds 1-3 with seed 2 at 20 dB, and
+# n = 100 rank 10 or n = 60 rank 6, all at gamma 0.3.
+SWEEP = [(num_points, clustered, seed, n, r)
+         for num_points in (200, 1000, 2000) for clustered in (False, True)
+         for seed in (1, 2, 3) for n, r in ((100, 10), (60, 6))]
+
+
+def sweep_matrix(num_points, clustered, seed, n, r):
+    model = ClusteredOutliers(mu=0.05) if clustered else UnstructuredOutliers()
+    return make_dataset(SynthSpec(n=n, num_points=num_points, rank=r, gamma=0.3,
+                                  seed=seed, snr_db=20.0 if seed == 2 else None,
+                                  outlier_model=model)).matrix
+
+
+def assert_lazy_na_is_the_counted_pass_s(m, mode, rows, monkeypatch):
+    with monkeypatch.context() as mp:
+        if rows is not None:
+            mp.setattr(angles, "_BLOCK_BYTES", 8 * m.num_points * rows)
+            mp.setattr(angles, "_MIN_BLOCKS", 1)
+        lazy = roma(m, mode)
+        counted = detector._stage1(m, mode, count_na=True)
+        assert (lazy.scores.q == counted.scores.q).all()
+        assert (lazy.scores.na == counted.scores.na).all()
+    np.testing.assert_array_equal(lazy.partition.outliers, counted.partition.outliers)
+    assert lazy.threshold == counted.threshold
+
+
+@pytest.mark.parametrize("mode", ["theoretical", "adapted"])
+@pytest.mark.parametrize("case", SWEEP, ids=lambda c: "-".join(map(str, c)))
+def test_lazy_na_is_the_counted_pass_s_on_the_sweep(case, mode, monkeypatch):
+    m = sweep_matrix(*case)
+    for rows in (None, 1, 7):  # the default block height, then 1 and 7 rows
+        assert_lazy_na_is_the_counted_pass_s(m, mode, rows, monkeypatch)
+
+
+@pytest.mark.parametrize("mode", ["theoretical", "adapted"])
+def test_lazy_na_is_the_counted_pass_s_on_tied_input(mode, monkeypatch):
+    # every column is +-d: every entry ties with every peak and with the cut
+    rng = np.random.default_rng(7)
+    d = rng.standard_normal(100)
+    m = DataMatrix(np.outer(d, rng.choice([-1.0, 1.0], 300)))
+    for rows in (None, 1, 7):
+        assert_lazy_na_is_the_counted_pass_s(m, mode, rows, monkeypatch)
+
+
+def count_passes(monkeypatch):
+    """Record ``count_na`` of each Gram pass, wherever it is called from."""
+    calls = []
+    scan = angles.gram_scan
+
+    def counting(x, zeta, *, count_na=True):
+        calls.append(count_na)
+        return scan(x, zeta, count_na=count_na)
+
+    monkeypatch.setattr(angles, "gram_scan", counting)
+    monkeypatch.setattr(detector, "gram_scan", counting)
+    return calls
+
+
+def test_reading_na_twice_makes_one_counted_pass(monkeypatch):
+    m = planted(seed=41).matrix
+    calls = count_passes(monkeypatch)
+    res = roma(m)
+    assert calls == [False]
+    first = res.scores.na
+    assert calls == [False, True]
+    assert res.scores.na is first
+    assert calls == [False, True]
+    assert not first.flags.writeable
+
+
+@pytest.mark.parametrize("mode", ["theoretical", "adapted"])
+def test_each_entry_point_makes_one_pass(mode, monkeypatch, tmp_path):
+    # roma reads q alone; roma_n and the CLI reports read na, so each makes
+    # the one pass that counts it, and no other
+    m = planted(seed=42, gamma=0.2).matrix
+    path, out = tmp_path / "m.csv", tmp_path / "r.json"
+    write_csv(m, path, orientation="points-as-columns")
+    argv = ["--input", str(path), "--orientation", "columns", "--mode", mode,
+            "--out", str(out)]
+    calls = count_passes(monkeypatch)
+    roma(m, mode)
+    assert calls == [False]
+    for run in (lambda: roma_n(m, mode),
+                lambda: cli.main(argv + ["--stage", "roma-n"]),
+                lambda: cli.main(argv)):
+        calls.clear()
+        run()
+        assert calls == [True]
+    # the stage-roma report's counts are roma's, read lazily
+    assert json.loads(out.read_text())["scores"]["na"] == roma(m, mode).scores.na.tolist()
+
+
+def test_a_result_pickles_before_na_is_read():
+    # the scores hold the unit columns and zeta, not a closure
+    m = planted(seed=43).matrix
+    res = roma(m)
+    blob = pickle.dumps(res)
+    na = res.scores.na
+    again = pickle.loads(blob)
+    assert (again.scores.q == res.scores.q).all()
+    assert (again.scores.na == na).all()
+    assert (pickle.loads(pickle.dumps(res)).scores.na == na).all()

@@ -601,8 +601,11 @@ def test_load_sidecar_rejects_unknown_label(tmp_path):
     (b"5", "must hold a JSON object, not int"),
     (b'{"labels": 5}', "'labels' must be a list of strings"),
     (b'{"labels": [["inlier"]]}', "'labels' must be a list of strings"),
+    (b'{"labels": [], "true_basis": "ab"}', "'true_basis' is not a numeric matrix"),
+    (b'{"labels": [], "true_basis": [[1, 2], [3]]}',
+     "'true_basis' is not a numeric matrix"),
 ], ids=["truncated", "not-utf8", "not-an-object", "labels-not-a-list",
-        "label-not-a-string"])
+        "label-not-a-string", "basis-not-numbers", "basis-ragged"])
 def test_load_sidecar_refuses_unparsable_files_by_path(tmp_path, content, match):
     sidecar = tmp_path / "d.json"
     sidecar.write_bytes(content)
