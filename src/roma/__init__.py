@@ -19,8 +19,7 @@ from .experiments import (EXPERIMENTS, RECOVERY_CUTOFF, ExperimentConfig,
                           ExperimentResult, TrialRecord, audit,
                           default_config, render_csv, render_json,
                           run_experiment)
-from .statcore import (angle_pdf, angle_sigma, folded_gaussian_moments,
-                       normal_cdf, normal_quantile, normal_sf, phi_moments)
+from .statcore import angle_sigma, normal_cdf, normal_quantile, phi_moments
 from .subspace import LRE_FLOOR, lre, recover_subspace
 from .synth import (BoundedConeOutliers, ClusteredInliers, ClusteredOutliers,
                     ColumnStreams, MixedOutliers, SynthDataset, SynthSpec,
@@ -44,8 +43,7 @@ __all__ = [
     "DataMatrix", "NormalizedMatrix", "Partition", "SubspaceBasis", "Label",
     "load_csv_matrix", "write_csv", "normalize_columns",
     # numerics and theory
-    "normal_cdf", "normal_sf", "normal_quantile", "angle_pdf", "angle_sigma",
-    "folded_gaussian_moments", "phi_moments",
+    "normal_cdf", "normal_quantile", "angle_sigma", "phi_moments",
     "p_inlier", "erp_impossibility_alpha", "nonempty_prob_lower_bound",
     "max_rank_sizable", "max_rank_sizable_noisy", "noise_shift_bound",
     "na_bound_prob", "structured_exact_prob", "sizable_cluster_gap_condition",

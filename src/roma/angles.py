@@ -67,7 +67,8 @@ import math
 
 import numpy as np
 
-from .data import UNIT_NORM_TOL, DataMatrix, NormalizedMatrix, _freeze, _owned
+from .data import (UNIT_NORM_TOL, DataMatrix, NormalizedMatrix, _freeze, _owned,
+                   _setstate)
 from .errors import DimensionError, ValidationError
 
 __all__ = [
@@ -231,6 +232,8 @@ class AngleScores:
     the counts and drops the columns.  So until then the scores hold an
     n x N float64 array, and they pickle as data, columns or counts.
     """
+
+    __setstate__ = _setstate
 
     def __init__(self, q, na):
         q, na = _owned(q, np.float64), _owned(na, np.int64)

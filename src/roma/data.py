@@ -10,7 +10,7 @@ auto-detected: a first row none of whose fields parse as finite numbers.
 A first row that parses only in part is a data row with a bad field, not a
 header.  A malformed file raises at its first bad field in file order, with
 1-based row and column.  All containers are frozen and their arrays are
-marked read-only after validation.
+marked read-only after validation, and again when they are unpickled.
 """
 
 from __future__ import annotations
@@ -58,6 +58,17 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _setstate(self, state: dict) -> None:
+    """``__setstate__`` of the containers: numpy does not pickle the
+    read-only flag, so their arrays, and those held in a tuple, are frozen
+    again on load."""
+    for value in state.values():
+        for arr in value if isinstance(value, tuple) else (value,):
+            if isinstance(arr, np.ndarray):
+                _freeze(arr)
+    self.__dict__.update(state)
+
+
 def _owned(x, dtype) -> np.ndarray:
     """``x`` as a read-only C-contiguous ``dtype`` array that no caller can
     write through: a read-only array that already is one is taken as it is,
@@ -84,6 +95,8 @@ def _check_basis(basis: np.ndarray, n: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class DataMatrix:
     """Observed points, one per column, with optional labels and true basis."""
+
+    __setstate__ = _setstate
 
     values: np.ndarray
     labels: np.ndarray | None = None
@@ -133,6 +146,8 @@ class DataMatrix:
 class NormalizedMatrix:
     """Unit-norm columns; what the angle computations operate on."""
 
+    __setstate__ = _setstate
+
     values: np.ndarray
 
     def __post_init__(self):
@@ -160,6 +175,8 @@ class Partition:
 
     Both sides are stored sorted, as read-only int64 arrays.
     """
+
+    __setstate__ = _setstate
 
     inliers: np.ndarray
     outliers: np.ndarray
@@ -195,6 +212,8 @@ class Partition:
 @dataclass(frozen=True, eq=False)
 class SubspaceBasis:
     """Orthonormal basis of a recovered or planted subspace."""
+
+    __setstate__ = _setstate
 
     values: np.ndarray
 

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import AngleScores, acute_row, gram_scan, sample_mean_angle
-from .data import NormalizedMatrix, Partition, _freeze, _owned, normalize_columns
+from .data import (NormalizedMatrix, Partition, _freeze, _owned, _setstate,
+                   normalize_columns)
 from .errors import DegenerateRegimeError, ValidationError
 from .subspace import numerical_rank
 from .threshold import MODES, ThresholdSpec, compute_zeta, zeta_with_center
@@ -44,6 +45,8 @@ class RomaResult:
 
 @dataclass(frozen=True, eq=False)
 class RomaNResult:
+    __setstate__ = _setstate
+
     partition: Partition
     stage1: RomaResult
     survivors: np.ndarray

@@ -13,7 +13,8 @@ beyond the truth flags (subspace recovery among them) and its summary
 columns.  One pipeline, ``_run_cells``, runs every row: ``make_dataset``,
 detection, truth flags, extra metrics, and one summary row per cell.  A
 config that sets a field its experiment does not read to anything but that
-experiment's default is refused, so no setting is silently ignored.
+experiment's default is refused, so no setting is silently ignored, and so
+is a field whose value does not have the type of its default.
 
 Experiments
 -----------
@@ -45,7 +46,7 @@ from .errors import ValidationError
 from .subspace import lre, recover_subspace
 from .synth import (BoundedConeOutliers, ClusteredInliers, ClusteredOutliers,
                     ColumnStreams, MixedOutliers, SynthSpec,
-                    UnstructuredOutliers, make_dataset)
+                    UnstructuredOutliers, _check_int, _check_real, make_dataset)
 from .theory import erp_impossibility_alpha
 
 __all__ = [
@@ -395,7 +396,36 @@ _EXPERIMENTS = {
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
+def _check_field(name: str, value, like) -> None:
+    """Raise ValidationError unless ``value`` has the type of the default
+    ``like``: an integer that is not a bool, a bool, a finite real, a string
+    or a tuple.  A tuple's items have the type of ``like``'s first item, and
+    an item that is itself a tuple has its length."""
+    if isinstance(like, tuple):
+        if not isinstance(value, tuple):
+            raise ValidationError(f"{name} must be a list, got {value!r}")
+        for i, item in enumerate(value):
+            _check_field(f"{name}[{i}]", item, like[0])
+            if isinstance(like[0], tuple) and len(item) != len(like[0]):
+                raise ValidationError(
+                    f"{name}[{i}] must hold {len(like[0])} values, got {item!r}")
+    elif isinstance(like, (bool, str)):
+        if not isinstance(value, type(like)):
+            raise ValidationError(
+                f"{name} must be a {type(like).__name__}, got {value!r}")
+    elif isinstance(like, int):
+        _check_int(name, value)
+    else:
+        _check_real(name, value)
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    # Each field has the type of its default; None stands for a real where
+    # the annotation allows it.
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if not (value is None and "None" in str(f.type)):
+            _check_field(f.name, value, 0.0 if f.default is None else f.default)
     exp = _experiment(cfg.experiment)
     if cfg.trials < 1:
         raise ValidationError(f"trials must be at least 1, got {cfg.trials}")

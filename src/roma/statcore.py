@@ -1,9 +1,9 @@
 """Scalar statistics used by the threshold and the closed-form bounds.
 
 Everything here is small and self-contained: the standard normal CDF and its
-inverse, the density of the angle between independent uniform directions on
-the unit sphere, and the first two moments of a Gaussian folded about its
-mean.  The angle density for ambient dimension ``d`` is
+inverse, the spread of the angle between independent uniform directions on
+the unit sphere, and the first two moments of the acute angle.  The angle
+density for ambient dimension ``d`` is
 
     h(theta) = (1/sqrt(pi)) * Gamma(d/2) / Gamma((d-1)/2) * sin(theta)**(d-2)
 
@@ -15,34 +15,17 @@ threshold is calibrated against.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import statistics
 
 __all__ = [
     "normal_cdf",
-    "normal_sf",
     "normal_quantile",
-    "angle_pdf",
     "angle_sigma",
-    "folded_gaussian_moments",
     "phi_moments",
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-_HALF_PI = math.pi / 2.0  # fl(pi)/2 is exact, so reflection about it is too
-
-# Rational initial guess for the inverse CDF (Acklam's coefficients,
-# |relative error| < 1.15e-9 over (0, 1); two Halley steps finish the job).
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
+_HALF_PI = math.pi / 2.0
 
 
 def normal_cdf(x: float) -> float:
@@ -50,47 +33,18 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def normal_sf(x: float) -> float:
-    """Upper tail P(Z > x), computed with full relative accuracy in the tail."""
-    return 0.5 * math.erfc(x / _SQRT2)
-
-
-def _quantile_guess(p: float) -> float:
-    # Piecewise rational approximation; central branch is exact at p = 0.5.
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    if p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                 / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    q = p - 0.5
-    s = q * q
-    return ((((((_A[0] * s + _A[1]) * s + _A[2]) * s + _A[3]) * s + _A[4]) * s + _A[5]) * q
-            / (((((_B[0] * s + _B[1]) * s + _B[2]) * s + _B[3]) * s + _B[4]) * s + 1.0))
-
-
 def normal_quantile(p: float) -> float:
     """Inverse of ``normal_cdf`` on (0, 1).
 
-    A rational initial guess is polished with two Halley iterations against
-    the erfc-based CDF, giving |normal_cdf(normal_quantile(p)) - p| below
-    1e-12 absolute across p in [1e-15, 1 - 1e-15].
+    The standard library's ``NormalDist().inv_cdf``: Wichura's algorithm
+    AS241 (Applied Statistics 37(3), 1988), within a few ulp in both tails.
 
     Raises ValueError outside the open interval (0, 1).
     """
     p = float(p)
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie strictly between 0 and 1, got {p!r}")
-    x = _quantile_guess(p)
-    for _ in range(2):
-        density = math.exp(-0.5 * x * x) / _SQRT_2PI
-        if density == 0.0:  # |x| ~ 38.6; the guess is already at float limits
-            break
-        u = (normal_cdf(x) - p) / density
-        x -= u / (1.0 + 0.5 * x * u)
-    return x
+    return statistics.NormalDist().inv_cdf(p)
 
 
 def angle_sigma(dim: int) -> float:
@@ -101,65 +55,16 @@ def angle_sigma(dim: int) -> float:
     return 1.0 / math.sqrt(dim - 2)
 
 
-def angle_pdf(theta, dim: int):
-    """Density of the angle between two independent uniform directions.
-
-    Parameters
-    ----------
-    theta : float or array_like
-        Angles in radians, each within [0, pi].
-    dim : int
-        Ambient dimension, at least 3.
-
-    Returns
-    -------
-    float or ndarray matching the input shape.
-
-    Notes
-    -----
-    sin(theta) is evaluated as cos(|theta - pi/2|).  Since fl(pi)/2 is exact,
-    the density is symmetric about pi/2 by construction: arguments that fold
-    onto the same float give bitwise-equal values.
-    """
-    dim = int(dim)
-    if dim < 3:
-        raise ValueError(f"dimension must be at least 3, got {dim}")
-    t = np.asarray(theta, dtype=float)
-    if t.size and (np.min(t) < 0.0 or np.max(t) > np.pi):
-        raise ValueError("angles must lie within [0, pi]")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("angles must be finite")
-    log_const = math.lgamma(dim / 2.0) - math.lgamma((dim - 1) / 2.0)
-    const = math.exp(log_const) / math.sqrt(math.pi)
-    s = np.cos(np.abs(t - _HALF_PI))
-    out = const * s ** (dim - 2)
-    if np.isscalar(theta) or np.ndim(theta) == 0:
-        return float(out)
-    return out
-
-
-def folded_gaussian_moments(mu: float, sigma: float) -> tuple[float, float]:
-    """Mean and variance of mu - |Z| with Z ~ N(0, sigma^2).
-
-    This is the distribution of a Gaussian angle folded about its center mu
-    toward smaller values, the model for acute angles near pi/2:
-
-        E = mu - sqrt(2/pi) * sigma,    Var = sigma^2 * (1 - 2/pi)
-
-    Raises ValueError when sigma <= 0.
-    """
-    sigma = float(sigma)
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    mean = mu - math.sqrt(2.0 / math.pi) * sigma
-    var = sigma * sigma * (1.0 - 2.0 / math.pi)
-    return mean, var
-
-
 def phi_moments(n: int) -> tuple[float, float]:
     """Approximate mean and variance of the acute angle in dimension n.
 
-    Applies ``folded_gaussian_moments`` at center pi/2 with spread
-    1/sqrt(n - 2); requires n >= 3.
+    The surrogate angle pi/2 + sigma Z, sigma = 1/sqrt(n - 2), folded about
+    pi/2 toward smaller values is pi/2 - sigma |Z|, with
+
+        E = pi/2 - sqrt(2/pi) * sigma,    Var = sigma^2 * (1 - 2/pi)
+
+    Requires n >= 3.
     """
-    return folded_gaussian_moments(_HALF_PI, angle_sigma(n))
+    sigma = angle_sigma(n)
+    return (_HALF_PI - math.sqrt(2.0 / math.pi) * sigma,
+            sigma * sigma * (1.0 - 2.0 / math.pi))

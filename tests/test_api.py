@@ -17,6 +17,7 @@ DELETED = {
                "min_angle_scores", "count_above_threshold",
                "mean_principal_angle", "min_pair", "angle_scores",
                "GramScan"],
+    "statcore": ["normal_sf", "angle_pdf", "folded_gaussian_moments"],
     "threshold": ["compute_zeta_adapted"],
     "synth": ["assemble", "shuffle_and_label", "add_noise_snr",
               "sample_uniform_inliers", "sample_clustered_inliers",

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from roma import angles, cli, detector
-from roma.data import DataMatrix, Label, normalize_columns, write_csv
+from roma.data import DataMatrix, Label, SubspaceBasis, normalize_columns, write_csv
 from roma.detector import roma, roma_n
 from roma.errors import DegenerateRegimeError, ValidationError
 from roma.synth import (ClusteredInliers, ClusteredOutliers, SynthSpec,
@@ -483,3 +483,20 @@ def test_a_result_pickles_before_na_is_read():
     assert (again.scores.q == res.scores.q).all()
     assert (again.scores.na == na).all()
     assert (pickle.loads(pickle.dumps(res)).scores.na == na).all()
+
+
+def test_unpickled_containers_are_read_only():
+    # numpy does not pickle the read-only flag; the containers set it on load
+    m = planted(seed=43).matrix
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((60, 4)))
+    basis = SubspaceBasis(q)
+    blob = pickle.dumps((m, normalize_columns(m), basis, roma_n(m), roma(m)))
+    m2, x2, basis2, two, one = pickle.loads(blob)
+    held = one.scores._pending[0]  # the unit columns na is counted from
+    arrays = [m2.values, m2.labels, m2.true_basis, x2.values, basis2.values,
+              two.survivors, two.na_survivors, two.partition.inliers,
+              two.partition.outliers, two.stage1.scores.q, two.stage1.scores.na,
+              one.scores.q, one.partition.inliers, one.partition.outliers, held,
+              one.scores.na]  # counted only now, after the load
+    assert [a.flags.writeable for a in arrays] == [False] * len(arrays)
+    assert (one.scores.na == two.stage1.scores.na).all()

@@ -3,7 +3,9 @@
 import csv
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -469,6 +471,37 @@ def test_cli_exit_2_on_a_bad_config_value(tmp_path, capsys, experiment, fields, 
     cfg.write_text(json.dumps({"n": 30, "rank": 3, "trials": 1, **fields}))
     assert main(["--experiment", experiment, "--config", str(cfg)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, field, value, message", [
+    ("validate-threshold", "trials", "5", "trials must be an integer, got '5'"),
+    ("validate-threshold", "trials", 2.5, "trials must be an integer, got 2.5"),
+    ("validate-threshold", "trials", True, "trials must be an integer, got True"),
+    ("validate-threshold", "gamma_grid", 0.3, "gamma_grid must be a list, got 0.3"),
+    ("validate-threshold", "gamma_grid", ("a",),
+     "gamma_grid[0] must be a finite real, got 'a'"),
+    ("validate-threshold", "mu", math.inf, "mu must be a finite real, got inf"),
+    ("validate-threshold", "theta_max", "1", "theta_max must be a finite real, got '1'"),
+    ("validate-threshold", "mode", 1, "mode must be a str, got 1"),
+    ("structured", "rank_disambiguate", "no", "rank_disambiguate must be a bool, got 'no'"),
+    ("structured", "split_grid", ((20, 10, 5),),
+     "split_grid[0] must hold 2 values, got (20, 10, 5)"),
+    ("structured", "split_grid", ((20.5, 10),),
+     "split_grid[0][0] must be an integer, got 20.5"),
+    ("phase-recovery", "inlier_grid", (30.0,),
+     "inlier_grid[0] must be an integer, got 30.0"),
+], ids=["trials-str", "trials-real", "trials-bool", "grid-scalar", "grid-str", "mu-inf",
+        "theta-max-str", "mode-int", "rank-disambiguate-str", "split-triple",
+        "split-real", "inlier-grid-real"])
+def test_a_config_field_of_the_wrong_type_is_refused(
+        tmp_path, capsys, experiment, field, value, message):
+    # JSON writes the tuples as lists, and the config reads them back
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: value}))
+    assert main(["--experiment", experiment, "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        ex.run_experiment(ex.default_config(experiment).replace(**{field: value}))
 
 
 def test_cli_exit_2_on_bad_labels(planted, tmp_path, capsys):

@@ -1,12 +1,13 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roma.statcore import (angle_pdf, angle_sigma, folded_gaussian_moments,
-                           normal_cdf, normal_quantile, normal_sf, phi_moments)
+from roma.statcore import angle_sigma, normal_cdf, normal_quantile, phi_moments
+from roma.threshold import compute_cn
 
 from _oracles import bisect_quantile, erfc_cdf, quad_angle_mass
 
@@ -48,9 +49,7 @@ def test_normal_cdf_reference(x, expected):
 def test_cdf_center_and_complement():
     assert normal_cdf(0.0) == 0.5
     for x in (-3.0, -0.7, 0.0, 1.2, 9.0):
-        assert normal_sf(x) == pytest.approx(1.0 - normal_cdf(x), abs=1e-15)
-        # sf keeps relative accuracy where 1 - cdf would cancel
-        assert normal_sf(-x) == pytest.approx(normal_cdf(x), rel=1e-14)
+        assert normal_cdf(-x) == pytest.approx(1.0 - normal_cdf(x), abs=1e-15)
 
 
 @pytest.mark.parametrize("p,expected", QUANTILE_CASES)
@@ -70,6 +69,10 @@ def test_round_trip_log_grid():
         assert abs(normal_cdf(normal_quantile(1.0 - p)) - (1.0 - p)) <= 1e-12
 
 
+def _threshold_tail(num_points: int) -> float:
+    return 1.0 / (2.0 * float(num_points) ** 2 * (num_points - 1))
+
+
 def test_quantile_matches_bisection_oracle():
     for p in np.logspace(-14, math.log10(0.5), 40):
         p = float(p)
@@ -78,6 +81,17 @@ def test_quantile_matches_bisection_oracle():
         hi = normal_quantile(1.0 - p)
         assert hi == pytest.approx(bisect_quantile(1.0 - p),
                                    abs=_upper_tail_tol(hi))
+    # the threshold's own tails, p = 1 / (2 N^2 (N - 1)) for N = 2 .. 10^6
+    for num_points in np.unique(np.geomspace(2, 10 ** 6, 60).round().astype(int)):
+        p = _threshold_tail(int(num_points))
+        assert normal_quantile(p) == pytest.approx(bisect_quantile(p), rel=1e-9)
+
+
+def test_cn_is_the_standard_library_quantile():
+    # the definition the benchmark's reference threshold uses too
+    for num_points in (2, 3, 10, 99, 1000, 5000, 12345, 10 ** 6, 10 ** 9):
+        tail = _threshold_tail(num_points)
+        assert compute_cn(num_points) == -statistics.NormalDist().inv_cdf(tail)
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1, math.nan])
@@ -112,55 +126,16 @@ def test_cdf_bounds_and_oracle(x):
 
 # --- angle density ---------------------------------------------------------
 
-def test_angle_pdf_small_dims_closed_form():
-    thetas = np.linspace(0.0, math.pi, 211)
-    np.testing.assert_allclose(angle_pdf(thetas, 3), 0.5 * np.sin(thetas),
-                               rtol=1e-13, atol=1e-16)
-    np.testing.assert_allclose(angle_pdf(thetas, 4),
-                               (2.0 / math.pi) * np.sin(thetas) ** 2,
-                               rtol=1e-13, atol=1e-16)
-
-
-def test_angle_pdf_peak_value():
-    # at the center the density equals its normalizing constant
-    assert angle_pdf(math.pi / 2.0, 10) == pytest.approx(1.1641047266150059, rel=1e-14)
-    assert angle_pdf(1.0, 10) == pytest.approx(0.29262081537511701, rel=1e-13)
-
-
 @pytest.mark.parametrize("dim", [3, 10, 100, 1000])
 def test_angle_pdf_integrates_to_one(dim):
     mass = quad_angle_mass(dim, 0.0, math.pi)
     assert mass == pytest.approx(1.0, abs=1e-8)
 
 
-def test_angle_pdf_reflection_bitwise():
-    # pairs that fold onto the same float must give bitwise-equal densities
-    half = math.pi / 2.0
-    for k in (1, 2, 5, 17, 1001):
-        delta = k * 2.0 ** -51
-        lo = angle_pdf(half - delta, 57)
-        hi = angle_pdf(half + delta, 57)
-        assert lo == hi
-
-
-def test_angle_pdf_scalar_vs_array():
-    v = angle_pdf(1.2, 8)
-    assert isinstance(v, float)
-    arr = angle_pdf(np.array([1.2, 0.3]), 8)
-    assert arr[0] == v
-
-
-@pytest.mark.parametrize("bad", [-0.1, math.pi + 1e-9, math.nan, math.inf])
-def test_angle_pdf_domain(bad):
-    with pytest.raises(ValueError):
-        angle_pdf(bad, 5)
-
-
-def test_angle_pdf_dim_domain():
-    with pytest.raises(ValueError):
-        angle_pdf(1.0, 2)
-    with pytest.raises(ValueError):
-        angle_sigma(2)
+def test_angle_sigma_dim_domain():
+    for dim in (2, 0, -5):
+        with pytest.raises(ValueError):
+            angle_sigma(dim)
 
 
 def test_angle_sigma_value():
@@ -171,17 +146,18 @@ def test_angle_sigma_value():
 # --- folded moments ----------------------------------------------------------
 
 def test_folded_moments_reference():
-    mean, var = folded_gaussian_moments(math.pi / 2.0, 0.1)
+    mean, var = phi_moments(102)  # spread 1/sqrt(100) = 0.1
     assert mean == pytest.approx(1.4910078707146101, rel=1e-15)
     assert var == pytest.approx(0.0036338022763241866, rel=1e-15)
 
 
 def test_folded_moments_monte_carlo():
+    # phi_moments(n) are the moments of pi/2 - |Z|, Z ~ N(0, 1/(n - 2))
     rng = np.random.default_rng(20240817)
-    mu, sigma = 0.9, 0.37
-    z = rng.standard_normal(1_000_000) * sigma
-    samples = mu - np.abs(z)
-    mean, var = folded_gaussian_moments(mu, sigma)
+    n = 9
+    z = rng.standard_normal(1_000_000) * angle_sigma(n)
+    samples = math.pi / 2.0 - np.abs(z)
+    mean, var = phi_moments(n)
     se_mean = samples.std(ddof=1) / math.sqrt(samples.size)
     assert abs(samples.mean() - mean) <= 3.0 * se_mean
     # variance of the sample variance via the fourth central moment
@@ -193,14 +169,15 @@ def test_folded_moments_monte_carlo():
 
 
 def test_folded_moments_sigma_domain():
-    with pytest.raises(ValueError):
-        folded_gaussian_moments(1.0, 0.0)
-    with pytest.raises(ValueError):
-        folded_gaussian_moments(1.0, -1.0)
+    # the spread 1/sqrt(n - 2) needs n >= 3
+    for n in (2, 1, 0):
+        with pytest.raises(ValueError):
+            phi_moments(n)
 
 
 def test_phi_moments_consistency():
-    assert phi_moments(102) == folded_gaussian_moments(math.pi / 2.0, angle_sigma(102))
     mean, var = phi_moments(100)
     assert mean < math.pi / 2.0
     assert var > 0.0
+    # the folded spread shrinks with the dimension, and the mean nears pi/2
+    assert phi_moments(1000)[0] > mean and phi_moments(1000)[1] < var
