@@ -19,17 +19,13 @@ from .experiments import (EXPERIMENTS, RECOVERY_CUTOFF, ExperimentConfig,
                           ExperimentResult, TrialRecord, audit,
                           default_config, render_csv, render_json,
                           run_experiment)
-from .statcore import angle_sigma, normal_cdf, normal_quantile, phi_moments
+from .statcore import angle_sigma, normal_cdf, normal_quantile
 from .subspace import LRE_FLOOR, lre, recover_subspace
 from .synth import (BoundedConeOutliers, ClusteredInliers, ClusteredOutliers,
                     ColumnStreams, MixedOutliers, SynthDataset, SynthSpec,
                     UniformInliers, UnstructuredOutliers, export_dataset,
-                    load_sidecar, make_dataset, random_subspace,
-                    spec_from_dict, spec_to_dict)
-from .theory import (erp_impossibility_alpha, max_rank_sizable,
-                     max_rank_sizable_noisy, na_bound_prob, noise_shift_bound,
-                     nonempty_prob_lower_bound, p_inlier,
-                     sizable_cluster_gap_condition, structured_exact_prob)
+                    make_dataset, random_subspace, spec_to_dict)
+from .theory import erp_impossibility_alpha, p_inlier
 from .threshold import ThresholdSpec, compute_cn, compute_zeta
 
 __version__ = "0.1.0"
@@ -43,10 +39,8 @@ __all__ = [
     "DataMatrix", "NormalizedMatrix", "Partition", "SubspaceBasis", "Label",
     "load_csv_matrix", "write_csv", "normalize_columns",
     # numerics and theory
-    "normal_cdf", "normal_quantile", "angle_sigma", "phi_moments",
-    "p_inlier", "erp_impossibility_alpha", "nonempty_prob_lower_bound",
-    "max_rank_sizable", "max_rank_sizable_noisy", "noise_shift_bound",
-    "na_bound_prob", "structured_exact_prob", "sizable_cluster_gap_condition",
+    "normal_cdf", "normal_quantile", "angle_sigma",
+    "p_inlier", "erp_impossibility_alpha",
     # subspace recovery
     "recover_subspace", "lre", "LRE_FLOOR",
     # synthetic data
@@ -54,7 +48,7 @@ __all__ = [
     "random_subspace", "ColumnStreams",
     "UniformInliers", "ClusteredInliers", "UnstructuredOutliers",
     "ClusteredOutliers", "BoundedConeOutliers", "MixedOutliers",
-    "export_dataset", "load_sidecar", "spec_to_dict", "spec_from_dict",
+    "export_dataset", "spec_to_dict",
     # experiments
     "ExperimentConfig", "ExperimentResult", "TrialRecord", "EXPERIMENTS",
     "RECOVERY_CUTOFF", "default_config", "run_experiment", "audit",

@@ -2,15 +2,16 @@
 
 Points are stored one per column in float64 matrices.  CSV files may lay
 points out either way; ``orientation`` says which.  Files are read as UTF-8
-with an optional byte-order mark; a byte that is not UTF-8 raises at its
-line.  A field is read with Python's ``float()`` after ``str.strip()``:
-surrounding whitespace, quotes and digit underscores (``1_000``) are
-accepted, and the value must be finite.  An optional single header row is
-auto-detected: a first row none of whose fields parse as finite numbers.
-A first row that parses only in part is a data row with a bad field, not a
-header.  A malformed file raises at its first bad field in file order, with
-1-based row and column.  All containers are frozen and their arrays are
-marked read-only after validation, and again when they are unpickled.
+with an optional byte-order mark.  A field is read with Python's ``float()``
+after ``str.strip()``: surrounding whitespace, quotes and digit underscores
+(``1_000``) are accepted, and the value must be finite.  An optional single
+header row is auto-detected: a first row none of whose fields parse as
+finite numbers.  A first row that parses only in part is a data row with a
+bad field, not a header.  A file that is not UTF-8 raises at the line of its
+first bad byte, before any row is parsed; any other malformed file at its
+first bad field in file order, with 1-based row and column.  All containers
+are frozen and their arrays are marked read-only after validation, and again
+when they are unpickled.
 """
 
 from __future__ import annotations
@@ -250,16 +251,28 @@ def _survey(src) -> tuple[int, bool]:
 
     Lines end as ``open(newline="")`` ends them: at ``\\n``, ``\\r\\n`` or a
     lone ``\\r``.  The stream is read a chunk at a time, so only one chunk
-    is held.
+    is held.  Each chunk is also decoded, so a stream that is not UTF-8
+    raises a ParseError at the line of its first bad byte.
     """
     lines = 0
     quoted = False
     tail = b""  # the last byte so far, whose successor decides a lone \r
-    while chunk := src.read(_SURVEY_CHUNK):
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    while True:
+        chunk = src.read(_SURVEY_CHUNK)
+        try:
+            decoder.decode(chunk, final=not chunk)
+        except UnicodeDecodeError as exc:
+            # exc.object: the bytes held over from the chunk before, then this one
+            bad = exc.start - (len(exc.object) - len(chunk))
+            # a bad byte is never \n or \r, so it decides a \r just before it
+            line = lines + _line_ends(tail, chunk[:max(0, bad + 1)]) + 1
+            raise ParseError("not UTF-8 text", row=line) from None
+        if not chunk:
+            return lines + (tail not in (b"", b"\n")), quoted
         lines += _line_ends(tail, chunk)
         quoted = quoted or b'"' in chunk
         tail = chunk[-1:]
-    return lines + (tail not in (b"", b"\n")), quoted
 
 
 def _line_ends(tail: bytes, chunk: bytes) -> int:
@@ -272,32 +285,6 @@ def _line_ends(tail: bytes, chunk: bytes) -> int:
         a = np.frombuffer(tail + chunk, dtype=np.uint8)
         ends += int(np.count_nonzero((a[:-1] == 13) & (a[1:] != 10)))
     return ends
-
-
-def _undecodable_line(src) -> int | None:
-    """The 1-based line of the first byte of ``src`` that is not UTF-8, with
-    lines ended as in ``_survey``; None when every byte decodes.
-
-    The loader's text reader decodes ahead in chunks, so the row it was
-    parsing when decoding failed need not hold the bad byte.  Only a file
-    that fails to decode is read again here.
-    """
-    src.seek(0)
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    ends, tail = 0, b""
-    while True:
-        chunk = src.read(_SURVEY_CHUNK)
-        try:
-            decoder.decode(chunk, final=not chunk)
-        except UnicodeDecodeError as exc:
-            # exc.object: the bytes held over from the chunk before, then this one
-            bad = exc.start - (len(exc.object) - len(chunk))
-            # a bad byte is never \n or \r, so it decides a \r just before it
-            return ends + _line_ends(tail, chunk[:max(0, bad + 1)]) + 1
-        if not chunk:
-            return None  # the file changed after it failed to decode
-        ends += _line_ends(tail, chunk)
-        tail = chunk[-1:]
 
 
 def _split(line: str) -> list[str]:
@@ -330,8 +317,9 @@ def load_csv_matrix(path, orientation: str = "points-as-rows") -> DataMatrix:
     ignored.  Errors carry 1-based file coordinates and name the first bad
     field in file order: rows are checked one at a time, width first, then
     their fields from left to right.  A field longer than
-    ``csv.field_size_limit()`` is a ParseError at its row, and so is a byte
-    that is not UTF-8, at its line.
+    ``csv.field_size_limit()`` is a ParseError at its row.  A file that is
+    not UTF-8 is refused at the line of its first bad byte, before any row
+    is parsed.
 
     Memory: one pass over the file's bytes counts its records, and a second
     parses each row straight into one float64 array of exactly the
@@ -389,8 +377,8 @@ def load_csv_matrix(path, orientation: str = "points-as-rows") -> DataMatrix:
                 del raw  # so that the next row's fields are not made beside these
         except csv.Error as exc:  # a field over csv.field_size_limit()
             raise ParseError(str(exc), row=i + 1) from None
-        except UnicodeDecodeError:
-            raise ParseError("not UTF-8 text", row=_undecodable_line(src)) from None
+        except UnicodeDecodeError:  # the survey decoded every byte
+            raise ParseError("file changed while it was read") from None
     if arr is None:
         raise ParseError("no data rows found")
     if k != size:

@@ -44,8 +44,8 @@ from .data import DataMatrix, Label, Partition
 from .detector import roma, roma_n
 from .errors import ValidationError
 from .subspace import lre, recover_subspace
-from .synth import (BoundedConeOutliers, ClusteredInliers, ClusteredOutliers,
-                    ColumnStreams, MixedOutliers, SynthSpec,
+from .synth import (_OUTLIER_MODELS, BoundedConeOutliers, ClusteredInliers,
+                    ClusteredOutliers, ColumnStreams, MixedOutliers, SynthSpec,
                     UnstructuredOutliers, _check_int, _check_real, make_dataset)
 from .theory import erp_impossibility_alpha
 
@@ -104,7 +104,7 @@ class ExperimentConfig:
 
 
 def _experiment(name: str) -> "_Experiment":
-    if name not in _EXPERIMENTS:
+    if not isinstance(name, str) or name not in _EXPERIMENTS:
         raise ValidationError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
     return _EXPERIMENTS[name]
 
@@ -433,6 +433,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     reads = _ALWAYS_READ | exp.reads
     if cfg.stage == "roma":  # ``_detect`` reads rank_disambiguate for roma-n only
         reads -= {"rank_disambiguate"}
+    model = _OUTLIER_MODELS.get(cfg.outlier_model)
+    if "outlier_model" in reads and model:  # the chosen model's field alone is read
+        reads -= {"mu", "theta_max"} - {f.name for f in dataclasses.fields(model)}
     ignored = sorted(f.name for f in dataclasses.fields(cfg)
                      if f.name not in reads
                      and getattr(cfg, f.name) != getattr(default, f.name))

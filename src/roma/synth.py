@@ -47,7 +47,6 @@ __all__ = [
     "random_subspace",
     "make_dataset",
     "export_dataset",
-    "load_sidecar",
 ]
 
 # Substream domains: each (domain, index) pair owns an independent Philox
@@ -431,29 +430,6 @@ _MODEL_NAMES = {cls: name for registry in (_INLIER_MODELS, _OUTLIER_MODELS)
                 for name, cls in registry.items()}
 
 
-def _params(cls, d, where: str) -> dict:
-    """``d`` as keyword arguments of ``cls``; a ValidationError names the key
-    that ``cls`` does not take or that ``d`` lacks."""
-    if not isinstance(d, dict):
-        raise ValidationError(f"{where}: expected a JSON object, got {d!r}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    for key in d:
-        if key not in fields:
-            raise ValidationError(f"{where}: {cls.__name__} takes no key {key!r}")
-    for key, f in fields.items():
-        if key not in d and f.default is dataclasses.MISSING:
-            raise ValidationError(f"{where}: missing key {key!r}")
-    return dict(d)
-
-
-def _model_from_dict(d, registry: dict, where: str):
-    kind = d.get("type") if isinstance(d, dict) else None
-    if kind not in registry:
-        raise ValidationError(f"{where}: unknown model type {kind!r}")
-    cls = registry[kind]
-    return cls(**_params(cls, {k: v for k, v in d.items() if k != "type"}, where))
-
-
 def spec_to_dict(spec: SynthSpec) -> dict:
     d = dataclasses.asdict(spec)
     for key in ("inlier_model", "outlier_model"):
@@ -461,17 +437,10 @@ def spec_to_dict(spec: SynthSpec) -> dict:
     return d
 
 
-def spec_from_dict(d: dict) -> SynthSpec:
-    params = _params(SynthSpec, d, "spec")
-    for key, registry in (("inlier_model", _INLIER_MODELS), ("outlier_model", _OUTLIER_MODELS)):
-        if key in params:
-            params[key] = _model_from_dict(params[key], registry, key)
-    return SynthSpec(**params)
-
-
 def export_dataset(dataset: SynthDataset, csv_path,
                    orientation: str = "points-as-rows") -> str:
-    """Write the CSV and its JSON sidecar (spec, labels, basis), <csv_path>.json."""
+    """Write the CSV and its JSON sidecar (spec, labels, basis), <csv_path>.json,
+    a record for people and other tools to read with ``json.load``."""
     write_csv(dataset.matrix, csv_path, orientation)
     sidecar_path = str(csv_path) + ".json"
     payload = {
@@ -485,38 +454,3 @@ def export_dataset(dataset: SynthDataset, csv_path,
         json.dump(payload, fh, indent=1)
     return sidecar_path
 
-
-def load_sidecar(path) -> dict:
-    """Read a sidecar back; labels become a Label-coded int8 array."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            payload = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"sidecar {path} is not UTF-8 JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ValidationError(f"sidecar {path} must hold a JSON object, "
-                              f"not {type(payload).__name__}")
-    if "labels" not in payload:
-        raise ValidationError(f"sidecar {path} has no 'labels'")
-    if not (isinstance(payload["labels"], list)
-            and all(isinstance(lab, str) for lab in payload["labels"])):
-        raise ValidationError(f"sidecar {path}: 'labels' must be a list of strings")
-    name_to_code = {lab.name.lower(): np.int8(int(lab)) for lab in Label}
-    try:
-        labels = np.array([name_to_code[lab] for lab in payload["labels"]], dtype=np.int8)
-    except KeyError as exc:
-        raise ValidationError(f"unknown label {exc.args[0]!r} in sidecar") from None
-    basis = payload.get("true_basis")
-    if basis is not None:
-        try:
-            basis = np.asarray(basis, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"sidecar {path}: 'true_basis' is not a numeric matrix: {exc}") from None
-    return {
-        "orientation": payload.get("orientation", "points-as-rows"),
-        "spec": spec_from_dict(payload["spec"]) if "spec" in payload else None,
-        "sigma": payload.get("sigma"),
-        "labels": labels,
-        "true_basis": basis,
-    }

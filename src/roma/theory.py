@@ -7,9 +7,9 @@ angles.  The central one is
 
 the probability that the acute angle between two inliers sharing an
 r-dimensional subspace stays above the threshold; everything else (exact-
-recovery impossibility, the nonempty-estimate bound, admissible ranks, the
-count-separation guarantees for clustered outliers) is a function of it and
-of the point counts.  Bounds are returned raw, never clamped; they can
+recovery impossibility, the nonempty-estimate bound, the admissible rank,
+the count-separation guarantees for clustered outliers) is a function of it
+and of the point counts.  Bounds are returned raw, never clamped; they can
 leave [0, 1] in parameter corners.
 """
 
@@ -26,11 +26,8 @@ __all__ = [
     "erp_impossibility_alpha",
     "nonempty_prob_lower_bound",
     "max_rank_sizable",
-    "max_rank_sizable_noisy",
-    "noise_shift_bound",
     "na_bound_prob",
     "structured_exact_prob",
-    "sizable_cluster_gap_condition",
 ]
 
 
@@ -110,33 +107,6 @@ def max_rank_sizable(n: int, num_points: int) -> float:
     return 2.0 * (n - 2) / (math.pi * c * c) + 2.0
 
 
-def noise_shift_bound(snr: float) -> float:
-    """Expected worst-case angle perturbation arccos(1 - 1/(2 sqrt(snr))).
-
-    ``snr`` is the per-point signal-to-noise ratio ||m||^2 / E||e||^2, at
-    least 1/4 so the arccos argument stays within [0, 1].  This is the
-    single-sided statement: a worst case with both endpoints of a pair
-    perturbed doubles the shift.
-    """
-    snr = float(snr)
-    if snr < 0.25:
-        raise ValueError(f"snr must be at least 1/4, got {snr!r}")
-    return math.acos(1.0 - 1.0 / (2.0 * math.sqrt(snr)))
-
-
-def max_rank_sizable_noisy(n: int, num_points: int, snr: float) -> float:
-    """Noisy version of ``max_rank_sizable``; requires snr > 1/4."""
-    n = int(n)
-    if n < 3:
-        raise ValueError(f"ambient dimension must be at least 3, got {n}")
-    snr = float(snr)
-    if snr <= 0.25:
-        raise ValueError(f"snr must exceed 1/4, got {snr!r}")
-    c = compute_cn(num_points)
-    shifted = c + math.sqrt(n - 2) * noise_shift_bound(snr)
-    return 2.0 * (n - 2) / (math.pi * shifted * shifted) + 2.0
-
-
 def _check_split(num_points: int, num_inliers: int, num_structured: int) -> tuple[int, int, int]:
     num_points, num_inliers, num_structured = int(num_points), int(num_inliers), int(num_structured)
     if num_points < 2:
@@ -165,16 +135,3 @@ def structured_exact_prob(num_points: int, num_inliers: int, num_structured: int
     n_pts, ni, nos = _check_split(num_points, num_inliers, num_structured)
     return 1.0 - 2.0 * nos * ni / (float(n_pts) ** 2 * (n_pts - 1))
 
-
-def sizable_cluster_gap_condition(n: int, r: int, num_points: int,
-                                  num_inliers: int, num_structured: int) -> bool:
-    """Whether the na gap N_I - N_Os > 2 (N_I - 1) p_inlier holds.
-
-    Requires more inliers than structured outliers; raises otherwise.
-    """
-    _, ni, nos = _check_split(num_points, num_inliers, num_structured)
-    if ni <= nos:
-        raise ValueError(
-            f"gap condition needs num_inliers > num_structured, got {ni} <= {nos}")
-    p = p_inlier(n, r, num_points)
-    return (ni - nos) > 2.0 * (ni - 1) * p

@@ -1,7 +1,9 @@
 """Independent reference implementations the tests check against.
 
 Deliberately slow and simple: bisection instead of rational approximations,
-quadrature instead of closed forms, brute-force loops instead of BLAS.
+quadrature instead of closed forms, brute-force loops instead of BLAS.  Also
+kept here, with their tests in test_theory.py: three of the paper's bounds
+that no run reports.
 """
 
 import csv
@@ -15,6 +17,8 @@ from roma.errors import DimensionError, ParseError, ValidationError
 from roma.synth import (_DOM_INLIER, _DOM_NOISE, _DOM_OUTLIER, BoundedConeOutliers,
                         ClusteredInliers, ClusteredOutliers, ColumnStreams,
                         MixedOutliers, UnstructuredOutliers, _unit, random_subspace)
+from roma.theory import _check_split, p_inlier
+from roma.threshold import compute_cn
 
 
 def erfc_cdf(x: float) -> float:
@@ -57,6 +61,49 @@ def quad_angle_mass(dim: int, lo: float, hi: float) -> float:
             val, _ = quad(f, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)
             total += val
     return total
+
+
+# --- the paper's bounds that no run reports ---------------------------------
+
+def noise_shift_bound(snr: float) -> float:
+    """Expected worst-case angle perturbation arccos(1 - 1/(2 sqrt(snr))).
+
+    ``snr`` is the per-point signal-to-noise ratio ||m||^2 / E||e||^2, at
+    least 1/4 so the arccos argument stays within [0, 1].  This is the
+    single-sided statement: a worst case with both endpoints of a pair
+    perturbed doubles the shift.
+    """
+    snr = float(snr)
+    if snr < 0.25:
+        raise ValueError(f"snr must be at least 1/4, got {snr!r}")
+    return math.acos(1.0 - 1.0 / (2.0 * math.sqrt(snr)))
+
+
+def max_rank_sizable_noisy(n: int, num_points: int, snr: float) -> float:
+    """Noisy version of ``theory.max_rank_sizable``; requires snr > 1/4."""
+    n = int(n)
+    if n < 3:
+        raise ValueError(f"ambient dimension must be at least 3, got {n}")
+    snr = float(snr)
+    if snr <= 0.25:
+        raise ValueError(f"snr must exceed 1/4, got {snr!r}")
+    c = compute_cn(num_points)
+    shifted = c + math.sqrt(n - 2) * noise_shift_bound(snr)
+    return 2.0 * (n - 2) / (math.pi * shifted * shifted) + 2.0
+
+
+def sizable_cluster_gap_condition(n: int, r: int, num_points: int,
+                                  num_inliers: int, num_structured: int) -> bool:
+    """Whether the na gap N_I - N_Os > 2 (N_I - 1) p_inlier holds.
+
+    Requires more inliers than structured outliers; raises otherwise.
+    """
+    _, ni, nos = _check_split(num_points, num_inliers, num_structured)
+    if ni <= nos:
+        raise ValueError(
+            f"gap condition needs num_inliers > num_structured, got {ni} <= {nos}")
+    p = p_inlier(n, r, num_points)
+    return (ni - nos) > 2.0 * (ni - 1) * p
 
 
 def brute_acute_angles(cols: np.ndarray) -> np.ndarray:

@@ -4,12 +4,15 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import tokenize
+from pathlib import Path
 
 import pytest
 
 import roma
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(roma.__path__))
+ROOT = Path(__file__).resolve().parents[1]
 
 # Removed public names and the module that used to export each one.
 DELETED = {
@@ -22,9 +25,12 @@ DELETED = {
     "synth": ["assemble", "shuffle_and_label", "add_noise_snr",
               "sample_uniform_inliers", "sample_clustered_inliers",
               "sample_unstructured_outliers", "sample_clustered_outliers",
-              "sample_bounded_cone", "NOISE_TARGETS"],
+              "sample_bounded_cone", "NOISE_TARGETS", "load_sidecar",
+              "spec_from_dict"],
     "theory": ["TheoryReport", "theory_report", "NOISE_SHIFT_BOTH_ENDS_FACTOR",
-               "ErpTrialSummary", "ErpAlphaEstimate", "erp_alpha_estimate"],
+               "ErpTrialSummary", "ErpAlphaEstimate", "erp_alpha_estimate",
+               "noise_shift_bound", "max_rank_sizable_noisy",
+               "sizable_cluster_gap_condition"],
 }
 
 # Removed attributes, by the public class that used to have them.
@@ -77,3 +83,24 @@ def test_export_dataset_takes_no_sidecar_path():
     from roma.synth import export_dataset
     assert list(inspect.signature(export_dataset).parameters) == [
         "dataset", "csv_path", "orientation"]
+
+
+def _used_names(path: Path) -> set:
+    """The identifiers that ``path`` uses: every name token but those that a
+    ``def`` or ``class`` introduces.  Strings and comments are not names."""
+    used, previous = set(), None
+    with tokenize.open(path) as fh:
+        for tok in tokenize.generate_tokens(fh.readline):
+            if tok.type == tokenize.NAME and previous not in ("def", "class"):
+                used.add(tok.string)
+            previous = tok.string
+    return used
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # what the package, its scripts or its benchmark call; __init__.py only
+    # re-exports, and __version__ is package metadata rather than a helper
+    files = [p for p in (ROOT / "src" / "roma").glob("*.py") if p.name != "__init__.py"]
+    files += [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    used = set().union(*map(_used_names, files))
+    assert [n for n in roma.__all__ if n not in used and n != "__version__"] == []

@@ -338,6 +338,50 @@ def test_load_names_the_line_of_the_first_byte_that_is_not_utf8(
     assert (exc.value.row, exc.value.column) == (line, None)
 
 
+@pytest.mark.parametrize("body, line", [
+    (b"1,2,3\n4,x,6\n7,\xff8,9\n", 3),
+    (b"1,2,3\n4,x,6\n" + b"7,8,9\n" * 5000 + b"7,\xff8,9\n", 5003),
+], ids=["adjacent", "5000-lines-apart"])
+def test_a_file_that_is_not_utf8_is_refused_before_any_row_is_parsed(
+        tmp_path, body, line):
+    # the bad byte wins over an earlier bad field, however far apart they are
+    path = tmp_path / "m.csv"
+    path.write_bytes(body)
+    with pytest.raises(ParseError, match="not UTF-8") as exc:
+        load_csv_matrix(path)
+    assert (exc.value.row, exc.value.column) == (line, None)
+
+
+@pytest.mark.parametrize("first", ["1", '"1"'], ids=["quote-free", "quoted"])
+@pytest.mark.parametrize("change", [
+    lambda rows: rows + b"10,11,12\n",
+    lambda rows: rows[:-len(b"7,8,9\n")],
+    lambda rows: rows + b"7,\xff8,9\n",
+], ids=["grow", "shrink", "not-utf8"])
+def test_a_file_that_changes_after_the_survey(tmp_path, monkeypatch, first, change):
+    path = tmp_path / "m.csv"
+    rows = f"{first},2,3\n4,5,6\n7,8,9\n".encode()
+    path.write_bytes(rows)
+    survey = data._survey
+
+    def survey_then_change(src):
+        counted = survey(src)
+        path.write_bytes(change(rows))  # the same file, truncated and rewritten
+        return counted
+
+    monkeypatch.setattr(data, "_survey", survey_then_change)
+    try:
+        m = load_csv_matrix(path)
+    except ParseError as exc:
+        assert str(exc).startswith("file changed while it was read")
+        # csv.reader recounts the records of a file with a '"' after the
+        # survey, so only a byte that is not UTF-8 can surprise its parse
+        assert first == "1" or b"\xff" in path.read_bytes()
+    else:
+        assert first == '"1"'
+        np.testing.assert_array_equal(m.values, csv_oracle(path).values)
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_load_reads_a_pipe():
     # a stream that can be read only once, as from `--input <(...)`

@@ -18,8 +18,8 @@ import roma.experiments as ex
 from roma.cli import main
 from roma.data import Label, load_csv_matrix
 from roma.errors import ValidationError
-from roma.synth import (ClusteredOutliers, SynthSpec, export_dataset, load_sidecar,
-                        make_dataset)
+from roma.synth import (ClusteredOutliers, SynthSpec, export_dataset, make_dataset,
+                        spec_to_dict)
 
 
 def tiny(experiment, **overrides):
@@ -166,6 +166,38 @@ def test_fields_an_experiment_does_not_read_must_keep_its_defaults(
         ex.run_experiment(tiny(experiment, trials=1, **{field: value}))
 
 
+# _outlier_model reads mu for clustered outliers and theta_max for a cone
+_MODEL_FIELDS = pytest.mark.parametrize("experiment, fields, unread", [
+    ("validate-threshold", {"mu": 0.7}, "mu"),
+    ("oip-erp", {"theta_max": 0.5}, "theta_max"),
+    ("oip-erp", {"outlier_model": "clustered", "theta_max": 0.5}, "theta_max"),
+    ("validate-threshold", {"outlier_model": "clustered", "mu": 0.7}, None),
+], ids=["threshold-mu", "erp-theta-max", "erp-clustered-theta-max", "clustered-mu"])
+
+
+@_MODEL_FIELDS
+def test_only_the_chosen_outlier_models_field_is_read(experiment, fields, unread):
+    cfg = tiny(experiment, trials=1, **fields)
+    if unread is None:
+        assert ex.audit(ex.run_experiment(cfg))
+        return
+    with pytest.raises(ValidationError, match=f"does not read {unread};"):
+        ex.run_experiment(cfg)
+
+
+@_MODEL_FIELDS
+def test_cli_exit_2_on_a_field_the_outlier_model_does_not_read(
+        experiment, fields, unread, capsys):
+    argv = ["--experiment", experiment, "--trials", "1", "--num-points", "200",
+            "--gamma-grid", "0.15"]
+    argv += ["--snr-grid", "20"] if experiment == "oip-erp" else []
+    for key, value in fields.items():
+        argv += [f"--{key.replace('_', '-')}", str(value)]
+    assert main(argv) == (0 if unread is None else 2)
+    if unread is not None:
+        assert f"does not read {unread};" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("experiment", ["structured", "mixed"])
 def test_rank_disambiguate_is_unread_at_stage_roma(experiment):
     # _detect reads rank_disambiguate only for roma-n
@@ -263,6 +295,9 @@ def test_config_from_dict():
         ex.config_from_dict({"experiment": "mixed", "bogus": 1})
     with pytest.raises(ValidationError, match="unknown config fields"):
         ex.config_from_dict({"experiment": "mixed", "workers": 2})
+    for name in ({"a": 1}, ["x"], 5):  # not a string, so no experiment's name
+        with pytest.raises(ValidationError, match="unknown experiment"):
+            ex.config_from_dict({"experiment": name})
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +626,14 @@ def test_make_benchmark_script(tmp_path):
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "subspace LRE" in proc.stdout
-    side = load_sidecar(str(out) + ".json")
+    with open(str(out) + ".json") as fh:
+        side = json.load(fh)
     spec = SynthSpec(n=12, num_points=40, rank=3, gamma=0.25, seed=4, snr_db=30.0)
-    assert side["spec"] == spec
+    assert side["spec"] == spec_to_dict(spec)
     ds = make_dataset(spec)
-    assert np.array_equal(side["labels"], ds.matrix.labels)
+    assert side["labels"] == [Label(v).name.lower() for v in ds.matrix.labels]
+    assert side["sigma"] == ds.sigma
+    assert side["true_basis"] == ds.matrix.true_basis.tolist()
     loaded = load_csv_matrix(out, orientation="points-as-columns")
     assert np.array_equal(loaded.values, ds.matrix.values)
     # the CLI reads the file as written and flags the points the script scores

@@ -1,5 +1,6 @@
 """Tests for the synthetic dataset generators."""
 
+import dataclasses
 import json
 import math
 
@@ -24,10 +25,8 @@ from roma.synth import (
     UnstructuredOutliers,
     _unit,
     export_dataset,
-    load_sidecar,
     make_dataset,
     random_subspace,
-    spec_from_dict,
     spec_to_dict,
 )
 
@@ -429,88 +428,6 @@ def test_make_dataset_builds_one_matrix(monkeypatch, snr_db):
 # serialization
 
 
-@pytest.mark.parametrize("spec", [
-    base_spec(),
-    base_spec(inlier_model=ClusteredInliers(nu=0.1),
-              outlier_model=ClusteredOutliers(mu=0.2), snr_db=15.0),
-    base_spec(outlier_model=BoundedConeOutliers(theta_max=0.7)),
-    base_spec(outlier_model=MixedOutliers(mu=0.2)),
-])
-def test_spec_dict_round_trip(spec):
-    assert spec_from_dict(spec_to_dict(spec)) == spec
-
-
-def test_spec_from_dict_rejects_unknown_model():
-    d = spec_to_dict(base_spec())
-    d["outlier_model"] = {"type": "martian"}
-    with pytest.raises(ValidationError):
-        spec_from_dict(d)
-
-
-@pytest.mark.parametrize("where, key, value, match", [
-    ("spec", "rank", None, "missing key 'rank'"),
-    ("spec", "snr", 3.0, "takes no key 'snr'"),
-    ("inlier_model", "nu", 0.1, "UniformInliers takes no key 'nu'"),
-    ("outlier_model", "sigma", 1.0, "ClusteredOutliers takes no key 'sigma'"),
-    ("outlier_model", "mu", None, "missing key 'mu'"),
-])
-def test_spec_from_dict_names_the_bad_key(where, key, value, match):
-    d = spec_to_dict(base_spec(outlier_model=ClusteredOutliers(mu=0.2)))
-    target = d if where == "spec" else d[where]
-    if value is None:
-        del target[key]
-    else:
-        target[key] = value
-    with pytest.raises(ValidationError, match=match):
-        spec_from_dict(d)
-
-
-def test_spec_from_dict_rejects_a_non_object():
-    with pytest.raises(ValidationError, match="expected a JSON object"):
-        spec_from_dict([1, 2])
-    d = spec_to_dict(base_spec())
-    d["inlier_model"] = "uniform"
-    with pytest.raises(ValidationError, match="unknown model type"):
-        spec_from_dict(d)
-
-
-def _edited_sidecar(tmp_path, spec, edit):
-    """The sidecar of spec's dataset after ``edit`` changed its JSON payload."""
-    sidecar = export_dataset(make_dataset(spec), tmp_path / "d.csv")
-    with open(sidecar) as fh:
-        payload = json.load(fh)
-    edit(payload)
-    with open(sidecar, "w") as fh:
-        json.dump(payload, fh)
-    return sidecar
-
-
-# keys of options removed before this version: a sidecar that holds one is
-# refused by the key's name, even at the one value still generated
-@pytest.mark.parametrize("spec, where, key, value", [
-    (base_spec(snr_db=10.0), None, "noise_target", "inliers"),
-    (base_spec(outlier_model=ClusteredOutliers(mu=0.2)), "outlier_model",
-     "literal_scale", False),
-    (base_spec(outlier_model=BoundedConeOutliers(theta_max=1.3)), "outlier_model",
-     "within_subspace", False),
-])
-def test_sidecars_with_a_removed_option_are_refused(tmp_path, spec, where, key, value):
-    def edit(payload):
-        (payload["spec"] if where is None else payload["spec"][where])[key] = value
-
-    with pytest.raises(ValidationError, match=f"takes no key {key!r}"):
-        load_sidecar(_edited_sidecar(tmp_path, spec, edit))
-
-
-@pytest.mark.parametrize("edit, match", [
-    (lambda p: p["spec"].pop("gamma"), "missing key 'gamma'"),
-    (lambda p: p.pop("labels"), "no 'labels'"),
-], ids=["missing-field", "no-labels"])
-def test_load_sidecar_names_the_bad_key(tmp_path, edit, match):
-    with pytest.raises(ValidationError, match=match):
-        load_sidecar(_edited_sidecar(tmp_path, base_spec(), edit))
-
-
 _CLUSTERED = base_spec(inlier_model=ClusteredInliers(nu=0.1),
                        outlier_model=ClusteredOutliers(mu=0.2))
 _CONE = base_spec(outlier_model=BoundedConeOutliers(theta_max=1.3))
@@ -533,17 +450,26 @@ _CONE = base_spec(outlier_model=BoundedConeOutliers(theta_max=1.3))
 ], ids=["n-str", "num_points-float", "rank-bool", "seed-float", "seed-negative", "gamma-null",
         "gamma-str", "gamma-nan", "snr_db-str", "snr_db-inf", "nu-null", "mu-str",
         "theta_max-list"])
-def test_spec_values_of_the_wrong_type_name_the_field(tmp_path, spec, where, key, value,
-                                                      match):
-    def edit(d):
-        (d if where is None else d[where])[key] = value
+def test_spec_values_of_the_wrong_type_name_the_field(spec, where, key, value, match):
+    with pytest.raises(ValidationError, match=match):
+        if where is None:
+            dataclasses.replace(spec, **{key: value})
+        else:
+            dataclasses.replace(getattr(spec, where), **{key: value})
 
-    d = spec_to_dict(spec)
-    edit(d)
-    with pytest.raises(ValidationError, match=match):
-        spec_from_dict(d)
-    with pytest.raises(ValidationError, match=match):
-        load_sidecar(_edited_sidecar(tmp_path, spec, lambda payload: edit(payload["spec"])))
+
+def _check_sidecar(path, ds, orientation="points-as-rows"):
+    """The JSON sidecar at ``path`` records ``ds``: what ``json.load`` reads
+    back is the spec's dict, the label names, sigma and the planted basis."""
+    with open(path) as fh:
+        side = json.load(fh)
+    assert side == {
+        "orientation": orientation,
+        "spec": spec_to_dict(ds.spec),
+        "sigma": ds.sigma,
+        "labels": [Label(v).name.lower() for v in ds.matrix.labels],
+        "true_basis": ds.matrix.true_basis.tolist(),
+    }
 
 
 @pytest.mark.parametrize("orientation", ["points-as-rows", "points-as-columns"])
@@ -554,61 +480,11 @@ def test_export_round_trip(tmp_path, orientation):
     sidecar_path = export_dataset(ds, csv_path, orientation)
     loaded = load_csv_matrix(csv_path, orientation)
     assert np.array_equal(loaded.values, ds.matrix.values)  # repr round trip
-    side = load_sidecar(sidecar_path)
-    assert side["orientation"] == orientation
-    assert side["spec"] == spec
-    assert side["sigma"] == ds.sigma
-    assert np.array_equal(side["labels"], ds.matrix.labels)
-    assert np.allclose(side["true_basis"], ds.matrix.true_basis, atol=0)
+    _check_sidecar(sidecar_path, ds, orientation)
 
 
 def test_export_round_trip_mixed(tmp_path):
     spec = base_spec(inlier_model=ClusteredInliers(nu=0.1),
                      outlier_model=MixedOutliers(mu=0.2))
     ds = make_dataset(spec)
-    side = load_sidecar(export_dataset(ds, tmp_path / "mixed.csv"))
-    assert side["spec"] == spec
-    assert np.array_equal(side["labels"], ds.matrix.labels)
-
-
-def test_load_sidecar_with_bom(tmp_path):
-    ds = make_dataset(base_spec())
-    sidecar = export_dataset(ds, tmp_path / "d.csv")
-    with open(sidecar, encoding="utf-8") as fh:
-        text = fh.read()
-    with open(sidecar, "w", encoding="utf-8-sig") as fh:
-        fh.write(text)
-    side = load_sidecar(sidecar)
-    assert side["spec"] == ds.spec
-    assert np.array_equal(side["labels"], ds.matrix.labels)
-
-
-def test_load_sidecar_rejects_unknown_label(tmp_path):
-    ds = make_dataset(base_spec())
-    sidecar = export_dataset(ds, tmp_path / "d.csv")
-    payload = json.loads(open(sidecar).read())
-    for label in ("maybe", "unknown"):  # a point is an inlier or an outlier
-        payload["labels"][0] = label
-        with open(sidecar, "w") as fh:
-            json.dump(payload, fh)
-        with pytest.raises(ValidationError, match=f"unknown label '{label}'"):
-            load_sidecar(sidecar)
-
-
-@pytest.mark.parametrize("content, match", [
-    (b'{"labels": ["inlier"', "not UTF-8 JSON"),
-    (b"\xff", "not UTF-8 JSON"),
-    (b"5", "must hold a JSON object, not int"),
-    (b'{"labels": 5}', "'labels' must be a list of strings"),
-    (b'{"labels": [["inlier"]]}', "'labels' must be a list of strings"),
-    (b'{"labels": [], "true_basis": "ab"}', "'true_basis' is not a numeric matrix"),
-    (b'{"labels": [], "true_basis": [[1, 2], [3]]}',
-     "'true_basis' is not a numeric matrix"),
-], ids=["truncated", "not-utf8", "not-an-object", "labels-not-a-list",
-        "label-not-a-string", "basis-not-numbers", "basis-ragged"])
-def test_load_sidecar_refuses_unparsable_files_by_path(tmp_path, content, match):
-    sidecar = tmp_path / "d.json"
-    sidecar.write_bytes(content)
-    with pytest.raises(ValidationError, match=match) as info:
-        load_sidecar(sidecar)
-    assert str(sidecar) in str(info.value)
+    _check_sidecar(export_dataset(ds, tmp_path / "mixed.csv"), ds)

@@ -3,12 +3,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from _oracles import max_rank_sizable_noisy, noise_shift_bound, sizable_cluster_gap_condition
 from roma.experiments import _erp_summary, default_config
-
-from roma.theory import (erp_impossibility_alpha, max_rank_sizable,
-                         max_rank_sizable_noisy, na_bound_prob, noise_shift_bound,
-                         nonempty_prob_lower_bound, p_inlier,
-                         sizable_cluster_gap_condition, structured_exact_prob)
+from roma.theory import (erp_impossibility_alpha, max_rank_sizable, na_bound_prob,
+                         nonempty_prob_lower_bound, p_inlier, structured_exact_prob)
 
 # mpmath reference values (50 digits, rounded to float)
 
