@@ -21,6 +21,7 @@ import csv
 import enum
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +81,21 @@ def _owned(x, dtype) -> np.ndarray:
     return _freeze(np.array(x, dtype=dtype, order="C"))
 
 
+def _integers(x, name: str) -> np.ndarray:
+    """``x`` as an array, or a ValidationError if an entry is not an integer:
+    a float, a string or a bool is refused, never cast.  An empty ``x`` is
+    valid, whatever dtype numpy gives it."""
+    if isinstance(x, (list, tuple)):
+        bad = next((v for v in x if isinstance(v, bool)
+                    or not isinstance(v, numbers.Integral)), None)
+        if bad is not None:
+            raise ValidationError(f"{name} must be integers, got {bad!r}")
+    arr = np.asarray(x)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValidationError(f"{name} must be integers, got {arr.dtype} entries")
+    return arr
+
+
 def _check_basis(basis: np.ndarray, n: int) -> np.ndarray:
     basis = _owned(basis, np.float64)
     if basis.ndim != 2 or basis.shape[0] != n:
@@ -117,14 +133,14 @@ class DataMatrix:
             raise ValidationError(f"zero columns at indices {zero.tolist()}")
         object.__setattr__(self, "values", values)
         if self.labels is not None:
-            labels = _owned(self.labels, np.int8)
+            labels = _integers(self.labels, "labels")
             if labels.shape != (values.shape[1],):
                 raise DimensionError(
                     f"labels must have one entry per point, got shape {labels.shape}")
             valid = np.isin(labels, [int(v) for v in Label])
             if not valid.all():
                 raise ValidationError("labels must be Label values")
-            object.__setattr__(self, "labels", labels)
+            object.__setattr__(self, "labels", _owned(labels, np.int8))
         if self.true_basis is not None:
             object.__setattr__(
                 self, "true_basis", _check_basis(self.true_basis, values.shape[0]))
@@ -184,12 +200,14 @@ class Partition:
     num_points: int
 
     def __post_init__(self):
-        if not (isinstance(self.num_points, (int, np.integer)) and self.num_points >= 0):
+        if (isinstance(self.num_points, bool) or not isinstance(self.num_points, (int, np.integer))
+                or self.num_points < 0):
             raise ValidationError(f"num_points must be a count, got {self.num_points!r}")
         # One rule: every listed index lies in [0, N) and each of the N
         # points is listed exactly once.
-        outliers = np.asarray(self.outliers, dtype=np.int64)
-        listed = np.concatenate([np.asarray(self.inliers, dtype=np.int64), outliers])
+        inliers, outliers = (_integers(side, "partition indices").astype(np.int64, copy=False)
+                             for side in (self.inliers, self.outliers))
+        listed = np.concatenate([inliers, outliers])
         bad = listed[(listed < 0) | (listed >= self.num_points)]
         if bad.size:
             raise ValidationError(

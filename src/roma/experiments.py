@@ -133,13 +133,16 @@ class TrialRecord:
     trial: int
     seed: int
     metrics: dict
-    wall_time_s: float
+    wall_time_s: float           # the whole trial; gen_s and detect_s are parts
+    gen_s: float                 # make_dataset
+    detect_s: float              # _detect
     partition: Partition = field(repr=False)
     labels: np.ndarray = field(repr=False)
 
     def row(self) -> dict:
         return {**self.cell, "trial": self.trial, "seed": self.seed,
-                **self.metrics, "wall_time_s": self.wall_time_s}
+                **self.metrics, "wall_time_s": self.wall_time_s,
+                "gen_s": self.gen_s, "detect_s": self.detect_s}
 
 
 @dataclass
@@ -231,13 +234,15 @@ def _run_cells(cfg: ExperimentConfig, exp: _Experiment) -> ExperimentResult:
             seed = _trial_seed(cfg.seed, ci, trial)
             start = time.perf_counter()
             ds = make_dataset(exp.spec(cfg, cell, seed))
+            generated = time.perf_counter()
             res = _detect(cfg, ds.matrix)
+            detected = time.perf_counter()
             metrics = _truth_flags(res.partition, ds.matrix.labels)
             for extra in exp.metrics:
                 metrics.update(extra(ds, res))
-            elapsed = time.perf_counter() - start
-            rs.append(TrialRecord(cell=dict(cell), trial=trial, seed=seed,
-                                  metrics=metrics, wall_time_s=elapsed,
+            rs.append(TrialRecord(cell=dict(cell), trial=trial, seed=seed, metrics=metrics,
+                                  wall_time_s=time.perf_counter() - start,
+                                  gen_s=generated - start, detect_s=detected - generated,
                                   partition=res.partition, labels=ds.matrix.labels))
         records += rs
         summary.append({**cell, "trials": len(rs), **exp.summary(cfg, rs)})

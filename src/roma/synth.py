@@ -5,12 +5,13 @@ outliers on the full sphere: spread uniformly, clustered around a random
 center with tightness mu, held in a cone, or a random mix.  Each model's
 ``sample(streams, basis, count, index_offset=0)`` returns ``count`` unit
 columns, an (n, count) array, for the planted n x r ``basis``.
-``make_dataset`` shuffles a spec's inlier and outlier samples together and
-adds noise to the inliers.  Generation is driven by a counter-based RNG
-(Philox) with one substream per column, keyed by (seed, domain, column
-index), so column j of a seed is always the same, however many columns are
-drawn around it and in whatever order; a sample reads the substreams from
-``index_offset`` on.
+``make_dataset`` shuffles a spec's inlier and outlier columns together; with
+``snr_db`` set, inlier i's substream gives its r coordinates and then its n
+noise values in one draw, and the noise is added before the shuffle.
+Generation is driven by a counter-based RNG (Philox) with one substream per
+column, keyed by (seed, domain, column index), so column j of a seed is
+always the same, however many columns are drawn around it and in whatever
+order; a sample reads the substreams from ``index_offset`` on.
 
 A sample draws all its columns in one batched pass (``ColumnStreams._normals``),
 then maps and normalizes them with one stacked ``np.matmul`` per step.  A
@@ -57,7 +58,6 @@ _DOM_OUTLIER = 3
 _DOM_INLIER_CENTER = 4
 _DOM_OUTLIER_CENTER = 5
 _DOM_SHUFFLE = 6
-_DOM_NOISE = 7
 _DOM_AUX = 0
 
 _MAX_INDEX = 1 << 56
@@ -192,19 +192,28 @@ def _span(basis: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return np.matmul(basis, coords[:, :, None])[:, :, 0]
 
 
-@dataclass(frozen=True)
-class UniformInliers:
-    """Inliers uniform on the unit sphere of the planted subspace."""
+class _Inliers:
+    """Inlier i's coordinates are the first r normals of its substream, and
+    ``_rows`` maps them to unit rows: for ``sample``, and for ``make_dataset``,
+    which draws the noise after them."""
 
     def sample(self, streams, basis, count, index_offset=0) -> np.ndarray:
-        """Columns U g / ||U g||."""
         coords = streams._normals(_DOM_INLIER, range(index_offset, index_offset + count),
                                   basis.shape[1])
-        return _unit_rows(_span(basis, coords)).T
+        return self._rows(streams, basis, coords, index_offset).T
 
 
 @dataclass(frozen=True)
-class ClusteredInliers:
+class UniformInliers(_Inliers):
+    """Inliers uniform on the unit sphere of the planted subspace."""
+
+    def _rows(self, streams, basis, coords, index_offset=0) -> np.ndarray:
+        """Rows U g / ||U g||."""
+        return _unit_rows(_span(basis, coords))
+
+
+@dataclass(frozen=True)
+class ClusteredInliers(_Inliers):
     """Inliers u + nu * v_i around a random in-subspace center u."""
 
     nu: float
@@ -214,12 +223,11 @@ class ClusteredInliers:
         if not self.nu > 0:
             raise ValidationError(f"nu must be positive, got {self.nu!r}")
 
-    def sample(self, streams, basis, count, index_offset=0) -> np.ndarray:
-        """normalize(u + nu * v_i) with u, v_i unit in span(U)."""
+    def _rows(self, streams, basis, coords, index_offset=0) -> np.ndarray:
+        """Rows normalize(u + nu * v_i) with u, v_i unit in span(U)."""
         r = basis.shape[1]
         center = _unit(basis @ streams.inlier_center(index_offset).standard_normal(r))
-        coords = streams._normals(_DOM_INLIER, range(index_offset, index_offset + count), r)
-        return _unit_rows(center + self.nu * _unit_rows(_span(basis, coords))).T
+        return _unit_rows(center + self.nu * _unit_rows(_span(basis, coords)))
 
 
 @dataclass(frozen=True)
@@ -384,8 +392,7 @@ class SynthDataset:
 def _shuffle(inliers: np.ndarray, outliers: np.ndarray,
              streams: ColumnStreams) -> tuple[np.ndarray, np.ndarray]:
     """(values, labels): each block copied straight into its shuffled columns
-    of one matrix in C order, the order DataMatrix stores, on which the noise
-    calibration's sums depend."""
+    of one matrix in C order, the order DataMatrix stores."""
     num_in = inliers.shape[1]
     perm = streams.shuffle().permutation(num_in + outliers.shape[1])
     slot = np.argsort(perm)  # column i of the blocks lands in column slot[i]
@@ -397,33 +404,26 @@ def _shuffle(inliers: np.ndarray, outliers: np.ndarray,
 
 def make_dataset(spec: SynthSpec) -> SynthDataset:
     """Build the dataset a SynthSpec describes: its inlier and outlier samples
-    shuffled into one matrix, plus noise on the inliers when the spec sets
-    ``snr_db``."""
+    shuffled into one matrix.  With ``snr_db`` set, inlier i draws r + n
+    normals from its substream: its coordinates, then its noise.  The SNR is
+    matrix-level, sigma = ||M||_F / (10^(snr_db/20) sqrt(n N)) with ||M||_F =
+    sqrt(N) for unit columns, so sigma = 1 / (10^(snr_db/20) sqrt(n)) and no
+    sum or BLAS thread count enters it."""
     streams = ColumnStreams(spec.seed)
-    basis = random_subspace(spec.n, spec.rank, streams.subspace())
-    inliers = spec.inlier_model.sample(streams, basis, spec.num_inliers)
-    outliers = spec.outlier_model.sample(streams, basis, spec.num_outliers)
-    values, labels = _shuffle(inliers, outliers, streams)
+    n, r = spec.n, spec.rank
+    basis = random_subspace(n, r, streams.subspace())
+    noisy = spec.snr_db is not None
+    draws = streams._normals(_DOM_INLIER, range(spec.num_inliers), r + n if noisy else r)
+    inliers = spec.inlier_model._rows(streams, basis, np.ascontiguousarray(draws[:, :r]))
     sigma = None
-    if spec.snr_db is not None:
-        sigma = _add_noise(values, labels, spec.snr_db, streams)
+    if noisy:
+        sigma = 1.0 / (10.0 ** (spec.snr_db / 20.0) * math.sqrt(n))
+        inliers += sigma * draws[:, r:]
+    outliers = spec.outlier_model.sample(streams, basis, spec.num_outliers)
+    values, labels = _shuffle(inliers.T, outliers, streams)
     matrix = DataMatrix(_freeze(values), labels=_freeze(labels),
                         true_basis=_freeze(basis))
     return SynthDataset(matrix=matrix, spec=spec, sigma=sigma)
-
-
-def _add_noise(values: np.ndarray, labels: np.ndarray, snr_db: float,
-               streams: ColumnStreams) -> float:
-    """Add white Gaussian noise to the inlier columns, in place, calibrated to
-    a matrix-level SNR in dB: sigma = ||M||_F / (10^(snr_db/20) sqrt(n N))
-    over the full C-ordered matrix.  Returns sigma."""
-    n, total = values.shape
-    sigma = np.linalg.norm(values) / (10.0 ** (snr_db / 20.0) * math.sqrt(n * total))
-    targets = np.flatnonzero(labels == int(Label.INLIER))
-    noise = streams._normals(_DOM_NOISE, targets, n)
-    noise *= sigma
-    values[:, targets] += noise.T
-    return float(sigma)
 
 
 _MODEL_NAMES = {cls: name for registry in (_INLIER_MODELS, _OUTLIER_MODELS)

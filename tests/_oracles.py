@@ -14,7 +14,7 @@ import numpy as np
 from roma.angles import _dot, acute_row
 from roma.data import DataMatrix, Label
 from roma.errors import DimensionError, ParseError, ValidationError
-from roma.synth import (_DOM_INLIER, _DOM_NOISE, _DOM_OUTLIER, BoundedConeOutliers,
+from roma.synth import (_DOM_INLIER, _DOM_OUTLIER, BoundedConeOutliers,
                         ClusteredInliers, ClusteredOutliers, ColumnStreams,
                         MixedOutliers, UnstructuredOutliers, _unit, random_subspace)
 from roma.theory import _check_split, p_inlier
@@ -216,21 +216,22 @@ def svd_subspace(cols: np.ndarray, rank="auto"):
 
 
 
-def column_inliers(model, basis, count, streams, index_offset=0):
-    """Inlier columns drawn one column at a time (see ``column_dataset``)."""
-    r = basis.shape[1]
-
-    def in_span(index):
-        return _unit(basis @ streams.stream(_DOM_INLIER, index).standard_normal(r))
-
-    cols = np.empty((basis.shape[0], count))
+def column_inliers(model, basis, count, streams, index_offset=0, sigma=None):
+    """Inlier columns drawn one column at a time (see ``column_dataset``).
+    With ``sigma`` set, inlier i's substream gives r + n normals: its
+    coordinates, then the noise whose ``sigma`` multiple is added."""
+    n, r = basis.shape
+    cols = np.empty((n, count))
     if isinstance(model, ClusteredInliers):
         center = _unit(basis @ streams.inlier_center(index_offset).standard_normal(r))
-        for i in range(count):
-            cols[:, i] = _unit(center + model.nu * in_span(index_offset + i))
-    else:
-        for i in range(count):
-            cols[:, i] = in_span(index_offset + i)
+    for i in range(count):
+        g = streams.stream(_DOM_INLIER, index_offset + i).standard_normal(
+            r if sigma is None else r + n)
+        cols[:, i] = _unit(basis @ g[:r])
+        if isinstance(model, ClusteredInliers):
+            cols[:, i] = _unit(center + model.nu * cols[:, i])
+        if sigma is not None:
+            cols[:, i] += sigma * g[r:]
     return cols
 
 
@@ -275,26 +276,25 @@ def column_dataset(spec):
 
     Every column builds its own generator with the public
     ``ColumnStreams.stream`` and is normalized by ``_unit``: the per-column
-    definition the batched ``sample`` methods must reproduce bit for bit.  Returns
-    (values, labels, true_basis, sigma).
+    definition the batched ``sample`` methods must reproduce bit for bit.
+    Noise is drawn from each inlier's own substream after its coordinates and
+    added before the shuffle, with sigma = 1 / (10^(snr/20) sqrt(n)): the
+    matrix-level ||M||_F / (10^(snr/20) sqrt(n N)) at ||M||_F = sqrt(N).
+    Returns (values, labels, true_basis, sigma).
     """
     streams = ColumnStreams(spec.seed)
     n, total = spec.n, spec.num_points
     basis = random_subspace(n, spec.rank, streams.subspace())
-    parts = [column_inliers(spec.inlier_model, basis, spec.num_inliers, streams)]
+    sigma = None
+    if spec.snr_db is not None:
+        sigma = 1.0 / (10.0 ** (spec.snr_db / 20.0) * math.sqrt(n))
+    parts = [column_inliers(spec.inlier_model, basis, spec.num_inliers, streams, sigma=sigma)]
     if spec.num_outliers:
         parts.append(column_outliers(spec.outlier_model, n, spec.num_outliers, streams))
     labels = np.full(total, int(Label.OUTLIER), dtype=np.int8)
     labels[: spec.num_inliers] = int(Label.INLIER)
     perm = streams.shuffle().permutation(total)
-    # C order, as DataMatrix stores it: the column sums below depend on it
-    values, labels = np.ascontiguousarray(np.hstack(parts)[:, perm]), labels[perm]
-    sigma = None
-    if spec.snr_db is not None:
-        sigma = np.linalg.norm(values) / (10.0 ** (spec.snr_db / 20.0) * math.sqrt(n * total))
-        for j in np.flatnonzero(labels == int(Label.INLIER)):
-            values[:, j] += sigma * streams.stream(_DOM_NOISE, int(j)).standard_normal(n)
-    return values, labels, basis, sigma
+    return np.hstack(parts)[:, perm], labels[perm], basis, sigma
 
 
 def csv_oracle(path, orientation: str = "points-as-rows") -> DataMatrix:

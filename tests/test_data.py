@@ -496,6 +496,17 @@ def test_datamatrix_labels():
         DataMatrix(np.eye(3), labels=[0, 1, 7])
     with pytest.raises(ValidationError):
         DataMatrix(np.eye(3), labels=[0, 1, 2])  # no label besides the two
+    # an entry that is not an integer is refused, not cast; nor does an
+    # integer wrap into a label
+    with pytest.raises(ValidationError, match="labels must be integers, got 0.5"):
+        DataMatrix(np.eye(3) + 1, labels=[0.5, 1.7, True])
+    with pytest.raises(ValidationError, match="labels must be integers, got True"):
+        DataMatrix(np.eye(3), labels=[0, True, 1])
+    with pytest.raises(ValidationError, match="labels must be integers, got bool entries"):
+        DataMatrix(np.eye(3), labels=np.array([False, True, True]))
+    with pytest.raises(ValidationError, match="labels must be Label values"):
+        DataMatrix(np.eye(3) + 1, labels=[300, 1, 0])
+    assert DataMatrix(np.eye(3), labels=np.array([0, 1, 1], np.uint8)).labels.tolist() == [0, 1, 1]
     with pytest.raises(ValidationError):
         DataMatrix(np.eye(3)).label_indices(Label.INLIER)
 
@@ -535,9 +546,16 @@ def test_partition_validation():
     ([0, 1], [2], 2, r"index 2 lies outside \[0, 2\)"),
     ([], [], -1, "num_points must be a count, got -1"),
     ([0, 1], [2], 3.0, "num_points must be a count, got 3.0"),
+    ([0], [], True, "num_points must be a count, got True"),
+    ([0.7], [], 1, "partition indices must be integers, got 0.7"),
+    ([1.9, 0], [], 2, "partition indices must be integers, got 1.9"),
+    (["0"], [], 1, "partition indices must be integers, got '0'"),
+    ([True, 0], [], 2, "partition indices must be integers, got True"),
+    ([0], np.array([1.0]), 2, "partition indices must be integers, got float64 entries"),
 ], ids=["duplicate", "overlap", "gap", "out-of-range", "negative",
         "num_points-above", "num_points-below", "num_points-negative",
-        "num_points-float"])
+        "num_points-float", "num_points-bool", "float-index", "float-indices",
+        "string-index", "bool-index", "float-array"])
 def test_partition_lists_each_point_once(inliers, outliers, num_points, match):
     with pytest.raises(ValidationError, match=match):
         Partition(inliers=inliers, outliers=outliers, num_points=num_points)
@@ -549,6 +567,9 @@ def test_partition_mask_and_empty_sides():
     assert part.inliers.tolist() == [0, 1]  # stored sorted
     all_in = Partition(inliers=[0, 1, 2], outliers=[], num_points=3)
     assert all_in.outlier_mask().sum() == 0
+    # an empty side is valid whatever dtype numpy gives it
+    all_out = Partition(inliers=np.array([]), outliers=(np.int64(1), 0), num_points=2)
+    assert all_out.outliers.tolist() == [0, 1] and all_out.inliers.dtype == np.int64
 
 
 def test_subspace_basis_validation():

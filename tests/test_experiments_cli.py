@@ -34,7 +34,8 @@ def rows_sans_time(result):
     rows = []
     for row in ex.result_rows(result):
         row = dict(row)
-        row.pop("wall_time_s", None)
+        for key in ("wall_time_s", "gen_s", "detect_s"):
+            row.pop(key, None)
         rows.append(row)
     return rows
 
@@ -247,6 +248,13 @@ def test_runs_are_deterministic_up_to_wall_time():
     cfg = tiny("validate-threshold", gamma_grid=(0.3,), trials=3)
     assert rows_sans_time(ex.run_experiment(cfg)) == \
         rows_sans_time(ex.run_experiment(cfg))
+
+
+def test_trial_rows_time_generation_and_detection():
+    result = ex.run_experiment(tiny("validate-threshold", gamma_grid=(0.3,), trials=2))
+    for row in (rec.row() for rec in result.records):
+        assert 0.0 < row["gen_s"] and 0.0 < row["detect_s"]
+        assert row["gen_s"] + row["detect_s"] <= row["wall_time_s"]
 
 
 def test_trial_seeds_are_distinct_and_stable():

@@ -1,8 +1,12 @@
 """Tests for the synthetic dataset generators."""
 
 import dataclasses
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -376,12 +380,13 @@ def test_spec_rejects_unknown_models():
 
 
 def test_noise_sigma_and_point_snr_formulas():
-    # unit columns: ||M||_F = sqrt(N), so sigma = 10^(-snr/20)/sqrt(n) and
-    # every clean point's snr is 10^(snr/10)
+    # unit columns: ||M||_F = sqrt(N), so sigma = 1/(10^(snr/20) sqrt(n)),
+    # the same at every N, and every clean point's snr is 10^(snr/10)
     spec = base_spec(snr_db=20.0)
     ds = make_dataset(spec)
     n = spec.n
-    assert ds.sigma == pytest.approx(10.0 ** (-20.0 / 20.0) / math.sqrt(n), rel=1e-12)
+    assert ds.sigma == 1.0 / (10.0 ** (20.0 / 20.0) * math.sqrt(n))
+    assert make_dataset(base_spec(snr_db=20.0, num_points=333)).sigma == ds.sigma
     clean = make_dataset(base_spec()).matrix.values
     point_snr = np.sum(clean * clean, axis=0) / (n * ds.sigma ** 2)
     assert np.allclose(point_snr, 10.0 ** (20.0 / 10.0), rtol=1e-9)
@@ -402,6 +407,23 @@ def test_noise_deterministic_and_single_shot():
     b = make_dataset(spec)
     assert np.array_equal(a.matrix.values, b.matrix.values)
     assert a.sigma == b.sigma
+
+
+def test_noisy_data_does_not_follow_the_blas_thread_count():
+    # at n = 100, N = 2000 OpenBLAS splits a sum over threads, so data that
+    # took one would differ in the single-threaded child
+    code = ("import hashlib; from roma.synth import SynthSpec, make_dataset; "
+            "spec = SynthSpec(n=100, num_points=2000, rank=10, gamma=0.3, seed=1, snr_db=20.0); "
+            "print(hashlib.sha256(make_dataset(spec).matrix.values.tobytes()).hexdigest())")
+    src = os.path.dirname(os.path.dirname(synth.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    spec = SynthSpec(n=100, num_points=2000, rank=10, gamma=0.3, seed=1, snr_db=20.0)
+    here = hashlib.sha256(make_dataset(spec).matrix.values.tobytes()).hexdigest()
+    assert proc.stdout.strip() == here
 
 
 def test_noisy_columns_leave_unit_sphere():
