@@ -51,9 +51,9 @@ The scan recomputes with ``_dot`` every entry whose decision E leaves open:
 its row or its column point (q: a point's entry at its exact peak lies
 within E of it, so within 2E of that peak).  So q and na equal what
 ``_dot`` over every pair gives, whatever the BLAS build or the block
-height.  ``acute_row`` is ``_dot`` throughout.  A pass without the na counts
-(``count_na=False``) leaves out the compares with the cut and the open band;
-its scores count na on first read (see ``AngleScores``).
+height.  A pass without the na counts (``count_na=False``) leaves out the
+compares with the cut and the open band; its scores count na on first read
+(see ``AngleScores``).
 
 The mean principal angle is informational, except in the adapted mode where
 it centres the threshold.  ``sample_mean_angle`` computes it in its own
@@ -75,7 +75,6 @@ __all__ = [
     "AngleScores",
     "gram_scan",
     "sample_mean_angle",
-    "acute_row",
 ]
 
 # Bytes of one float64 Gram block; the rows per block follow from it and N.
@@ -405,13 +404,3 @@ def sample_mean_angle(x) -> float:
         total += float(theta.sum())
     return total / (n_pts * (n_pts - 1) / 2)
 
-
-def acute_row(x, i: int) -> np.ndarray:
-    """Acute angles from point i to every point, from ``_dot``; entry i is zero."""
-    v = _values(x)
-    if not 0 <= i < v.shape[1]:
-        raise ValidationError(f"point index {i} out of range")
-    dots = np.abs(_dot(v, i, np.arange(v.shape[1])))
-    row = np.arccos(np.minimum(dots, 1.0))
-    row[i] = 0.0
-    return row

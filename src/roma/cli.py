@@ -155,7 +155,7 @@ def _detect_report(args) -> dict:
     if stage2 is not None:
         report["stage2"] = {
             "stage1_outliers": res.partition.outliers.tolist(),
-            "survivors": stage2.survivors.tolist(),
+            "survivors": res.partition.inliers.tolist(),
             "na_survivors": stage2.na_survivors.tolist(),
             "inlier_head": stage2.inlier_head,
             "outlier_head": stage2.outlier_head,

@@ -90,6 +90,10 @@ def _integers(x, name: str) -> np.ndarray:
                     or not isinstance(v, numbers.Integral)), None)
         if bad is not None:
             raise ValidationError(f"{name} must be integers, got {bad!r}")
+        arr = np.asarray(x)
+        # ints beyond int64 make numpy choose float64 or object: keep the
+        # values, so that a range check names the one given
+        return arr if arr.dtype.kind in "iu" or not arr.size else np.asarray(x, object)
     arr = np.asarray(x)
     if arr.size and arr.dtype.kind not in "iu":
         raise ValidationError(f"{name} must be integers, got {arr.dtype} entries")
@@ -204,14 +208,18 @@ class Partition:
                 or self.num_points < 0):
             raise ValidationError(f"num_points must be a count, got {self.num_points!r}")
         # One rule: every listed index lies in [0, N) and each of the N
-        # points is listed exactly once.
-        inliers, outliers = (_integers(side, "partition indices").astype(np.int64, copy=False)
-                             for side in (self.inliers, self.outliers))
-        listed = np.concatenate([inliers, outliers])
-        bad = listed[(listed < 0) | (listed >= self.num_points)]
-        if bad.size:
-            raise ValidationError(
-                f"partition index {bad[0]} lies outside [0, {self.num_points})")
+        # points is listed exactly once.  The range is checked before the
+        # cast to int64, which would wrap an index at or above 2^63.
+        sides = []
+        for side in (self.inliers, self.outliers):
+            side = _integers(side, "partition indices")
+            bad = side[(side < 0) | (side >= self.num_points)]
+            if bad.size:
+                raise ValidationError(
+                    f"partition index {bad[0]} lies outside [0, {self.num_points})")
+            sides.append(side.astype(np.int64, copy=False))
+        inliers, outliers = sides
+        listed = np.concatenate(sides)
         counts = np.bincount(listed, minlength=self.num_points)
         wrong = np.flatnonzero(counts != 1)
         if wrong.size:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import AngleScores, acute_row, gram_scan, sample_mean_angle
+from .angles import AngleScores, _dot, gram_scan, sample_mean_angle
 from .data import (NormalizedMatrix, Partition, _freeze, _owned, _setstate,
                    normalize_columns)
 from .errors import DegenerateRegimeError, ValidationError
@@ -49,15 +49,13 @@ class RomaNResult:
 
     partition: Partition
     stage1: RomaResult
-    survivors: np.ndarray
     na_survivors: np.ndarray
     inlier_head: int
     outlier_head: int
     labels_swapped: bool
 
     def __post_init__(self):
-        for name in ("survivors", "na_survivors"):
-            object.__setattr__(self, name, _owned(getattr(self, name), np.int64))
+        object.__setattr__(self, "na_survivors", _owned(self.na_survivors, np.int64))
 
 
 def _normalized(m) -> NormalizedMatrix:
@@ -155,10 +153,10 @@ def roma_n(m, mode: str = "theoretical", *,
     # first such point is the lower index of the row-major-first tied pair.
     head = int(np.argmin(stage1.scores.q))
     i_local = int(np.searchsorted(survivors, head))
-    # Outlier head: survivor farthest from i*.  phi[i*, i*] = 0 can only
-    # attain the max when every angle is zero, and the heads must differ, so
-    # i* is excluded before the argmax.
-    row = acute_row(x, head)[survivors]
+    # Outlier head: survivor farthest from i*, by ``_dot``.  phi[i*, i*] = 0
+    # can only attain the max when every angle is zero, and the heads must
+    # differ, so i* is excluded before the argmax.
+    row = np.arccos(np.minimum(np.abs(_dot(x.values, head, survivors)), 1.0))
     row[i_local] = -np.inf
     o_local = int(np.argmax(row))
     dist_in = np.abs(na_s - na_s[i_local])
@@ -177,8 +175,7 @@ def roma_n(m, mode: str = "theoretical", *,
     outliers = np.concatenate([stage1.partition.outliers, survivors[to_outlier]])
     partition = Partition(inliers=inliers, outliers=outliers,
                           num_points=x.num_points)
-    return RomaNResult(partition=partition, stage1=stage1, survivors=survivors,
-                       na_survivors=na_s,
+    return RomaNResult(partition=partition, stage1=stage1, na_survivors=na_s,
                        inlier_head=head,
                        outlier_head=int(survivors[o_local]),
                        labels_swapped=swapped)

@@ -44,9 +44,9 @@ from .data import DataMatrix, Label, Partition
 from .detector import roma, roma_n
 from .errors import ValidationError
 from .subspace import lre, recover_subspace
-from .synth import (_OUTLIER_MODELS, BoundedConeOutliers, ClusteredInliers,
-                    ClusteredOutliers, ColumnStreams, MixedOutliers, SynthSpec,
-                    UnstructuredOutliers, _check_int, _check_real, make_dataset)
+from .synth import (_OUTLIER_MODELS, ClusteredInliers, ClusteredOutliers,
+                    ColumnStreams, MixedOutliers, SynthSpec, _check_int,
+                    _check_real, make_dataset)
 from .theory import erp_impossibility_alpha
 
 __all__ = [
@@ -118,7 +118,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     unknown = set(d) - known
     if unknown:
         raise ValidationError(f"unknown config fields: {sorted(unknown)}")
-    base = default_config(d["experiment"]) if "experiment" in d else ExperimentConfig()
+    base = default_config(d.get("experiment", ExperimentConfig.experiment))
     clean = {}
     for key, value in d.items():
         if isinstance(value, list):
@@ -184,15 +184,12 @@ def audit(result: ExperimentResult) -> bool:
 
 
 def _outlier_model(cfg: ExperimentConfig):
-    if cfg.outlier_model == "unstructured":
-        return UnstructuredOutliers()
-    if cfg.outlier_model == "clustered":
-        return ClusteredOutliers(mu=cfg.mu)
-    if cfg.outlier_model == "bounded-cone":
-        if cfg.theta_max is None:
-            raise ValidationError("bounded-cone outliers need theta_max")
-        return BoundedConeOutliers(theta_max=cfg.theta_max)
-    raise ValidationError(f"unknown outlier model {cfg.outlier_model!r}")
+    """The named model, built from the config fields of the same names: the
+    fields ``run_experiment`` counts as read.  "mixed" is its own experiment."""
+    cls = None if cfg.outlier_model == "mixed" else _OUTLIER_MODELS.get(cfg.outlier_model)
+    if cls is None:
+        raise ValidationError(f"unknown outlier model {cfg.outlier_model!r}")
+    return cls(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(cls)})
 
 
 def _detect(cfg: ExperimentConfig, matrix: DataMatrix):

@@ -132,7 +132,7 @@ class ColumnStreams:
         for row, low in zip(out, keys):
             key[0] = low
             bitgen.state = state
-            gen.standard_normal(size, out=row)
+            gen.standard_normal(out=row)
         return out
 
     def subspace(self) -> np.random.Generator:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from roma.angles import _dot, acute_row
+from roma.angles import _dot
 from roma.data import DataMatrix, Label
 from roma.errors import DimensionError, ParseError, ValidationError
 from roma.synth import (_DOM_INLIER, _DOM_OUTLIER, BoundedConeOutliers,
@@ -181,13 +181,13 @@ def dot_decisions(cols: np.ndarray, zeta: float):
 def closest_pair(cols, q) -> tuple[int, int]:
     """The closest pair (i, j), first in row-major order, read off the
     scores q of ``cols``: i is the first point at the smallest q, and j the
-    first other point at acute angle exactly q[i] from i by ``acute_row``.
+    first other point at acute angle exactly q[i] from i by ``_dot``.
 
     Every point of a pair at the smallest angle has q at the minimum, so no
     such pair starts before i, and none pairs i with a point before it.
     """
     i = int(np.argmin(q))
-    row = acute_row(cols, i)
+    row = np.arccos(np.minimum(np.abs(_dot(cols, i, np.arange(cols.shape[1]))), 1.0))
     row[i] = np.nan
     return i, int(np.flatnonzero(row == q[i])[0])
 

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roma import angles
-from roma.angles import (AngleScores, _cut, acute_row, gram_scan,
-                         sample_mean_angle)
+from roma.angles import AngleScores, _cut, gram_scan, sample_mean_angle
 from roma.data import normalize_columns
 from roma.errors import DimensionError, ValidationError
 from roma.threshold import compute_zeta
@@ -180,9 +179,7 @@ def test_kernels_take_unit_columns_and_refuse_others():
     a, b = gram_scan(unit, 1.0), gram_scan(unit.values, 1.0)
     assert np.array_equal(a.q, b.q) and np.array_equal(a.na, b.na)
     assert sample_mean_angle(unit) == sample_mean_angle(unit.values)
-    assert np.array_equal(acute_row(unit, 3), acute_row(unit.values, 3))
-    for kernel in (lambda x: gram_scan(x, 1.0), sample_mean_angle,
-                   lambda x: acute_row(x, 0)):
+    for kernel in (lambda x: gram_scan(x, 1.0), sample_mean_angle):
         with pytest.raises(ValidationError, match="not unit norm"):
             kernel(raw)
         with pytest.raises(ValidationError, match="normalize_columns"):
@@ -228,17 +225,6 @@ def test_closest_pair_ties_in_angle_not_gram(monkeypatch):
     for rows in (1, 4):
         block_rows(monkeypatch, rows, 4)
         assert closest(v) == (0, 1)
-
-
-def test_acute_row_matches_table():
-    v = unit_cloud(6, 14, 14)
-    phi = brute_acute_angles(v)
-    exact = dot_acute_angles(v)
-    for i in (0, 5, 13):
-        np.testing.assert_allclose(acute_row(v, i), phi[i], rtol=0.0, atol=1e-12)
-        assert np.array_equal(acute_row(v, i), exact[i])
-    with pytest.raises(ValidationError):
-        acute_row(v, 14)
 
 
 def test_scan_domain_errors():

@@ -19,7 +19,7 @@ DELETED = {
     "angles": ["pairwise_acute_angles", "pairwise_principal_angles",
                "min_angle_scores", "count_above_threshold",
                "mean_principal_angle", "min_pair", "angle_scores",
-               "GramScan"],
+               "GramScan", "acute_row"],
     "statcore": ["normal_sf", "angle_pdf", "folded_gaussian_moments"],
     "threshold": ["compute_zeta_adapted"],
     "synth": ["assemble", "shuffle_and_label", "add_noise_snr",
@@ -40,6 +40,7 @@ DELETED_ATTRS = {
     ("angles", "AngleScores"): ["mean_theta", "zeta"],
     ("data", "Label"): ["UNKNOWN"],
     ("data", "SubspaceBasis"): ["n"],
+    ("detector", "RomaNResult"): ["survivors"],
     ("theory", "ErpAlphaEstimate"): ["trials"],
 }
 

@@ -552,10 +552,12 @@ def test_partition_validation():
     (["0"], [], 1, "partition indices must be integers, got '0'"),
     ([True, 0], [], 2, "partition indices must be integers, got True"),
     ([0], np.array([1.0]), 2, "partition indices must be integers, got float64 entries"),
+    ([2**63], [], 2, r"index 9223372036854775808 lies outside \[0, 2\)"),
+    ([1, 2**64 - 1], [], 2, r"index 18446744073709551615 lies outside \[0, 2\)"),
 ], ids=["duplicate", "overlap", "gap", "out-of-range", "negative",
         "num_points-above", "num_points-below", "num_points-negative",
         "num_points-float", "num_points-bool", "float-index", "float-indices",
-        "string-index", "bool-index", "float-array"])
+        "string-index", "bool-index", "float-array", "index-2^63", "index-2^64-1"])
 def test_partition_lists_each_point_once(inliers, outliers, num_points, match):
     with pytest.raises(ValidationError, match=match):
         Partition(inliers=inliers, outliers=outliers, num_points=num_points)

@@ -150,7 +150,7 @@ def test_roma_n_stage1_outliers_stay_flagged():
 def test_roma_n_survivor_counts_match_submatrix():
     m = structured_case(seed=33)
     res = roma_n(m)
-    sub = m.values[:, res.survivors]
+    sub = m.values[:, res.stage1.partition.inliers]
     sub = sub / np.linalg.norm(sub, axis=0)
     np.testing.assert_array_equal(
         res.na_survivors, brute_na(sub, res.stage1.threshold.zeta))
@@ -162,12 +162,13 @@ def test_roma_n_blocked_path_agrees(monkeypatch):
         monkeypatch.setattr(angles, "_BLOCK_BYTES", 8 * 120 * rows)
         monkeypatch.setattr(angles, "_MIN_BLOCKS", 1)
         res = roma_n(m)
-        sub = m.values[:, res.survivors]
+        kept = res.stage1.partition.inliers
+        sub = m.values[:, kept]
         np.testing.assert_array_equal(
             res.na_survivors, brute_na(sub, res.stage1.threshold.zeta))
         i, _, o = brute_heads(sub)
-        assert res.inlier_head == res.survivors[i]
-        assert res.outlier_head == res.survivors[o]
+        assert res.inlier_head == kept[i]
+        assert res.outlier_head == kept[o]
         np.testing.assert_array_equal(res.partition.outliers,
                                       m.label_indices(Label.OUTLIER))
 
@@ -197,12 +198,12 @@ def survivor_scores_run(seed, num_points, gamma, clustered, kind, mode):
             mp.setattr(angles, "_BLOCK_BYTES", 8 * num_points * rows)
             mp.setattr(angles, "_MIN_BLOCKS", 1)
             runs.append(roma_n(DataMatrix(values), mode))
-    survivors = runs[0].survivors
+    survivors = runs[0].stage1.partition.inliers
     sub = normalize_columns(values).values[:, survivors]
     na = brute_na(sub, runs[0].stage1.threshold.zeta)
     i, _, o = brute_heads(sub)
     for res in runs:
-        np.testing.assert_array_equal(res.survivors, survivors)
+        np.testing.assert_array_equal(res.stage1.partition.inliers, survivors)
         np.testing.assert_array_equal(res.na_survivors, na)
         assert res.inlier_head == survivors[i]
         assert res.outlier_head == survivors[o]
@@ -224,7 +225,7 @@ def test_roma_n_survivor_scores_match_the_submatrix(seed, num_points, gamma,
     res = survivor_scores_run(seed, num_points, gamma, clustered, kind, mode)
     assume(res.stage1.partition.outliers.size >= 1)
     if kind == "two survivors":
-        assume(res.survivors.size == 2)
+        assume(res.stage1.partition.inliers.size == 2)
 
 
 @pytest.mark.parametrize("mode", ["theoretical", "adapted"])
@@ -242,7 +243,7 @@ def test_roma_n_survivor_scores_cases_are_reached(seed, num_points, gamma,
     res = survivor_scores_run(seed, num_points, gamma, clustered, kind, mode)
     assert res.stage1.partition.outliers.size >= 1
     if kind == "two survivors":
-        assert res.survivors.size == 2
+        assert res.stage1.partition.inliers.size == 2
 
 
 @pytest.mark.parametrize("mode", ["theoretical", "adapted"])
@@ -494,7 +495,7 @@ def test_unpickled_containers_are_read_only():
     m2, x2, basis2, two, one = pickle.loads(blob)
     held = one.scores._pending[0]  # the unit columns na is counted from
     arrays = [m2.values, m2.labels, m2.true_basis, x2.values, basis2.values,
-              two.survivors, two.na_survivors, two.partition.inliers,
+              two.stage1.partition.inliers, two.na_survivors, two.partition.inliers,
               two.partition.outliers, two.stage1.scores.q, two.stage1.scores.na,
               one.scores.q, one.partition.inliers, one.partition.outliers, held,
               one.scores.na]  # counted only now, after the load

@@ -18,7 +18,8 @@ import roma.experiments as ex
 from roma.cli import main
 from roma.data import Label, load_csv_matrix
 from roma.errors import ValidationError
-from roma.synth import (ClusteredOutliers, SynthSpec, export_dataset, make_dataset,
+from roma.synth import (BoundedConeOutliers, ClusteredOutliers, SynthSpec,
+                        UnstructuredOutliers, export_dataset, make_dataset,
                         spec_to_dict)
 
 
@@ -291,6 +292,20 @@ def test_run_experiment_rejects_unknown_name():
         ex.run_experiment(ex.ExperimentConfig(experiment="nope"))
 
 
+@pytest.mark.parametrize("experiment", ["validate-threshold", "oip-erp"])
+def test_outlier_model_is_built_from_the_fields_of_its_names(experiment):
+    base = ex.default_config(experiment)
+    for fields, model in (({}, UnstructuredOutliers()),
+                          ({"outlier_model": "clustered", "mu": 0.7},
+                           ClusteredOutliers(mu=0.7)),
+                          ({"outlier_model": "bounded-cone", "theta_max": 0.5},
+                           BoundedConeOutliers(theta_max=0.5))):
+        assert ex._outlier_model(base.replace(**fields)) == model
+    # the mix of both kinds is the mixed experiment's, not a gamma cell's
+    with pytest.raises(ValidationError, match="unknown outlier model 'mixed'"):
+        ex._outlier_model(base.replace(outlier_model="mixed"))
+
+
 def test_config_from_dict():
     cfg = ex.config_from_dict({"experiment": "phase-recovery", "trials": 2,
                                "inlier_grid": [30, 60],
@@ -306,6 +321,12 @@ def test_config_from_dict():
     for name in ({"a": 1}, ["x"], 5):  # not a string, so no experiment's name
         with pytest.raises(ValidationError, match="unknown experiment"):
             ex.config_from_dict({"experiment": name})
+
+
+def test_config_from_dict_without_an_experiment_is_the_default_ones():
+    # one source of defaults: leaving the name out is naming the default
+    assert (ex.config_from_dict({"trials": 5})
+            == ex.config_from_dict({"experiment": "validate-threshold", "trials": 5}))
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +526,7 @@ def test_cli_exit_2_on_config_conflicts(tmp_path, capsys):
     ("validate-threshold", {"num_points": 40, "outlier_model": "bogus"},
      "unknown outlier model 'bogus'"),
     ("validate-threshold", {"num_points": 40, "outlier_model": "bounded-cone"},
-     "bounded-cone outliers need theta_max"),
+     "theta_max must be a finite real, got None"),
     ("structured", {"split_grid": [[20, 10]], "stage": "bogus"},
      "stage must be 'roma' or 'roma-n', got 'bogus'"),
 ], ids=["outlier-model", "cone-without-theta-max", "stage"])

@@ -109,14 +109,15 @@ def test_two_stage_permutation_and_signs(perm, signs):
     # point k of the moved matrix is point perm[k] of the original
     assert np.array_equal(moved.stage1.partition.outlier_mask(),
                           base.stage1.partition.outlier_mask()[perm])
-    assert np.array_equal(np.sort(perm[moved.survivors]), base.survivors)
+    kept, moved_kept = base.stage1.partition.inliers, moved.stage1.partition.inliers
+    assert np.array_equal(np.sort(perm[moved_kept]), kept)
     assert np.array_equal(
         moved.na_survivors,
-        base.na_survivors[np.searchsorted(base.survivors, perm[moved.survivors])])
+        base.na_survivors[np.searchsorted(kept, perm[moved_kept])])
     # the inlier head is the lower index of the closest pair, so it follows
     # column order; only with the same head do the rest follow the move
-    v = normalize_columns(values).values[:, base.survivors]
-    pair = base.survivors[list(closest_pair(v, gram_scan(v, 1.0).q))]
+    v = normalize_columns(values).values[:, kept]
+    pair = kept[list(closest_pair(v, gram_scan(v, 1.0).q))]
     assert moved.inlier_head == np.argsort(perm)[pair].min()
     if perm[moved.inlier_head] == base.inlier_head:
         assert perm[moved.outlier_head] == base.outlier_head
@@ -127,8 +128,9 @@ def test_two_stage_permutation_and_signs(perm, signs):
 def test_two_stage_inlier_head_is_the_lower_index_of_the_closest_pair():
     values = structured_values()
     base = roma_n(DataMatrix(values))
-    survivors = values[:, base.survivors]
-    pair = base.survivors[list(closest_pair(survivors, gram_scan(survivors, 1.0).q))]
+    kept = base.stage1.partition.inliers
+    survivors = values[:, kept]
+    pair = kept[list(closest_pair(survivors, gram_scan(survivors, 1.0).q))]
     for seed in range(20):
         rng = np.random.default_rng(seed)
         perm = rng.permutation(values.shape[1])
@@ -207,11 +209,11 @@ def test_decisions_do_not_depend_on_block_size(seed, kind):
     assert np.array_equal(base.stage1.scores.q, dot_decisions(v, zeta)[0])
     assert np.array_equal(base.stage1.partition.outliers, np.flatnonzero(q > zeta))
     assert np.array_equal(base.stage1.scores.na, brute_na(v, zeta))
-    i, j, o = brute_heads(v[:, base.survivors])
-    assert (base.inlier_head, base.outlier_head) == (base.survivors[i],
-                                                     base.survivors[o])
+    kept = base.stage1.partition.inliers
+    i, j, o = brute_heads(v[:, kept])
+    assert (base.inlier_head, base.outlier_head) == (kept[i], kept[o])
     if copies:
-        assert set(copies) == {base.survivors[i], base.survivors[j]}
+        assert set(copies) == {kept[i], kept[j]}
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(KINDS))
@@ -226,12 +228,12 @@ def test_column_permutation_relabels_decisions(seed, kind):
     assert np.array_equal(moved.stage1.scores.na, base.stage1.scores.na[perm])
     assert np.array_equal(moved.stage1.partition.outlier_mask(),
                           base.stage1.partition.outlier_mask()[perm])
-    assert np.array_equal(np.sort(perm[moved.survivors]), base.survivors)
-    survivors = values[:, base.survivors]
+    kept = base.stage1.partition.inliers
+    assert np.array_equal(np.sort(perm[moved.stage1.partition.inliers]), kept)
+    survivors = values[:, kept]
     unit = survivors / np.linalg.norm(survivors, axis=0)
     pair = set(closest_pair(unit, gram_scan(unit, 1.0).q))
-    assert {perm[moved.inlier_head], base.inlier_head} <= set(
-        base.survivors[sorted(pair)])
+    assert {perm[moved.inlier_head], base.inlier_head} <= set(kept[sorted(pair)])
     # the inlier head is the lower index of the closest pair, so relabelling
     # may pick its other point; with the same head everything else follows
     if perm[moved.inlier_head] == base.inlier_head:
@@ -303,7 +305,7 @@ def test_planted_near_ties_are_decided_exactly_at_every_block_height(
         res = roma_n_at(values, rows)
         assert np.array_equal(res.stage1.scores.q, q)
         assert np.array_equal(res.stage1.scores.na, na)
-        assert np.array_equal(res.survivors, survivors)
+        assert np.array_equal(res.stage1.partition.inliers, survivors)
         assert np.array_equal(res.na_survivors, na_s)
         assert res.inlier_head == survivors[i_s]
         assert res.outlier_head == survivors[o_s]
