@@ -22,7 +22,7 @@ import enum
 import io
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,11 +74,28 @@ def _setstate(self, state: dict) -> None:
 def _owned(x, dtype) -> np.ndarray:
     """``x`` as a read-only C-contiguous ``dtype`` array that no caller can
     write through: a read-only array that already is one is taken as it is,
-    anything else is copied once."""
+    anything else is copied once.  Complex entries are refused, not cast to
+    their real parts."""
     if (isinstance(x, np.ndarray) and not x.flags.writeable
             and x.flags.c_contiguous and x.dtype == dtype):
         return x
-    return _freeze(np.array(x, dtype=dtype, order="C"))
+    arr = np.asarray(x)
+    if arr.dtype.kind == "c":
+        raise ValidationError(f"entries must be real, got {arr.dtype} entries")
+    if isinstance(x, (list, tuple)):  # a new array, which no caller holds
+        return _freeze(np.ascontiguousarray(arr, dtype=dtype))
+    return _freeze(np.array(arr, dtype=dtype, order="C"))
+
+
+def _check_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_real(name: str, value) -> None:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValidationError(f"{name} must be a finite real, got {value!r}")
 
 
 def _integers(x, name: str) -> np.ndarray:

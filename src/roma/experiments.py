@@ -40,13 +40,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataMatrix, Label, Partition
+from .data import DataMatrix, Label, Partition, _check_int, _check_real
 from .detector import roma, roma_n
 from .errors import ValidationError
 from .subspace import lre, recover_subspace
 from .synth import (_OUTLIER_MODELS, ClusteredInliers, ClusteredOutliers,
-                    ColumnStreams, MixedOutliers, SynthSpec, _check_int,
-                    _check_real, make_dataset)
+                    ColumnStreams, MixedOutliers, SynthSpec, _check_seed,
+                    make_dataset)
 from .theory import erp_impossibility_alpha
 
 __all__ = [
@@ -401,11 +401,13 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 def _check_field(name: str, value, like) -> None:
     """Raise ValidationError unless ``value`` has the type of the default
     ``like``: an integer that is not a bool, a bool, a finite real, a string
-    or a tuple.  A tuple's items have the type of ``like``'s first item, and
-    an item that is itself a tuple has its length."""
+    or a tuple.  A tuple is non-empty, its items have the type of ``like``'s
+    first item, and an item that is itself a tuple has its length."""
     if isinstance(like, tuple):
         if not isinstance(value, tuple):
             raise ValidationError(f"{name} must be a list, got {value!r}")
+        if not value:  # an empty grid would run no cells
+            raise ValidationError(f"{name} must not be empty")
         for i, item in enumerate(value):
             _check_field(f"{name}[{i}]", item, like[0])
             if isinstance(like[0], tuple) and len(item) != len(like[0]):
@@ -428,6 +430,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         value = getattr(cfg, f.name)
         if not (value is None and "None" in str(f.type)):
             _check_field(f.name, value, 0.0 if f.default is None else f.default)
+    _check_seed(cfg.seed)
     exp = _experiment(cfg.experiment)
     if cfg.trials < 1:
         raise ValidationError(f"trials must be at least 1, got {cfg.trials}")

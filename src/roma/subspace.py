@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .data import SubspaceBasis, _freeze
+from .data import SubspaceBasis, _check_int, _freeze, _integers
 from .errors import DimensionError, ValidationError
 
 __all__ = ["recover_subspace", "numerical_rank", "lre", "LRE_FLOOR"]
@@ -37,12 +37,13 @@ def recover_subspace(m, inliers, rank="auto") -> SubspaceBasis:
     Parameters
     ----------
     m : DataMatrix or array of column points
-    inliers : indices of the columns to use (nonempty)
+    inliers : integer indices of the columns to use (nonempty); a boolean
+        mask or a float is refused, not cast
     rank : "auto" keeps as many leading vectors as ``numerical_rank``
         counts; an integer forces that many.
     """
     values = m.values if hasattr(m, "values") else np.asarray(m, dtype=float)
-    inliers = np.asarray(inliers, dtype=np.int64)
+    inliers = _integers(inliers, "inlier indices")
     if inliers.size == 0:
         raise ValidationError("cannot recover a subspace from zero points")
     if inliers.min() < 0 or inliers.max() >= values.shape[1]:
@@ -55,6 +56,7 @@ def recover_subspace(m, inliers, rank="auto") -> SubspaceBasis:
             raise ValidationError("selected columns are all zero")
         r = numerical_rank(s)
     else:
+        _check_int("rank", rank)
         r = int(rank)
         if not 1 <= r <= min(cols.shape):
             raise ValidationError(

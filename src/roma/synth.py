@@ -13,13 +13,15 @@ column, keyed by (seed, domain, column index), so column j of a seed is
 always the same, however many columns are drawn around it and in whatever
 order; a sample reads the substreams from ``index_offset`` on.
 
-A sample draws all its columns in one batched pass (``ColumnStreams._normals``),
-then maps and normalizes them with one stacked ``np.matmul`` per step.  A
-stacked matrix-vector matmul runs one gemv per column and a stacked row-by-
-column matmul one ddot per column, in C: the calls ``basis @ g`` and
-``row @ row`` make, so every column has the bits of the per-column
-definition.  A batched gemm or an axis norm would round differently.  All
-models but the bounded cone return a transposed row buffer, with no copy.
+Every draw, a cluster's center included, is one run of consecutive
+substreams drawn in one batched pass (``ColumnStreams._normals``), whose rows
+are then mapped and normalized with one stacked ``np.matmul`` per step
+(``_span``, ``_unit_rows``); a center is a run of one row.  A stacked
+matrix-vector matmul runs one gemv per row and a stacked row-by-column matmul
+one ddot per row, in C: the calls ``basis @ g`` and ``row @ row`` make, so
+every column has the bits of the per-column definition.  A batched gemm or
+an axis norm would round differently.  All models but the bounded cone
+return a transposed row buffer, with no copy.
 """
 
 from __future__ import annotations
@@ -27,12 +29,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataMatrix, Label, _freeze, write_csv
+from .data import DataMatrix, Label, _check_int, _check_real, _freeze, write_csv
 from .errors import FeasibilityError, ValidationError
 
 __all__ = [
@@ -63,17 +64,15 @@ _DOM_AUX = 0
 _MAX_INDEX = 1 << 56
 
 
-def _low_keys(domain: int, indices) -> list:
-    """Low 64 bits of each substream's Philox key, as ints; the high 64 are
-    the seed.  A ValidationError names the first index out of range."""
-    try:
-        indices = np.asarray(indices, dtype=np.int64)
-    except OverflowError:
-        indices = np.asarray(indices, dtype=object)
-    bad = np.flatnonzero((indices < 0) | (indices >= _MAX_INDEX))
-    if bad.size:
-        raise ValidationError(f"substream index out of range: {indices[bad[0]]}")
-    return ((domain << 56) | indices).tolist()
+def _low_key(domain: int, index) -> int:
+    """Low 64 bits of substream (domain, index)'s Philox key, as an int; the
+    high 64 are the seed.  A ValidationError refuses an index that is not an
+    integer in [0, 2^56)."""
+    _check_int("substream index", index)
+    index = int(index)
+    if not 0 <= index < _MAX_INDEX:
+        raise ValidationError(f"substream index out of range: {index}")
+    return (domain << 56) | index
 
 
 def _check_seed(seed) -> int:
@@ -81,17 +80,6 @@ def _check_seed(seed) -> int:
     if not 0 <= seed < (1 << 64):
         raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return seed
-
-
-def _check_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_real(name: str, value) -> None:
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
-        raise ValidationError(f"{name} must be a finite real, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -109,19 +97,22 @@ class ColumnStreams:
         object.__setattr__(self, "seed", _check_seed(self.seed))
 
     def stream(self, domain: int, index: int) -> np.random.Generator:
-        key = (self.seed << 64) | _low_keys(domain, [index])[0]
+        key = (self.seed << 64) | _low_key(domain, index)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def _normals(self, domain: int, indices, size: int) -> np.ndarray:
-        """Row i: the first ``size`` standard normals of substream (domain, indices[i]).
+    def _normals(self, domain: int, start: int, count: int, size: int) -> np.ndarray:
+        """Row i: the first ``size`` standard normals of substream (domain, start + i).
 
-        Bitwise the same as ``stream(domain, indices[i]).standard_normal(size)``
+        Bitwise the same as ``stream(domain, start + i).standard_normal(size)``
         row by row.  One Philox is rekeyed per row instead of built: a fresh
         Philox has counter 0 and an exhausted buffer (``buffer_pos`` 4), so
         setting that state with the row's key reproduces it.
         """
-        keys = _low_keys(domain, indices)
-        out = np.empty((len(keys), size))
+        out = np.empty((count, size))
+        if not len(out):
+            return out
+        first = _low_key(domain, start)
+        _low_key(domain, int(start) + len(out) - 1)  # the run's last index
         bitgen = np.random.Philox(0)  # any seed: the state is set per row
         gen = np.random.Generator(bitgen)
         key = [0, self.seed]  # [low word, high word]
@@ -129,7 +120,7 @@ class ColumnStreams:
                  "state": {"counter": [0, 0, 0, 0], "key": key},
                  "buffer": [0, 0, 0, 0], "buffer_pos": 4,
                  "has_uint32": 0, "uinteger": 0}
-        for row, low in zip(out, keys):
+        for row, low in zip(out, range(first, first + len(out))):
             key[0] = low
             bitgen.state = state
             gen.standard_normal(out=row)
@@ -137,12 +128,6 @@ class ColumnStreams:
 
     def subspace(self) -> np.random.Generator:
         return self.stream(_DOM_SUBSPACE, 0)
-
-    def inlier_center(self, index: int = 0) -> np.random.Generator:
-        return self.stream(_DOM_INLIER_CENTER, index)
-
-    def outlier_center(self, index: int = 0) -> np.random.Generator:
-        return self.stream(_DOM_OUTLIER_CENTER, index)
 
     def shuffle(self) -> np.random.Generator:
         return self.stream(_DOM_SHUFFLE, 0)
@@ -164,16 +149,9 @@ def random_subspace(n: int, r: int, rng: np.random.Generator) -> np.ndarray:
     return q * signs
 
 
-def _unit(vec: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        raise ValidationError("drew a zero vector; cannot normalize")
-    return vec / norm
-
-
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
     """Scale each row of a C-contiguous array to unit length in place;
-    bitwise ``_unit`` per row.
+    bitwise ``row / np.linalg.norm(row)`` per row.
 
     ``np.linalg.norm`` of a vector is sqrt(x . x), one ddot over contiguous
     memory; the stacked (1 x n) @ (n x 1) matmul makes that ddot per row.
@@ -198,8 +176,7 @@ class _Inliers:
     which draws the noise after them."""
 
     def sample(self, streams, basis, count, index_offset=0) -> np.ndarray:
-        coords = streams._normals(_DOM_INLIER, range(index_offset, index_offset + count),
-                                  basis.shape[1])
+        coords = streams._normals(_DOM_INLIER, index_offset, count, basis.shape[1])
         return self._rows(streams, basis, coords, index_offset).T
 
 
@@ -226,7 +203,8 @@ class ClusteredInliers(_Inliers):
     def _rows(self, streams, basis, coords, index_offset=0) -> np.ndarray:
         """Rows normalize(u + nu * v_i) with u, v_i unit in span(U)."""
         r = basis.shape[1]
-        center = _unit(basis @ streams.inlier_center(index_offset).standard_normal(r))
+        g = streams._normals(_DOM_INLIER_CENTER, index_offset, 1, r)
+        center = _unit_rows(_span(basis, g))  # one row, broadcast over the points
         return _unit_rows(center + self.nu * _unit_rows(_span(basis, coords)))
 
 
@@ -235,8 +213,7 @@ class UnstructuredOutliers:
     """Outliers uniform on the full unit sphere."""
 
     def sample(self, streams, basis, count, index_offset=0) -> np.ndarray:
-        draws = streams._normals(_DOM_OUTLIER, range(index_offset, index_offset + count),
-                                 basis.shape[0])
+        draws = streams._normals(_DOM_OUTLIER, index_offset, count, basis.shape[0])
         return _unit_rows(draws).T
 
 
@@ -253,8 +230,8 @@ class ClusteredOutliers:
 
     def sample(self, streams, basis, count, index_offset=0) -> np.ndarray:
         n = basis.shape[0]
-        center = _unit(streams.outlier_center(index_offset).standard_normal(n))
-        draws = streams._normals(_DOM_OUTLIER, range(index_offset, index_offset + count), n)
+        center = _unit_rows(streams._normals(_DOM_OUTLIER_CENTER, index_offset, 1, n))
+        draws = streams._normals(_DOM_OUTLIER, index_offset, count, n)
         return _unit_rows(center + self.mu * _unit_rows(draws)).T
 
 
@@ -284,7 +261,7 @@ class BoundedConeOutliers:
             return cols
         accepted = 0
         for first in range(index_offset, index_offset + budget, count):
-            for x in _unit_rows(streams._normals(_DOM_OUTLIER, range(first, first + count), n)):
+            for x in _unit_rows(streams._normals(_DOM_OUTLIER, first, count, n)):
                 if accepted == 0 or np.all(cols[:, :accepted].T @ x >= cos_min):
                     cols[:, accepted] = x
                     accepted += 1
@@ -413,7 +390,7 @@ def make_dataset(spec: SynthSpec) -> SynthDataset:
     n, r = spec.n, spec.rank
     basis = random_subspace(n, r, streams.subspace())
     noisy = spec.snr_db is not None
-    draws = streams._normals(_DOM_INLIER, range(spec.num_inliers), r + n if noisy else r)
+    draws = streams._normals(_DOM_INLIER, 0, spec.num_inliers, r + n if noisy else r)
     inliers = spec.inlier_model._rows(streams, basis, np.ascontiguousarray(draws[:, :r]))
     sigma = None
     if noisy:

@@ -14,9 +14,10 @@ import numpy as np
 from roma.angles import _dot
 from roma.data import DataMatrix, Label
 from roma.errors import DimensionError, ParseError, ValidationError
-from roma.synth import (_DOM_INLIER, _DOM_OUTLIER, BoundedConeOutliers,
-                        ClusteredInliers, ClusteredOutliers, ColumnStreams,
-                        MixedOutliers, UnstructuredOutliers, _unit, random_subspace)
+from roma.synth import (_DOM_INLIER, _DOM_INLIER_CENTER, _DOM_OUTLIER,
+                        _DOM_OUTLIER_CENTER, BoundedConeOutliers, ClusteredInliers,
+                        ClusteredOutliers, ColumnStreams, MixedOutliers,
+                        UnstructuredOutliers, random_subspace)
 from roma.theory import _check_split, p_inlier
 from roma.threshold import compute_cn
 
@@ -216,6 +217,10 @@ def svd_subspace(cols: np.ndarray, rank="auto"):
 
 
 
+def _unit(vec: np.ndarray) -> np.ndarray:
+    return vec / np.linalg.norm(vec)
+
+
 def column_inliers(model, basis, count, streams, index_offset=0, sigma=None):
     """Inlier columns drawn one column at a time (see ``column_dataset``).
     With ``sigma`` set, inlier i's substream gives r + n normals: its
@@ -223,7 +228,7 @@ def column_inliers(model, basis, count, streams, index_offset=0, sigma=None):
     n, r = basis.shape
     cols = np.empty((n, count))
     if isinstance(model, ClusteredInliers):
-        center = _unit(basis @ streams.inlier_center(index_offset).standard_normal(r))
+        center = _unit(basis @ streams.stream(_DOM_INLIER_CENTER, index_offset).standard_normal(r))
     for i in range(count):
         g = streams.stream(_DOM_INLIER, index_offset + i).standard_normal(
             r if sigma is None else r + n)
@@ -242,7 +247,7 @@ def column_outliers(model, n, count, streams, index_offset=0):
 
     cols = np.empty((n, count))
     if isinstance(model, ClusteredOutliers):
-        center = _unit(streams.outlier_center(index_offset).standard_normal(n))
+        center = _unit(streams.stream(_DOM_OUTLIER_CENTER, index_offset).standard_normal(n))
         for i in range(count):
             cols[:, i] = _unit(center + model.mu * _unit(draw(i)))
     elif isinstance(model, BoundedConeOutliers):

@@ -1,5 +1,6 @@
 """The public API: every exported name resolves, and deleted names stay gone."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -35,7 +36,8 @@ DELETED = {
 
 # Removed attributes, by the public class that used to have them.
 DELETED_ATTRS = {
-    ("synth", "ColumnStreams"): ["inlier", "outlier", "noise"],
+    ("synth", "ColumnStreams"): ["inlier", "outlier", "noise", "inlier_center",
+                                 "outlier_center"],
     ("synth", "SynthDataset"): ["point_snr"],
     ("angles", "AngleScores"): ["mean_theta", "zeta"],
     ("data", "Label"): ["UNKNOWN"],
@@ -105,3 +107,18 @@ def test_every_export_has_a_caller_outside_the_tests():
     files += [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     used = set().union(*map(_used_names, files))
     assert [n for n in roma.__all__ if n not in used and n != "__version__"] == []
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_every_import_is_used_or_exported(name):
+    path = ROOT / "src" / "roma" / f"{name}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = getattr(importlib.import_module(f"roma.{name}".removesuffix(".__init__")),
+                       "__all__", [])
+    assert sorted(imported - used - set(exported)) == []

@@ -1,6 +1,7 @@
 import csv
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -476,6 +477,19 @@ def test_a_read_only_array_is_taken_as_it_is():
     a.setflags(write=False)
     assert DataMatrix(a).values is a
     assert NormalizedMatrix(a).values is a
+
+
+@pytest.mark.parametrize("build", [
+    DataMatrix, NormalizedMatrix, SubspaceBasis, roma,
+    lambda a: DataMatrix(np.eye(3), true_basis=a),
+], ids=["values", "normalized", "basis", "roma", "true_basis"])
+@pytest.mark.parametrize("given", [np.eye(3, dtype=complex), (np.eye(3) + 0j).tolist()],
+                         ids=["array", "list"])
+def test_complex_entries_are_refused_not_cast(build, given):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning either
+        with pytest.raises(ValidationError, match="entries must be real, got complex128"):
+            build(given)
 
 
 def test_roma_leaves_the_callers_array_writeable():

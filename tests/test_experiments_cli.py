@@ -554,9 +554,13 @@ def test_cli_exit_2_on_a_bad_config_value(tmp_path, capsys, experiment, fields, 
      "split_grid[0][0] must be an integer, got 20.5"),
     ("phase-recovery", "inlier_grid", (30.0,),
      "inlier_grid[0] must be an integer, got 30.0"),
+    ("validate-threshold", "gamma_grid", (), "gamma_grid must not be empty"),
+    ("oip-erp", "snr_grid", (), "snr_grid must not be empty"),
+    ("structured", "split_grid", (), "split_grid must not be empty"),
 ], ids=["trials-str", "trials-real", "trials-bool", "grid-scalar", "grid-str", "mu-inf",
         "theta-max-str", "mode-int", "rank-disambiguate-str", "split-triple",
-        "split-real", "inlier-grid-real"])
+        "split-real", "inlier-grid-real", "gamma-grid-empty", "snr-grid-empty",
+        "split-grid-empty"])
 def test_a_config_field_of_the_wrong_type_is_refused(
         tmp_path, capsys, experiment, field, value, message):
     # JSON writes the tuples as lists, and the config reads them back
@@ -566,6 +570,17 @@ def test_a_config_field_of_the_wrong_type_is_refused(
     assert message in capsys.readouterr().err
     with pytest.raises(ValidationError, match=re.escape(message)):
         ex.run_experiment(ex.default_config(experiment).replace(**{field: value}))
+
+
+@pytest.mark.parametrize("experiment", ex.EXPERIMENTS)
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_a_seed_out_of_range_is_refused_before_any_cell(experiment, seed, capsys, monkeypatch):
+    message = f"seed must be a 64-bit unsigned integer, got {seed}"
+    assert main(["--experiment", experiment, "--seed", str(seed), "--trials", "1"]) == 2
+    assert message in capsys.readouterr().err
+    monkeypatch.setattr(ex, "_run_cells", lambda cfg, exp: pytest.fail("ran cells"))
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        ex.run_experiment(ex.default_config(experiment).replace(seed=seed))
 
 
 def test_cli_exit_2_on_bad_labels(planted, tmp_path, capsys):

@@ -68,6 +68,23 @@ def test_recover_validation():
         recover_subspace(cols, [0, 1], rank=3)  # more than the column count
 
 
+def test_recover_takes_integer_indices_and_rank():
+    basis, cols = planted_columns(count=10)
+    mask = np.zeros(10, dtype=bool)
+    mask[:8] = True
+    # a mask or a float index is refused, not cast to column indices
+    for inliers in (mask, mask.tolist(), [0.5, 1], np.array([0.0, 1.0, 2.0])):
+        with pytest.raises(ValidationError, match="inlier indices must be integers"):
+            recover_subspace(cols, inliers)
+    with pytest.raises(ValidationError, match="out of range"):
+        recover_subspace(cols, [0, 2 ** 63])
+    for rank in (2.7, 2.0, True, "2"):
+        with pytest.raises(ValidationError, match="rank must be an integer"):
+            recover_subspace(cols, np.flatnonzero(mask), rank=rank)
+    for inliers in (np.flatnonzero(mask), np.flatnonzero(mask).astype(np.uint8), list(range(8))):
+        assert lre(basis, recover_subspace(cols, inliers, rank=np.int64(6))) <= -12.0
+
+
 def test_recover_accepts_datamatrix():
     basis, cols = planted_columns()
     rec = recover_subspace(DataMatrix(cols), np.arange(80))

@@ -27,7 +27,6 @@ from roma.synth import (
     SynthSpec,
     UniformInliers,
     UnstructuredOutliers,
-    _unit,
     export_dataset,
     make_dataset,
     random_subspace,
@@ -147,19 +146,26 @@ def test_mixed_outliers_match_the_oracle_at_every_split():
 
 def test_batched_draws_equal_fresh_streams():
     streams = ColumnStreams(2 ** 64 - 1)
-    indices = np.array([0, 5, 3, (1 << 56) - 1])
-    rows = streams._normals(7, indices, 13)
-    for row, index in zip(rows, indices):
-        assert np.array_equal(row, streams.stream(7, int(index)).standard_normal(13))
-    assert streams._normals(7, [], 5).shape == (0, 5)
-    assert streams._normals(7, range(3, 3), 5).shape == (0, 5)
-    # the error names the first bad index, wherever it sits
-    with pytest.raises(ValidationError, match=f"out of range: {1 << 56}$"):
-        streams._normals(7, np.array([0, 4, 1 << 56, -1, 2]), 3)
+    for start, count in [(0, 4), (3, 1), ((1 << 56) - 2, 2), (np.int32(5), np.int32(3)),
+                         (np.uint64(7), np.int64(2))]:
+        rows = streams._normals(7, start, count, 13)
+        assert rows.shape == (count, 13)
+        for i, row in enumerate(rows):
+            assert np.array_equal(row, streams.stream(7, int(start) + i).standard_normal(13))
+    assert streams._normals(7, 3, 0, 5).shape == (0, 5)
+    # the error names the run's first or last index, whichever is out of range
     with pytest.raises(ValidationError, match="out of range: -1$"):
-        streams._normals(7, [-1], 3)
+        streams._normals(7, -1, 3, 5)
+    with pytest.raises(ValidationError, match=f"out of range: {1 << 56}$"):
+        streams._normals(7, (1 << 56) - 2, 3, 5)
     with pytest.raises(ValidationError, match=f"out of range: {1 << 64}$"):
-        streams._normals(7, [0, 1 << 64, -1], 3)
+        streams._normals(7, 1 << 64, 1, 5)
+    # an index is an integer, never cast
+    for index in (2.0, 2.7, True, np.float64(1.0)):
+        with pytest.raises(ValidationError, match="substream index must be an integer"):
+            streams._normals(7, index, 2, 5)
+        with pytest.raises(ValidationError, match="substream index must be an integer"):
+            streams.stream(7, index)
 
 
 @pytest.mark.parametrize("n, r, count", [
@@ -168,12 +174,12 @@ def test_batched_draws_equal_fresh_streams():
 def test_stacked_helpers_equal_the_per_column_products(n, r, count):
     streams = ColumnStreams(9)
     basis = random_subspace(n, r, streams.subspace())
-    coords = streams._normals(2, range(count), r)
+    coords = streams._normals(2, 0, count, r)
     span = synth._span(basis, coords)
     assert span.shape == (count, n) and span.flags.c_contiguous
     for g, row in zip(coords, span):
         assert np.array_equal(row, basis @ g)
-    for rows in (span, streams._normals(3, range(count), n)):
+    for rows in (span, streams._normals(3, 0, count, n)):
         expected = [row / math.sqrt(row @ row) for row in rows]
         assert np.array_equal(synth._unit_rows(rows), np.reshape(expected, rows.shape))
 
@@ -182,7 +188,7 @@ def test_batched_path_rejects_a_zero_column(monkeypatch):
     streams = ColumnStreams(3)
     basis = random_subspace(6, 2, streams.subspace())
     monkeypatch.setattr(ColumnStreams, "_normals",
-                        lambda self, domain, indices, size: np.zeros((len(indices), size)))
+                        lambda self, domain, start, count, size: np.zeros((count, size)))
     models = [UniformInliers(), ClusteredInliers(nu=0.1), UnstructuredOutliers(),
               ClusteredOutliers(mu=0.2), BoundedConeOutliers(theta_max=1.0),
               MixedOutliers(mu=0.2)]
@@ -332,8 +338,10 @@ def test_bounded_cone_infeasible_reports_rate():
 
 
 def test_unit_guard_rejects_zero_vector():
-    with pytest.raises(ValidationError):
-        _unit(np.zeros(4))
+    rows = np.ones((3, 4))
+    rows[1] = 0.0
+    with pytest.raises(ValidationError, match="zero vector"):
+        synth._unit_rows(rows)
 
 
 # ---------------------------------------------------------------------------
