@@ -297,7 +297,7 @@ def gram_scan(x, zeta: float, *, count_na: bool = True) -> AngleScores:
     """
     zeta = float(zeta)
     if not (0.0 < zeta < _HALF_PI):
-        raise ValueError(f"threshold must lie in (0, pi/2), got {zeta!r}")
+        raise ValidationError(f"threshold must lie in (0, pi/2), got {zeta!r}")
     v = _checked(x)
     n_pts = v.shape[1]
     dtype = _scan_dtype(v.shape[0])

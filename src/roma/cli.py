@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import experiments
+from . import experiments, synth
 from .data import Label, Partition, load_csv_matrix
 from .detector import _stage1, roma_n
 from .errors import FeasibilityError, RomaError
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--ratio-grid", type=float, nargs="+", default=None,
                    help="rank/dimension ratios to sweep (phase-inliers)")
     e.add_argument("--outlier-model",
-                   choices=("unstructured", "clustered", "bounded-cone"), default=None)
+                   choices=[m for m in synth._OUTLIER_MODELS if m != "mixed"], default=None)
     e.add_argument("--mu", type=float, default=None, help="outlier cluster spread")
     e.add_argument("--nu", type=float, default=None, help="inlier cluster spread")
     e.add_argument("--theta-max", type=float, default=None,

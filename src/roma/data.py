@@ -87,9 +87,11 @@ def _owned(x, dtype) -> np.ndarray:
     return _freeze(np.array(arr, dtype=dtype, order="C"))
 
 
-def _check_int(name: str, value) -> None:
+def _check_int(name: str, value) -> int:
+    """``value`` as a Python int; a float or a bool is refused, not cast."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_real(name: str, value) -> None:
@@ -117,17 +119,20 @@ def _integers(x, name: str) -> np.ndarray:
     return arr
 
 
-def _check_basis(basis: np.ndarray, n: int) -> np.ndarray:
-    basis = _owned(basis, np.float64)
-    if basis.ndim != 2 or basis.shape[0] != n:
-        raise DimensionError(
-            f"basis must be an {n} x r matrix, got shape {basis.shape}")
-    if basis.shape[1] < 1 or basis.shape[1] > n:
-        raise DimensionError(f"basis rank must lie in [1, {n}], got {basis.shape[1]}")
-    gram = basis.T @ basis
-    if not np.allclose(gram, np.eye(basis.shape[1]), atol=BASIS_ORTHO_TOL, rtol=0.0):
-        raise ValidationError("basis columns are not orthonormal")
-    return basis
+def _indices(x, name: str, size: int) -> np.ndarray:
+    """``x`` as int64 indices into ``range(size)``; ``name`` says what they
+    index.  The range is checked before the cast, which would wrap an index
+    at or above 2^63, so the error names the index given."""
+    arr = _integers(x, f"{name} indices")
+    bad = arr[(arr < 0) | (arr >= size)]
+    if bad.size:
+        raise ValidationError(f"{name} index {bad[0]} lies outside [0, {size})")
+    return arr.astype(np.int64, copy=False)
+
+
+def _points(m) -> np.ndarray:
+    """Values of a DataMatrix or NormalizedMatrix; raw points pass DataMatrix's checks."""
+    return (m if isinstance(m, (DataMatrix, NormalizedMatrix)) else DataMatrix(m)).values
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,8 +168,10 @@ class DataMatrix:
                 raise ValidationError("labels must be Label values")
             object.__setattr__(self, "labels", _owned(labels, np.int8))
         if self.true_basis is not None:
-            object.__setattr__(
-                self, "true_basis", _check_basis(self.true_basis, values.shape[0]))
+            basis = SubspaceBasis(self.true_basis).values
+            if basis.shape[0] != self.n:
+                raise DimensionError(f"basis must have {self.n} rows, got shape {basis.shape}")
+            object.__setattr__(self, "true_basis", basis)
 
     @property
     def n(self) -> int:
@@ -225,17 +232,9 @@ class Partition:
                 or self.num_points < 0):
             raise ValidationError(f"num_points must be a count, got {self.num_points!r}")
         # One rule: every listed index lies in [0, N) and each of the N
-        # points is listed exactly once.  The range is checked before the
-        # cast to int64, which would wrap an index at or above 2^63.
-        sides = []
-        for side in (self.inliers, self.outliers):
-            side = _integers(side, "partition indices")
-            bad = side[(side < 0) | (side >= self.num_points)]
-            if bad.size:
-                raise ValidationError(
-                    f"partition index {bad[0]} lies outside [0, {self.num_points})")
-            sides.append(side.astype(np.int64, copy=False))
-        inliers, outliers = sides
+        # points is listed exactly once.
+        sides = [_indices(side, "partition", self.num_points)
+                 for side in (self.inliers, self.outliers)]
         listed = np.concatenate(sides)
         counts = np.bincount(listed, minlength=self.num_points)
         wrong = np.flatnonzero(counts != 1)
@@ -243,7 +242,7 @@ class Partition:
             raise ValidationError(
                 f"point {wrong[0]} is listed {counts[wrong[0]]} times, not once")
         mask = np.zeros(self.num_points, dtype=bool)
-        mask[outliers] = True
+        mask[sides[1]] = True
         object.__setattr__(self, "inliers", _freeze(np.flatnonzero(~mask)))
         object.__setattr__(self, "outliers", _freeze(np.flatnonzero(mask)))
 
@@ -264,8 +263,13 @@ class SubspaceBasis:
     def __post_init__(self):
         values = _owned(self.values, np.float64)
         if values.ndim != 2:
-            raise DimensionError("basis must be 2-d")
-        object.__setattr__(self, "values", _check_basis(values, values.shape[0]))
+            raise DimensionError(f"basis must be 2-d, got ndim={values.ndim}")
+        n, r = values.shape
+        if not 1 <= r <= n:
+            raise DimensionError(f"basis rank must lie in [1, {n}], got {r}")
+        if not np.allclose(values.T @ values, np.eye(r), atol=BASIS_ORTHO_TOL, rtol=0.0):
+            raise ValidationError("basis columns are not orthonormal")
+        object.__setattr__(self, "values", values)
 
     @property
     def rank(self) -> int:
@@ -435,11 +439,12 @@ def load_csv_matrix(path, orientation: str = "points-as-rows") -> DataMatrix:
 
 
 def write_csv(matrix, path, orientation: str = "points-as-rows") -> None:
-    """Write matrix values as a headerless CSV in the given orientation."""
+    """Write matrix values as a headerless CSV in the given orientation.
+    Raw points pass ``DataMatrix``'s checks before ``path`` is opened."""
     if orientation not in ORIENTATIONS:
         raise ValidationError(
             f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
-    values = matrix.values if hasattr(matrix, "values") else np.asarray(matrix, dtype=float)
+    values = _points(matrix)
     out = values.T if orientation == "points-as-rows" else values
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -454,6 +459,5 @@ def normalize_columns(m) -> NormalizedMatrix:
     through ``DataMatrix`` and so its checks; no column norm is then zero.
     Idempotent to within one rounding per entry.
     """
-    if not isinstance(m, (DataMatrix, NormalizedMatrix)):
-        m = DataMatrix(m)
-    return NormalizedMatrix(_freeze(m.values / np.linalg.norm(m.values, axis=0)))
+    values = _points(m)
+    return NormalizedMatrix(_freeze(values / np.linalg.norm(values, axis=0)))

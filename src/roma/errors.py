@@ -1,9 +1,7 @@
 """Exception types shared across the package.
 
-Plain ``ValueError`` is still used for scalar domain violations (bad
-probabilities, non-positive scale parameters and the like); the classes here
-cover structured failures that callers may want to handle separately, e.g.
-the CLI maps them to distinct exit codes.
+Every refused input raises one of these; callers may handle them
+separately, e.g. the CLI maps them to distinct exit codes.
 """
 
 from __future__ import annotations
@@ -25,8 +23,8 @@ class ParseError(RomaError):
         self.column = column
 
 
-class ValidationError(RomaError):
-    """Input data violates a structural requirement (zero columns, bad labels, ...)."""
+class ValidationError(RomaError, ValueError):
+    """Input violates a requirement (zero columns, bad labels, a float count, ...)."""
 
 
 class DimensionError(ValidationError):

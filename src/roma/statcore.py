@@ -17,6 +17,9 @@ from __future__ import annotations
 import math
 import statistics
 
+from .data import _check_int
+from .errors import ValidationError
+
 __all__ = [
     "normal_cdf",
     "normal_quantile",
@@ -39,19 +42,19 @@ def normal_quantile(p: float) -> float:
     The standard library's ``NormalDist().inv_cdf``: Wichura's algorithm
     AS241 (Applied Statistics 37(3), 1988), within a few ulp in both tails.
 
-    Raises ValueError outside the open interval (0, 1).
+    Raises ValidationError outside the open interval (0, 1).
     """
     p = float(p)
     if not (0.0 < p < 1.0):
-        raise ValueError(f"p must lie strictly between 0 and 1, got {p!r}")
+        raise ValidationError(f"p must lie strictly between 0 and 1, got {p!r}")
     return statistics.NormalDist().inv_cdf(p)
 
 
 def angle_sigma(dim: int) -> float:
     """Spread 1/sqrt(dim - 2) of the Gaussian surrogate for the angle law."""
-    dim = int(dim)
+    dim = _check_int("dim", dim)
     if dim < 3:
-        raise ValueError(f"dimension must be at least 3, got {dim}")
+        raise ValidationError(f"dimension must be at least 3, got {dim}")
     return 1.0 / math.sqrt(dim - 2)
 
 

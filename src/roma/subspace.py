@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .data import SubspaceBasis, _check_int, _freeze, _integers
+from .data import SubspaceBasis, _check_int, _freeze, _indices, _points
 from .errors import DimensionError, ValidationError
 
 __all__ = ["recover_subspace", "numerical_rank", "lre", "LRE_FLOOR"]
@@ -36,31 +36,25 @@ def recover_subspace(m, inliers, rank="auto") -> SubspaceBasis:
 
     Parameters
     ----------
-    m : DataMatrix or array of column points
+    m : DataMatrix, NormalizedMatrix, or raw column points, which go
+        through ``DataMatrix`` and so its checks
     inliers : integer indices of the columns to use (nonempty); a boolean
         mask or a float is refused, not cast
     rank : "auto" keeps as many leading vectors as ``numerical_rank``
         counts; an integer forces that many.
     """
-    values = m.values if hasattr(m, "values") else np.asarray(m, dtype=float)
-    inliers = _integers(inliers, "inlier indices")
+    values = _points(m)
+    inliers = _indices(inliers, "inlier", values.shape[1])
     if inliers.size == 0:
         raise ValidationError("cannot recover a subspace from zero points")
-    if inliers.min() < 0 or inliers.max() >= values.shape[1]:
-        raise ValidationError("inlier indices out of range")
     cols = values[:, inliers]
-    u, s, _ = np.linalg.svd(np.linalg.qr(cols.T, mode="r").T,
-                            full_matrices=False)
+    u, s, _ = np.linalg.svd(np.linalg.qr(cols.T, mode="r").T, full_matrices=False)
     if rank == "auto":
-        if s[0] == 0.0:
-            raise ValidationError("selected columns are all zero")
-        r = numerical_rank(s)
+        r = numerical_rank(s)  # no column of a DataMatrix is zero, so s[0] > 0
     else:
-        _check_int("rank", rank)
-        r = int(rank)
+        r = _check_int("rank", rank)
         if not 1 <= r <= min(cols.shape):
-            raise ValidationError(
-                f"rank must lie in [1, {min(cols.shape)}], got {r}")
+            raise ValidationError(f"rank must lie in [1, {min(cols.shape)}], got {r}")
     return SubspaceBasis(_freeze(np.ascontiguousarray(u[:, :r])))
 
 
@@ -70,15 +64,11 @@ def lre(true_basis, est_basis) -> float:
     Computes log10(||U - P U||_F / ||U||_F) where P projects onto the
     estimated subspace, floored at LRE_FLOOR.  Values below -5 indicate the
     planted subspace was recovered; 0 means the estimate is orthogonal to it.
-    Both bases must be orthonormal with matching ambient dimension.
+    Both bases must have the same ambient dimension; a raw array goes
+    through ``SubspaceBasis`` and so its checks.
     """
-    u = true_basis.values if hasattr(true_basis, "values") else np.asarray(true_basis, dtype=float)
-    v = est_basis.values if hasattr(est_basis, "values") else np.asarray(est_basis, dtype=float)
-    for name, b in (("true", u), ("estimated", v)):
-        if b.ndim != 2:
-            raise DimensionError(f"{name} basis must be 2-d")
-        if not np.allclose(b.T @ b, np.eye(b.shape[1]), atol=1e-8, rtol=0.0):
-            raise ValidationError(f"{name} basis is not orthonormal")
+    u, v = ((b if isinstance(b, SubspaceBasis) else SubspaceBasis(b)).values
+            for b in (true_basis, est_basis))
     if u.shape[0] != v.shape[0]:
         raise DimensionError(
             f"ambient dimensions differ: {u.shape[0]} vs {v.shape[0]}")

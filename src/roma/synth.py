@@ -68,8 +68,7 @@ def _low_key(domain: int, index) -> int:
     """Low 64 bits of substream (domain, index)'s Philox key, as an int; the
     high 64 are the seed.  A ValidationError refuses an index that is not an
     integer in [0, 2^56)."""
-    _check_int("substream index", index)
-    index = int(index)
+    index = _check_int("substream index", index)
     if not 0 <= index < _MAX_INDEX:
         raise ValidationError(f"substream index out of range: {index}")
     return (domain << 56) | index

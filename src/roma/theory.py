@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 import warnings
 
+from .data import _check_int
+from .errors import ValidationError
 from .statcore import normal_cdf
 from .threshold import compute_cn
 
@@ -31,13 +33,13 @@ __all__ = [
 ]
 
 
-def _check_counts(n: int, r: int, num_points: int) -> tuple[int, int, int]:
-    n, r, num_points = int(n), int(r), int(num_points)
+def _check_counts(n: int, r: int) -> tuple[int, int]:
+    n, r = _check_int("n", n), _check_int("r", r)
     if n < 3:
-        raise ValueError(f"ambient dimension must be at least 3, got {n}")
+        raise ValidationError(f"ambient dimension must be at least 3, got {n}")
     if not 3 <= r <= n:
-        raise ValueError(f"rank must lie in [3, n={n}], got {r}")
-    return n, r, num_points
+        raise ValidationError(f"rank must lie in [3, n={n}], got {r}")
+    return n, r
 
 
 def p_inlier(n: int, r: int, num_points: int) -> float:
@@ -46,7 +48,7 @@ def p_inlier(n: int, r: int, num_points: int) -> float:
     Warns when r < 5, where the Gaussian surrogate for the in-subspace angle
     is a poor fit.
     """
-    n, r, num_points = _check_counts(n, r, num_points)
+    n, r = _check_counts(n, r)
     if r < 5:
         warnings.warn(f"Gaussian angle surrogate is inaccurate for rank {r} < 5",
                       stacklevel=2)
@@ -60,10 +62,10 @@ def erp_impossibility_alpha(n: int, r: int, num_points: int, num_inliers: int) -
     A positive value means exact recovery of the inlier set fails with at
     least that probability; negative values are vacuous and returned as-is.
     """
-    num_inliers = int(num_inliers)
+    p = p_inlier(n, r, num_points)  # checks num_points before it is compared
+    num_inliers = _check_int("num_inliers", num_inliers)
     if not 3 <= num_inliers <= num_points:
-        raise ValueError(f"num_inliers must lie in [3, N], got {num_inliers}")
-    p = p_inlier(n, r, num_points)
+        raise ValidationError(f"num_inliers must lie in [3, N], got {num_inliers}")
     return (num_inliers - 2) * p * p - (num_inliers - 3) * p
 
 
@@ -78,10 +80,10 @@ def nonempty_prob_lower_bound(n: int, r: int, num_points: int, num_inliers: int)
 
     and falls back to 1 - p^2 otherwise.
     """
-    num_inliers = int(num_inliers)
+    p = p_inlier(n, r, num_points)  # checks num_points before it is compared
+    num_inliers = _check_int("num_inliers", num_inliers)
     if not 3 <= num_inliers <= num_points:
-        raise ValueError(f"num_inliers must lie in [3, N], got {num_inliers}")
-    p = p_inlier(n, r, num_points)
+        raise ValidationError(f"num_inliers must lie in [3, N], got {num_inliers}")
     ni = num_inliers
     z = math.floor((ni - 2) * p)
     cond1 = math.floor((ni - 2) * p + 1.0) == math.floor((ni - 1) * p)
@@ -100,21 +102,23 @@ def max_rank_sizable(n: int, num_points: int) -> float:
     under the threshold; the return value is the real-valued cap (compare
     r <= value).
     """
-    n = int(n)
+    n = _check_int("n", n)
     if n < 3:
-        raise ValueError(f"ambient dimension must be at least 3, got {n}")
+        raise ValidationError(f"ambient dimension must be at least 3, got {n}")
     c = compute_cn(num_points)
     return 2.0 * (n - 2) / (math.pi * c * c) + 2.0
 
 
 def _check_split(num_points: int, num_inliers: int, num_structured: int) -> tuple[int, int, int]:
-    num_points, num_inliers, num_structured = int(num_points), int(num_inliers), int(num_structured)
+    num_points = _check_int("num_points", num_points)
+    num_inliers = _check_int("num_inliers", num_inliers)
+    num_structured = _check_int("num_structured", num_structured)
     if num_points < 2:
-        raise ValueError(f"need at least 2 points, got {num_points}")
+        raise ValidationError(f"need at least 2 points, got {num_points}")
     if num_inliers < 1 or num_structured < 1:
-        raise ValueError("both point counts must be positive")
+        raise ValidationError("both point counts must be positive")
     if num_inliers + num_structured > num_points:
-        raise ValueError(
+        raise ValidationError(
             f"{num_inliers} inliers + {num_structured} structured outliers exceed N={num_points}")
     return num_points, num_inliers, num_structured
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateRegimeError
+from .data import _check_int
+from .errors import DegenerateRegimeError, ValidationError
 from .statcore import angle_sigma, normal_quantile
 
 __all__ = ["ThresholdSpec", "compute_cn", "compute_zeta", "zeta_with_center",
@@ -47,9 +48,9 @@ def compute_cn(num_points: int) -> float:
     Evaluated through the symmetric lower tail so that the probability stays
     representable for very large N.  Requires N >= 2.
     """
-    num_points = int(num_points)
+    num_points = _check_int("num_points", num_points)
     if num_points < 2:
-        raise ValueError(f"need at least 2 points, got {num_points}")
+        raise ValidationError(f"need at least 2 points, got {num_points}")
     tail = 1.0 / (2.0 * float(num_points) ** 2 * (num_points - 1))
     return -normal_quantile(tail)
 
@@ -60,7 +61,7 @@ def zeta_with_center(n: int, num_points: int, center: float, mode: str) -> Thres
     zeta must lie in (0, pi/2), where the detector's scan is defined;
     outside it is a DegenerateRegimeError.
     """
-    n = int(n)
+    n, num_points = _check_int("n", n), _check_int("num_points", num_points)
     c_n = compute_cn(num_points)
     zeta = center - c_n * angle_sigma(n)
     if zeta <= 0.0:
@@ -71,7 +72,7 @@ def zeta_with_center(n: int, num_points: int, center: float, mode: str) -> Thres
         raise DegenerateRegimeError(
             f"threshold {zeta:.4f} >= pi/2 at n={n}, N={num_points}; "
             f"the center {float(center):.4f} lies too far above pi/2")
-    return ThresholdSpec(n=n, num_points=int(num_points), c_n=c_n, zeta=zeta,
+    return ThresholdSpec(n=n, num_points=num_points, c_n=c_n, zeta=zeta,
                          mode=mode, center=float(center))
 
 

@@ -122,3 +122,40 @@ def test_every_import_is_used_or_exported(name):
     exported = getattr(importlib.import_module(f"roma.{name}".removesuffix(".__init__")),
                        "__all__", [])
     assert sorted(imported - used - set(exported)) == []
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: roma.compute_cn(2.7), "num_points must be an integer, got 2.7"),
+    (lambda: roma.compute_cn(True), "num_points must be an integer, got True"),
+    (lambda: roma.compute_cn(1), "need at least 2 points"),
+    (lambda: roma.compute_zeta(100.9, 1000), "n must be an integer, got 100.9"),
+    (lambda: roma.compute_zeta(100, 1000.0), "num_points must be an integer, got 1000.0"),
+    (lambda: roma.compute_zeta(2, 1000), "dimension must be at least 3"),
+    (lambda: roma.angle_sigma(102.0), "dim must be an integer, got 102.0"),
+    (lambda: roma.angle_sigma(False), "dim must be an integer, got False"),
+    (lambda: roma.normal_quantile(1.0), "p must lie strictly between 0 and 1"),
+    (lambda: roma.p_inlier(100.5, 10, 1000), "n must be an integer, got 100.5"),
+    (lambda: roma.p_inlier(100, 10.0, 1000), "r must be an integer, got 10.0"),
+    (lambda: roma.p_inlier(100, 10, True), "num_points must be an integer, got True"),
+    (lambda: roma.p_inlier(100, 10, 1), "need at least 2 points"),
+    (lambda: roma.erp_impossibility_alpha(100, 20, "1000", 100),
+     "num_points must be an integer, got '1000'"),
+    (lambda: roma.erp_impossibility_alpha(100, 20, 1000, 100.0),
+     "num_inliers must be an integer, got 100.0"),
+], ids=["cn-float", "cn-bool", "cn-one", "zeta-float-n", "zeta-float-N", "zeta-n-2",
+        "sigma-float", "sigma-bool", "quantile-p", "p-float-n", "p-float-r", "p-bool-N",
+        "p-N-1", "erp-str-N", "erp-float-inliers"])
+def test_a_bad_count_to_an_export_is_a_roma_error(call, match):
+    # refused, never truncated, and a RomaError that is also a ValueError
+    with pytest.raises(roma.ValidationError, match=match) as info:
+        call()
+    assert isinstance(info.value, roma.RomaError) and isinstance(info.value, ValueError)
+
+
+def test_the_cli_offers_the_outlier_models_an_experiment_builds():
+    from roma import synth
+    from roma.cli import build_parser
+
+    action = next(a for a in build_parser()._actions if a.dest == "outlier_model")
+    assert list(action.choices) == ["unstructured", "clustered", "bounded-cone"]
+    assert list(action.choices) == [m for m in synth._OUTLIER_MODELS if m != "mixed"]

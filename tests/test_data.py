@@ -188,6 +188,22 @@ def test_csv_round_trip_exact(tmp_path):
         assert back.values.tobytes() == csv_oracle(path, orientation).values.tobytes()
 
 
+@pytest.mark.parametrize("points, error, match", [
+    (np.eye(3, 2) + 1j * np.eye(3, 2), ValidationError, "entries must be real"),
+    (np.where(np.eye(3, 2) == 1, np.nan, 1.0), ValidationError, "must all be finite"),
+    (np.where(np.eye(3, 2) == 1, np.inf, 1.0), ValidationError, "must all be finite"),
+    (np.ones(5), DimensionError, "values must be 2-d"),
+    (np.eye(3, 2) * [1, 0], ValidationError, r"zero columns at indices \[1\]"),
+], ids=["complex", "nan", "inf", "1-d", "zero-column"])
+def test_write_csv_refuses_what_load_csv_matrix_would(tmp_path, points, error, match):
+    # refused before the file is opened, so an existing file keeps its bytes
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"1.0,2.0,3.0\r\n")
+    with pytest.raises(error, match=match):
+        write_csv(points, path)
+    assert path.read_bytes() == b"1.0,2.0,3.0\r\n"
+
+
 def test_clean_file_never_parses_per_field(tmp_path, monkeypatch):
     # the per-field parser only names the bad field of a bad row
     path = tmp_path / "clean.csv"

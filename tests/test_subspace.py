@@ -76,13 +76,27 @@ def test_recover_takes_integer_indices_and_rank():
     for inliers in (mask, mask.tolist(), [0.5, 1], np.array([0.0, 1.0, 2.0])):
         with pytest.raises(ValidationError, match="inlier indices must be integers"):
             recover_subspace(cols, inliers)
-    with pytest.raises(ValidationError, match="out of range"):
+    with pytest.raises(ValidationError, match=r"inlier index 9223372036854775808 lies outside \[0, 10\)"):
         recover_subspace(cols, [0, 2 ** 63])
     for rank in (2.7, 2.0, True, "2"):
         with pytest.raises(ValidationError, match="rank must be an integer"):
             recover_subspace(cols, np.flatnonzero(mask), rank=rank)
     for inliers in (np.flatnonzero(mask), np.flatnonzero(mask).astype(np.uint8), list(range(8))):
         assert lre(basis, recover_subspace(cols, inliers, rank=np.int64(6))) <= -12.0
+
+
+@pytest.mark.parametrize("points, error, match", [
+    (np.eye(6, 4) + 1j * np.eye(6, 4), ValidationError, "entries must be real"),
+    (np.where(np.eye(6, 4) == 1, np.nan, 1.0), ValidationError, "must all be finite"),
+    (np.where(np.eye(6, 4) == 1, np.inf, 1.0), ValidationError, "must all be finite"),
+    (np.ones(6), DimensionError, "values must be 2-d"),
+    (np.eye(6, 4) * [1, 1, 1, 0], ValidationError, r"zero columns at indices \[3\]"),
+], ids=["complex", "nan", "inf", "1-d", "unselected-zero-column"])
+def test_recover_takes_raw_points_through_the_datamatrix_checks(points, error, match):
+    # the side door cast complex input to its real part, and ended NaN, inf
+    # and 1-d input in LinAlgError or IndexError
+    with pytest.raises(error, match=match):
+        recover_subspace(points, [0, 1, 2])
 
 
 def test_recover_accepts_datamatrix():
@@ -139,6 +153,16 @@ def test_lre_accepts_wrappers_and_arrays():
     basis, cols = planted_columns()
     rec = recover_subspace(cols, np.arange(80))
     assert lre(SubspaceBasis(basis), rec) == lre(basis, rec.values)
+
+
+def test_lre_takes_raw_bases_through_the_subspace_basis_check():
+    basis, _ = planted_columns()
+    # 5e-9 off orthonormal: inside the old atol of 1e-8, outside BASIS_ORTHO_TOL
+    for true, est in ((basis, basis * (1 + 5e-9)), (basis * (1 + 5e-9), basis)):
+        with pytest.raises(ValidationError, match="basis columns are not orthonormal"):
+            lre(true, est)
+    with pytest.raises(ValidationError, match="entries must be real"):
+        lre(basis + 0j, basis)
 
 
 def test_lre_partial_overlap_in_between():
