@@ -67,8 +67,8 @@ import math
 
 import numpy as np
 
-from .data import (UNIT_NORM_TOL, DataMatrix, NormalizedMatrix, _freeze, _owned,
-                   _setstate)
+from .data import (UNIT_NORM_TOL, DataMatrix, NormalizedMatrix, _check_real, _freeze,
+                   _owned, _setstate)
 from .errors import DimensionError, ValidationError
 
 __all__ = [
@@ -295,7 +295,7 @@ def gram_scan(x, zeta: float, *, count_na: bool = True) -> AngleScores:
     False the pass leaves out the counting steps, and the scores count na
     on first read by a counted pass (see ``AngleScores``).
     """
-    zeta = float(zeta)
+    zeta = _check_real("zeta", zeta)
     if not (0.0 < zeta < _HALF_PI):
         raise ValidationError(f"threshold must lie in (0, pi/2), got {zeta!r}")
     v = _checked(x)

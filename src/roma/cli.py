@@ -18,16 +18,15 @@ import sys
 import numpy as np
 
 from . import experiments, synth
-from .data import Label, Partition, load_csv_matrix
+from .data import Label, load_csv_matrix
 from .detector import _stage1, roma_n
 from .errors import FeasibilityError, RomaError
-from .experiments import ExperimentConfig, config_from_dict, default_config
+from .experiments import ExperimentConfig, config_from_dict
 from .subspace import recover_subspace
 from .threshold import MODES
 
 __all__ = ["main", "build_parser"]
 
-_STAGES = ("roma", "roma-n")
 _CHOICES = ("detect",) + experiments.EXPERIMENTS
 
 
@@ -41,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default=None,
                    help="threshold center: pi/2 (theoretical, the default) or "
                         "the sample mean angle (adapted)")
-    p.add_argument("--stage", choices=_STAGES, default=None,
+    p.add_argument("--stage", choices=experiments._STAGES, default=None,
                    help="one-stage or two-stage detection (default: roma, or "
                         "the experiment's)")
     p.add_argument("--rank-disambiguate", action="store_true",
@@ -118,12 +117,6 @@ def _read_labels(path, num_points: int) -> np.ndarray:
     return np.asarray(values, dtype=np.int8)
 
 
-def _truth_block(partition: Partition, labels: np.ndarray) -> dict:
-    flags = experiments._truth_flags(partition, labels)
-    flags["num_true_outliers"] = int((labels == int(Label.OUTLIER)).sum())
-    return flags
-
-
 def _detect_report(args) -> dict:
     if not args.input:
         raise RomaError("detect needs --input")
@@ -168,34 +161,31 @@ def _detect_report(args) -> dict:
                                "basis": basis.values.tolist()}
     if args.labels:
         truth = _read_labels(args.labels, matrix.num_points)
-        report["truth"] = _truth_block(final, truth)
+        report["truth"] = {**experiments._truth_flags(final, truth),
+                           "num_true_outliers": int((truth == int(Label.OUTLIER)).sum())}
     return report
 
 
 def _experiment_config(args) -> ExperimentConfig:
+    """The --config file's fields, then each flag that is set, then --noiseless."""
+    d = {}
     if args.config:
         with open(args.config, encoding="utf-8-sig") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
+            d = json.load(fh)
+        if not isinstance(d, dict):
             raise RomaError(f"{args.config}: expected a JSON object")
-        loaded.setdefault("experiment", args.experiment)
-        if loaded["experiment"] != args.experiment:
+        if d.get("experiment", args.experiment) != args.experiment:
             raise RomaError(
                 f"--experiment {args.experiment} conflicts with config file "
-                f"experiment {loaded['experiment']!r}")
-        cfg = config_from_dict(loaded)
-    else:
-        cfg = default_config(args.experiment)
-    overrides = {}
+                f"experiment {d['experiment']!r}")
     for field in dataclasses.fields(ExperimentConfig):
         value = getattr(args, field.name, None)
         # unset flags, store_true ones included, leave the config alone
-        if value is None or value is False:
-            continue
-        overrides[field.name] = tuple(value) if isinstance(value, list) else value
+        if value is not None and value is not False:
+            d[field.name] = value
     if args.noiseless:
-        overrides["snr_db"] = None
-    return cfg.replace(**overrides)
+        d["snr_db"] = None
+    return config_from_dict(d)
 
 
 def _emit(text: str, out) -> None:

@@ -74,13 +74,13 @@ def _setstate(self, state: dict) -> None:
 def _owned(x, dtype) -> np.ndarray:
     """``x`` as a read-only C-contiguous ``dtype`` array that no caller can
     write through: a read-only array that already is one is taken as it is,
-    anything else is copied once.  Complex entries are refused, not cast to
-    their real parts."""
+    anything else is copied once.  Entries must be numbers: bool, integer or
+    real.  Complex, string and object entries are refused, not cast."""
     if (isinstance(x, np.ndarray) and not x.flags.writeable
             and x.flags.c_contiguous and x.dtype == dtype):
         return x
     arr = np.asarray(x)
-    if arr.dtype.kind == "c":
+    if arr.dtype.kind not in "biuf":
         raise ValidationError(f"entries must be real, got {arr.dtype} entries")
     if isinstance(x, (list, tuple)):  # a new array, which no caller holds
         return _freeze(np.ascontiguousarray(arr, dtype=dtype))
@@ -94,10 +94,13 @@ def _check_int(name: str, value) -> int:
     return int(value)
 
 
-def _check_real(name: str, value) -> None:
+def _check_real(name: str, value) -> float:
+    """``value`` as a Python float; a bool, a string or a non-finite value
+    is refused, not cast."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not math.isfinite(value)):
         raise ValidationError(f"{name} must be a finite real, got {value!r}")
+    return float(value)
 
 
 def _integers(x, name: str) -> np.ndarray:
@@ -132,23 +135,43 @@ def _indices(x, name: str, size: int) -> np.ndarray:
 
 def _points(m) -> np.ndarray:
     """Values of a DataMatrix or NormalizedMatrix; raw points pass DataMatrix's checks."""
-    return (m if isinstance(m, (DataMatrix, NormalizedMatrix)) else DataMatrix(m)).values
+    return (m if isinstance(m, _Columns) else DataMatrix(m)).values
 
 
 @dataclass(frozen=True, eq=False)
-class DataMatrix:
-    """Observed points, one per column, with optional labels and true basis."""
+class _Columns:
+    """Points, one per column, as a read-only 2-d float64 ``values``: the
+    rule that DataMatrix and NormalizedMatrix share."""
 
     __setstate__ = _setstate
 
     values: np.ndarray
-    labels: np.ndarray | None = None
-    true_basis: np.ndarray | None = None
 
     def __post_init__(self):
         values = _owned(self.values, np.float64)
         if values.ndim != 2:
             raise DimensionError(f"values must be 2-d, got ndim={values.ndim}")
+        object.__setattr__(self, "values", values)
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def num_points(self) -> int:
+        return self.values.shape[1]
+
+
+@dataclass(frozen=True, eq=False)
+class DataMatrix(_Columns):
+    """Observed points, one per column, with optional labels and true basis."""
+
+    labels: np.ndarray | None = None
+    true_basis: np.ndarray | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        values = self.values
         if not np.all(np.isfinite(values)):
             raise ValidationError("matrix entries must all be finite")
         # A column is zero exactly when its sum of squares is: the squares
@@ -157,7 +180,6 @@ class DataMatrix:
         zero = np.flatnonzero(np.einsum("ij,ij->j", values, values) == 0.0)
         if zero.size:
             raise ValidationError(f"zero columns at indices {zero.tolist()}")
-        object.__setattr__(self, "values", values)
         if self.labels is not None:
             labels = _integers(self.labels, "labels")
             if labels.shape != (values.shape[1],):
@@ -173,14 +195,6 @@ class DataMatrix:
                 raise DimensionError(f"basis must have {self.n} rows, got shape {basis.shape}")
             object.__setattr__(self, "true_basis", basis)
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_points(self) -> int:
-        return self.values.shape[1]
-
     def label_indices(self, label: Label) -> np.ndarray:
         if self.labels is None:
             raise ValidationError("matrix carries no labels")
@@ -188,30 +202,15 @@ class DataMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class NormalizedMatrix:
+class NormalizedMatrix(_Columns):
     """Unit-norm columns; what the angle computations operate on."""
 
-    __setstate__ = _setstate
-
-    values: np.ndarray
-
     def __post_init__(self):
-        values = _owned(self.values, np.float64)
-        if values.ndim != 2:
-            raise DimensionError(f"values must be 2-d, got ndim={values.ndim}")
-        norms = np.linalg.norm(values, axis=0)
+        super().__post_init__()
+        norms = np.linalg.norm(self.values, axis=0)
         # written so that a NaN norm fails it too
         if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):
             raise ValidationError("columns are not unit norm")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_points(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -48,6 +48,7 @@ from .synth import (_OUTLIER_MODELS, ClusteredInliers, ClusteredOutliers,
                     ColumnStreams, MixedOutliers, SynthSpec, _check_seed,
                     make_dataset)
 from .theory import erp_impossibility_alpha
+from .threshold import MODES
 
 __all__ = [
     "ExperimentConfig",
@@ -66,6 +67,9 @@ __all__ = [
 # A trial counts as having recovered the subspace when its log10 relative
 # error falls below this.
 RECOVERY_CUTOFF = -5.0
+
+# The detection a trial runs: ``roma`` alone, or ``roma_n`` (``_detect``).
+_STAGES = ("roma", "roma-n")
 
 
 @dataclass(frozen=True)
@@ -195,9 +199,7 @@ def _outlier_model(cfg: ExperimentConfig):
 def _detect(cfg: ExperimentConfig, matrix: DataMatrix):
     if cfg.stage == "roma":
         return roma(matrix, cfg.mode)
-    if cfg.stage == "roma-n":
-        return roma_n(matrix, cfg.mode, rank_disambiguate=cfg.rank_disambiguate)
-    raise ValidationError(f"stage must be 'roma' or 'roma-n', got {cfg.stage!r}")
+    return roma_n(matrix, cfg.mode, rank_disambiguate=cfg.rank_disambiguate)
 
 
 def _recovery_metrics(ds, res) -> dict:
@@ -448,6 +450,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         raise ValidationError(
             f"{cfg.experiment} does not read {', '.join(ignored)}; "
             "leave them at its defaults")
+    if cfg.mode not in MODES:
+        raise ValidationError(f"mode must be one of {MODES}, got {cfg.mode!r}")
+    if cfg.stage not in _STAGES:
+        raise ValidationError(
+            f"stage must be {' or '.join(map(repr, _STAGES))}, got {cfg.stage!r}")
     return _run_cells(cfg, exp)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import statistics
 
-from .data import _check_int
+from .data import _check_int, _check_real
 from .errors import ValidationError
 
 __all__ = [
@@ -44,7 +44,7 @@ def normal_quantile(p: float) -> float:
 
     Raises ValidationError outside the open interval (0, 1).
     """
-    p = float(p)
+    p = _check_real("p", p)
     if not (0.0 < p < 1.0):
         raise ValidationError(f"p must lie strictly between 0 and 1, got {p!r}")
     return statistics.NormalDist().inv_cdf(p)

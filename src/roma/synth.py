@@ -75,7 +75,7 @@ def _low_key(domain: int, index) -> int:
 
 
 def _check_seed(seed) -> int:
-    seed = int(seed)
+    seed = _check_int("seed", seed)
     if not 0 <= seed < (1 << 64):
         raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return seed
@@ -138,6 +138,7 @@ class ColumnStreams:
 
 def random_subspace(n: int, r: int, rng: np.random.Generator) -> np.ndarray:
     """Orthonormal basis of a rotation-invariant random r-dim subspace."""
+    n, r = _check_int("n", n), _check_int("r", r)
     if not 1 <= r <= n:
         raise ValidationError(f"rank must lie in [1, n={n}], got {r}")
     a = rng.standard_normal((n, r))
@@ -195,8 +196,7 @@ class ClusteredInliers(_Inliers):
     nu: float
 
     def __post_init__(self):
-        _check_real("nu", self.nu)
-        if not self.nu > 0:
+        if not _check_real("nu", self.nu) > 0:
             raise ValidationError(f"nu must be positive, got {self.nu!r}")
 
     def _rows(self, streams, basis, coords, index_offset=0) -> np.ndarray:
@@ -223,8 +223,7 @@ class ClusteredOutliers:
     mu: float
 
     def __post_init__(self):
-        _check_real("mu", self.mu)
-        if not self.mu > 0:
+        if not _check_real("mu", self.mu) > 0:
             raise ValidationError(f"mu must be positive, got {self.mu!r}")
 
     def sample(self, streams, basis, count, index_offset=0) -> np.ndarray:
@@ -283,8 +282,7 @@ class MixedOutliers:
     mu: float
 
     def __post_init__(self):
-        _check_real("mu", self.mu)
-        if not self.mu > 0:
+        if not _check_real("mu", self.mu) > 0:
             raise ValidationError(f"mu must be positive, got {self.mu!r}")
 
     def num_clustered(self, streams: ColumnStreams, num_outliers: int) -> int:
@@ -319,12 +317,12 @@ class SynthSpec:
     snr_db: float | None = None
 
     def __post_init__(self):
-        for name in ("n", "num_points", "rank", "seed"):
+        for name in ("n", "num_points", "rank"):
             _check_int(name, getattr(self, name))
+        _check_seed(self.seed)
         _check_real("gamma", self.gamma)
         if self.snr_db is not None:
             _check_real("snr_db", self.snr_db)
-        _check_seed(self.seed)
         if self.n < 3:
             raise ValidationError(f"ambient dimension must be at least 3, got {self.n}")
         if not 1 <= self.rank <= self.n:

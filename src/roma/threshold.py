@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .data import _check_int
+from .data import _check_int, _check_real
 from .errors import DegenerateRegimeError, ValidationError
 from .statcore import angle_sigma, normal_quantile
 
@@ -62,6 +62,7 @@ def zeta_with_center(n: int, num_points: int, center: float, mode: str) -> Thres
     outside it is a DegenerateRegimeError.
     """
     n, num_points = _check_int("n", n), _check_int("num_points", num_points)
+    center = _check_real("center", center)
     c_n = compute_cn(num_points)
     zeta = center - c_n * angle_sigma(n)
     if zeta <= 0.0:
@@ -71,9 +72,9 @@ def zeta_with_center(n: int, num_points: int, center: float, mode: str) -> Thres
     if zeta >= _HALF_PI:
         raise DegenerateRegimeError(
             f"threshold {zeta:.4f} >= pi/2 at n={n}, N={num_points}; "
-            f"the center {float(center):.4f} lies too far above pi/2")
+            f"the center {center:.4f} lies too far above pi/2")
     return ThresholdSpec(n=n, num_points=num_points, c_n=c_n, zeta=zeta,
-                         mode=mode, center=float(center))
+                         mode=mode, center=center)
 
 
 def compute_zeta(n: int, num_points: int) -> ThresholdSpec:

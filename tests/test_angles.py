@@ -233,7 +233,7 @@ def test_scan_domain_errors():
         gram_scan(v[:, :1], 1.0)
     with pytest.raises(ValidationError):
         sample_mean_angle(v[:, :1])
-    for bad in (0.0, -0.5, math.pi / 2.0, math.nan):
+    for bad in (0.0, -0.5, math.pi / 2.0, math.nan, "1.0", True):
         with pytest.raises(ValueError):
             gram_scan(v, bad)
 

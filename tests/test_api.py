@@ -142,9 +142,15 @@ def test_every_import_is_used_or_exported(name):
      "num_points must be an integer, got '1000'"),
     (lambda: roma.erp_impossibility_alpha(100, 20, 1000, 100.0),
      "num_inliers must be an integer, got 100.0"),
+    (lambda: roma.normal_quantile("0.5"), "p must be a finite real, got '0.5'"),
+    (lambda: roma.ColumnStreams(2.7), "seed must be an integer, got 2.7"),
+    (lambda: roma.ColumnStreams("5"), "seed must be an integer, got '5'"),
+    (lambda: roma.random_subspace(5.0, 2, roma.ColumnStreams(1).subspace()),
+     "n must be an integer, got 5.0"),
 ], ids=["cn-float", "cn-bool", "cn-one", "zeta-float-n", "zeta-float-N", "zeta-n-2",
         "sigma-float", "sigma-bool", "quantile-p", "p-float-n", "p-float-r", "p-bool-N",
-        "p-N-1", "erp-str-N", "erp-float-inliers"])
+        "p-N-1", "erp-str-N", "erp-float-inliers", "quantile-str-p", "seed-float",
+        "seed-str", "subspace-float-n"])
 def test_a_bad_count_to_an_export_is_a_roma_error(call, match):
     # refused, never truncated, and a RomaError that is also a ValueError
     with pytest.raises(roma.ValidationError, match=match) as info:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from roma import data
+from roma.angles import AngleScores
 from roma.data import (DataMatrix, Label, NormalizedMatrix, Partition,
                        SubspaceBasis, load_csv_matrix, normalize_columns,
                        write_csv)
@@ -506,6 +507,23 @@ def test_complex_entries_are_refused_not_cast(build, given):
         warnings.simplefilter("error")  # no ComplexWarning either
         with pytest.raises(ValidationError, match="entries must be real, got complex128"):
             build(given)
+
+
+@pytest.mark.parametrize("build", [
+    DataMatrix, NormalizedMatrix, SubspaceBasis, roma,
+    lambda a: DataMatrix(np.eye(3), true_basis=a),
+    lambda a: AngleScores(a, np.zeros(3, dtype=np.int64)),
+], ids=["values", "normalized", "basis", "roma", "true_basis", "scores"])
+@pytest.mark.parametrize("given, kind", [
+    (SubspaceBasis(np.eye(3)), "object"),
+    (np.eye(3, dtype=int).astype(str).tolist(), "<U1"),
+    (np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, None]], dtype=object), "object"),
+], ids=["container", "strings", "none"])
+def test_entries_that_are_not_numbers_are_refused_not_cast(build, given, kind):
+    # not read through float(): a container is not unpacked, a string not
+    # parsed and a None not made NaN
+    with pytest.raises(ValidationError, match=f"entries must be real, got {kind} entries"):
+        build(given)
 
 
 def test_roma_leaves_the_callers_array_writeable():

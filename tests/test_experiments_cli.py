@@ -583,6 +583,18 @@ def test_a_seed_out_of_range_is_refused_before_any_cell(experiment, seed, capsys
         ex.run_experiment(ex.default_config(experiment).replace(seed=seed))
 
 
+@pytest.mark.parametrize("experiment, fields, message", [
+    ("structured", {"stage": "x"}, "stage must be 'roma' or 'roma-n', got 'x'"),
+    ("oip-erp", {"mode": "x"}, "mode must be one of ('theoretical', 'adapted'), got 'x'"),
+    ("oip-erp", {"stage": "x"}, "oip-erp does not read stage"),
+], ids=["stage", "mode", "unread-stage"])
+def test_a_bad_mode_or_stage_is_refused_before_any_cell(experiment, fields, message,
+                                                       monkeypatch):
+    monkeypatch.setattr(ex, "_run_cells", lambda cfg, exp: pytest.fail("ran cells"))
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        ex.run_experiment(ex.default_config(experiment).replace(**fields))
+
+
 def test_cli_exit_2_on_bad_labels(planted, tmp_path, capsys):
     csv_path, labels_path, _ = planted
     bad = tmp_path / "labels.txt"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roma.detector import roma
-from roma.errors import DegenerateRegimeError
+from roma.errors import DegenerateRegimeError, ValidationError
 from roma.threshold import (ThresholdSpec, compute_cn, compute_zeta,
                             zeta_with_center)
 
@@ -109,6 +109,12 @@ def test_explicit_center_round_trip():
     assert spec.zeta == pytest.approx(1.4 - spec.c_n / math.sqrt(48), abs=1e-15)
     with pytest.raises(DegenerateRegimeError):
         zeta_with_center(50, 200, 0.3, "adapted")
+
+
+@pytest.mark.parametrize("center", [math.nan, math.inf, "1.4"], ids=["nan", "inf", "str"])
+def test_explicit_center_must_be_a_finite_real(center):
+    with pytest.raises(ValidationError, match=f"center must be a finite real, got {center!r}"):
+        zeta_with_center(50, 200, center, "adapted")
 
 
 def test_explicit_center_refuses_a_threshold_at_or_above_half_pi():
