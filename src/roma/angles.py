@@ -274,16 +274,34 @@ def _checked(x) -> np.ndarray:
 
 def _fold(peak, v, held, thr) -> None:
     """Fold |_dot| of each held candidate that reaches ``thr`` of one of its
-    points into the exact ``peak`` of both its points."""
+    points into the exact ``peak`` of both its points.
+
+    The held arrays are cut into runs of at most ``_DOT_PAIRS`` pairs, and
+    each run, concatenated on its own, takes one ``_dot`` sweep: not one
+    sweep per held array, and never a copy of them all.
+    """
+    def sweep(run):
+        pairs, e = (np.concatenate(parts) for parts in zip(*run))
+        i, j = np.divmod(pairs, peak.size)
+        keep = (e >= thr[i]) | (e >= thr[j])
+        i, j = i[keep], j[keep]
+        d = np.abs(_dot(v, i, j))
+        np.maximum.at(peak, i, d)
+        np.maximum.at(peak, j, d)
+
+    run, size = [], 0
     for pairs, entries in held:
-        for s in range(0, pairs.size, _DOT_PAIRS):
-            i, j = np.divmod(pairs[s:s + _DOT_PAIRS], peak.size)
-            e = entries[s:s + _DOT_PAIRS]
-            keep = (e >= thr[i]) | (e >= thr[j])
-            i, j = i[keep], j[keep]
-            d = np.abs(_dot(v, i, j))
-            np.maximum.at(peak, i, d)
-            np.maximum.at(peak, j, d)
+        s = 0
+        while s < pairs.size:
+            take = min(_DOT_PAIRS - size, pairs.size - s)
+            run.append((pairs[s:s + take], entries[s:s + take]))
+            s += take
+            size += take
+            if size == _DOT_PAIRS:
+                sweep(run)
+                run, size = [], 0
+    if run:
+        sweep(run)
     held.clear()
 
 

@@ -445,10 +445,12 @@ def write_csv(matrix, path, orientation: str = "points-as-rows") -> None:
             f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
     values = _points(matrix)
     out = values.T if orientation == "points-as-rows" else values
+    # The bytes of csv.writer's excel dialect: each float as its repr(),
+    # which it never quotes, and "\r\n" after each row.  One row of text
+    # at a time, not the matrix.
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in out:  # one row of Python floats at a time, not the matrix
-            writer.writerow(row.tolist())  # floats are written as repr()
+        for row in out:
+            fh.write(",".join(map(repr, row.tolist())) + "\r\n")
 
 
 def normalize_columns(m) -> NormalizedMatrix:

@@ -32,8 +32,11 @@ _HALF_PI = math.pi / 2.0
 
 
 def normal_cdf(x: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * math.erfc(-x / _SQRT2)
+    """Standard normal CDF via the complementary error function.
+
+    Raises ValidationError unless ``x`` is a finite real.
+    """
+    return 0.5 * math.erfc(-_check_real("x", x) / _SQRT2)
 
 
 def normal_quantile(p: float) -> float:

@@ -417,11 +417,12 @@ def export_dataset(dataset: SynthDataset, csv_path,
     a record for people and other tools to read with ``json.load``."""
     write_csv(dataset.matrix, csv_path, orientation)
     sidecar_path = str(csv_path) + ".json"
+    names = {label: label.name.lower() for label in Label}
     payload = {
         "orientation": orientation,
         "spec": spec_to_dict(dataset.spec),
         "sigma": dataset.sigma,
-        "labels": [Label(v).name.lower() for v in dataset.matrix.labels],
+        "labels": [names[v] for v in dataset.matrix.labels.tolist()],
         "true_basis": dataset.matrix.true_basis.tolist(),
     }
     with open(sidecar_path, "w") as fh:

@@ -59,8 +59,10 @@ def zeta_with_center(n: int, num_points: int, center: float, mode: str) -> Thres
     """Assemble a ThresholdSpec for an explicit center angle.
 
     zeta must lie in (0, pi/2), where the detector's scan is defined;
-    outside it is a DegenerateRegimeError.
+    outside it is a DegenerateRegimeError.  ``mode`` must be one of ``MODES``.
     """
+    if mode not in MODES:
+        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     n, num_points = _check_int("n", n), _check_int("num_points", num_points)
     center = _check_real("center", center)
     c_n = compute_cn(num_points)

@@ -174,7 +174,7 @@ def _random_doubles(rng, shape):
 def test_csv_round_trip_exact(tmp_path):
     rng = np.random.default_rng(5)
     values = _random_doubles(rng, (7, 11))
-    values[:3, 0] = [-0.0, 5e-324, 0.1]
+    values[:5, 0] = [-0.0, 5e-324, 0.1, 1e16, 1e-05]
     values[3:, 1] = rng.standard_normal(4)
     m = DataMatrix(values)
     for orientation in ("points-as-rows", "points-as-columns"):
@@ -184,6 +184,13 @@ def test_csv_round_trip_exact(tmp_path):
         out = values.T if orientation == "points-as-rows" else values
         assert path.read_bytes().decode() == "".join(
             ",".join(repr(float(v)) for v in row) + "\r\n" for row in out)
+        # the bytes the csv module writes: the file is a CSV it would write
+        oracle = tmp_path / "oracle.csv"
+        with open(oracle, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            for row in out:
+                writer.writerow(row.tolist())
+        assert path.read_bytes() == oracle.read_bytes()
         back = load_csv_matrix(path, orientation)
         assert back.values.tobytes() == values.tobytes()  # -0.0 keeps its sign
         assert back.values.tobytes() == csv_oracle(path, orientation).values.tobytes()
@@ -430,6 +437,23 @@ def test_load_memory_is_the_matrix_and_one_row(tmp_path, shape, orientation):
         tracemalloc.stop()
     assert m.values.tobytes() == values.tobytes()
     assert peak <= 1.5 * values.nbytes + row_bytes, peak / values.nbytes
+
+
+@pytest.mark.parametrize("orientation", data.ORIENTATIONS)
+def test_write_memory_is_one_row_of_text(tmp_path, orientation):
+    m = DataMatrix(_random_doubles(np.random.default_rng(4), (100, 2000)))
+    path = tmp_path / "m.csv"
+    write_csv(m, path, orientation)  # warm: imports and caches
+    with open(path, "rb") as fh:
+        row_bytes = max(map(len, fh))
+    tracemalloc.start()
+    try:
+        write_csv(m, path, orientation)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a row of text and its parts, not the file's 100 or 2000 rows at once
+    assert peak <= 8 * row_bytes + (64 << 10), peak / row_bytes
 
 
 # --- containers --------------------------------------------------------------

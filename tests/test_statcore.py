@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roma.errors import ValidationError
 from roma.statcore import angle_sigma, normal_cdf, normal_quantile, phi_moments
 from roma.threshold import compute_cn
 
@@ -50,6 +51,12 @@ def test_cdf_center_and_complement():
     assert normal_cdf(0.0) == 0.5
     for x in (-3.0, -0.7, 0.0, 1.2, 9.0):
         assert normal_cdf(-x) == pytest.approx(1.0 - normal_cdf(x), abs=1e-15)
+
+
+@pytest.mark.parametrize("x", ["0.5", True, math.nan, math.inf], ids=["str", "bool", "nan", "inf"])
+def test_cdf_takes_only_a_finite_real(x):
+    with pytest.raises(ValidationError, match=f"x must be a finite real, got {x!r}"):
+        normal_cdf(x)
 
 
 @pytest.mark.parametrize("p,expected", QUANTILE_CASES)

@@ -117,6 +117,12 @@ def test_explicit_center_must_be_a_finite_real(center):
         zeta_with_center(50, 200, center, "adapted")
 
 
+@pytest.mark.parametrize("mode", ["bogus", "Adapted", None])
+def test_explicit_center_takes_only_a_known_mode(mode):
+    with pytest.raises(ValidationError, match=f"mode must be one of .*, got {mode!r}"):
+        zeta_with_center(50, 200, 1.4, mode)
+
+
 def test_explicit_center_refuses_a_threshold_at_or_above_half_pi():
     # the scan is defined for zeta in (0, pi/2); a center far enough above
     # pi/2, as the adapted mode gives on antipodal data, would leave it
