@@ -2,12 +2,11 @@
 
 The Gram matrix g = V^T V of the unit columns drives everything: principal
 angles are arccos of its entries clamped to [-1, 1], acute angles use the
-absolute value.  The detector reads it through one streaming kernel,
-``gram_scan``.  It multiplies row block [s, e) against columns s onward, so
-it visits only the upper band, sees each unordered pair once, and reduces
-each block along both its rows and its columns.  That is half the Gram
-flops of a full product.  Each block holds about ``_BLOCK_BYTES``, so the
-kernel's temporary memory is O(block * N) and never N x N.
+absolute value.  One walk, ``_band``, serves both passes, the detector's
+streaming kernel ``gram_scan`` and ``sample_mean_angle``.  It multiplies row
+block [s, e) against columns s onward, so it sees each unordered pair once,
+in half the Gram flops of a full product.  Each block holds about
+``_BLOCK_BYTES``, so a pass's temporary memory is O(block * N), never N x N.
 
 The kernels take a ``NormalizedMatrix`` or an (n, N) array of unit columns
 and rescale nothing; other columns, and a ``DataMatrix``, are a
@@ -57,8 +56,8 @@ compares with the cut and the open band; its scores count na on first read
 
 The mean principal angle is informational, except in the adapted mode where
 it centres the threshold.  ``sample_mean_angle`` computes it in its own
-float64 pass, with arccos over the strict upper triangle; its last bits
-follow the BLAS's rounding.
+float64 walk, with arccos over the strict upper triangle; its last bits
+follow the BLAS's rounding and the block height.
 """
 
 from __future__ import annotations
@@ -102,16 +101,6 @@ _HALF_PI = math.pi / 2.0
 _ONE_BITS = int(np.float64(1.0).view(np.int64))
 _U64 = 2.0 ** -53
 _U16_MAX = 2 ** 16 - 1
-
-
-def _values(x) -> np.ndarray:
-    if isinstance(x, NormalizedMatrix):
-        return x.values
-    if isinstance(x, DataMatrix):
-        raise ValidationError(
-            "the kernels take unit columns: pass normalize_columns(m), "
-            "not a DataMatrix")
-    return NormalizedMatrix(x).values
 
 
 def _cut(theta: float) -> float:
@@ -266,10 +255,34 @@ def _block_rows(n_pts: int) -> int:
 
 
 def _checked(x) -> np.ndarray:
-    v = _values(x)
+    """The unit columns of ``x``, at least 2 of them: the gate of every kernel."""
+    if isinstance(x, DataMatrix):
+        raise ValidationError(
+            "the kernels take unit columns: pass normalize_columns(m), "
+            "not a DataMatrix")
+    v = (x if isinstance(x, NormalizedMatrix) else NormalizedMatrix(x)).values
     if v.shape[1] < 2:
         raise ValidationError("need at least 2 points")
     return v
+
+
+def _band(v: np.ndarray):
+    """The one walk over the upper band of v^T v, in ``v``'s dtype.
+
+    Yields (start, g, seen) per block of ``_block_rows`` rows: g is
+    v[:, start:e].T @ v[:, start:] in one buffer that the next block
+    overwrites, and ``seen`` masks the diagonal and below of g's leading
+    square: a point with itself, or a pair that g holds above the diagonal.
+    """
+    n_pts = v.shape[1]
+    rows = _block_rows(n_pts)
+    buf = np.empty(rows * n_pts, dtype=v.dtype)
+    lower = np.tri(rows, dtype=bool)
+    for start in range(0, n_pts, rows):
+        height, width = min(rows, n_pts - start), n_pts - start
+        g = buf[:height * width].reshape(height, width)
+        np.matmul(v[:, start:start + height].T, v[:, start:], out=g)
+        yield start, g, lower[:height, :height]
 
 
 def _fold(peak, v, held, thr) -> None:
@@ -320,12 +333,8 @@ def gram_scan(x, zeta: float, *, count_na: bool = True) -> AngleScores:
     n_pts = v.shape[1]
     dtype = _scan_dtype(v.shape[0])
     err = _gram_error(v.shape[0], dtype)
-    vw = v.astype(dtype, copy=False)
     rows = _block_rows(n_pts)
-    gram_buf = np.empty(rows * n_pts, dtype=dtype)
     hit_buf = np.empty((2, rows * n_pts), dtype=bool)
-    # Diagonal and below of a block's leading square: pairs seen elsewhere.
-    lower = np.tri(rows, dtype=bool)
     if count_na:
         cut = _cut(zeta)
         near = np.zeros(n_pts, dtype=np.int64)
@@ -347,19 +356,15 @@ def gram_scan(x, zeta: float, *, count_na: bool = True) -> AngleScores:
 
     cap = max(1, rows * n_pts // 4)
     held, n_held = [], 0
-    for start in range(0, n_pts, rows):
-        stop = min(start + rows, n_pts)
-        height, width = stop - start, n_pts - start
-        size, shape = height * width, (height, width)
-        g = gram_buf[:size].reshape(shape)
-        np.matmul(vw[:, start:stop].T, vw[:, start:], out=g)
+    for start, g, seen in _band(v.astype(dtype, copy=False)):
+        height, width = g.shape
         np.abs(g, out=g)
-        np.copyto(g[:, :height], -1.0, where=lower[:height, :height])
-        hit, other = (b[:size].reshape(shape) for b in hit_buf)
+        np.copyto(g[:, :height], -1.0, where=seen)
+        hit, other = (b[:g.size].reshape(g.shape) for b in hit_buf)
         if count_na:
             np.greater_equal(g, lo, out=hit)
             row_hits = _count(hit, 1)
-            near[start:stop] += row_hits
+            near[start:start + height] += row_hits
             near[start:] += _count(hit, 0)
             np.greater_equal(g, hi, out=hit)
             open_rows = np.flatnonzero(_count(hit, 1) != row_hits)
@@ -373,7 +378,8 @@ def gram_scan(x, zeta: float, *, count_na: bool = True) -> AngleScores:
         # The peaks of this block's points are final from here on: the
         # blocks above hold the rest of their columns.
         np.maximum(peak[start:], g.max(axis=0), out=peak[start:])
-        np.maximum(peak[start:stop], g.max(axis=1), out=peak[start:stop])
+        mine = peak[start:start + height]
+        np.maximum(mine, g.max(axis=1), out=mine)
         thr = peak_floor(peak[start:])
         np.greater_equal(g, thr[:height, None], out=hit)
         np.greater_equal(g, thr, out=other)
@@ -406,19 +412,11 @@ def sample_mean_angle(x) -> float:
     triangle; only the adapted threshold reads it.
     """
     v = _checked(x)
-    n_pts = v.shape[1]
-    rows = _block_rows(n_pts)
-    theta_buf = np.empty(rows * n_pts)
-    lower = np.tri(rows, dtype=bool)
     total = 0.0
-    for start in range(0, n_pts, rows):
-        stop = min(start + rows, n_pts)
-        height, width = stop - start, n_pts - start
-        theta = theta_buf[:height * width].reshape(height, width)
-        np.matmul(v[:, start:stop].T, v[:, start:], out=theta)
+    for _, theta, seen in _band(v):
         np.clip(theta, -1.0, 1.0, out=theta)
         np.arccos(theta, out=theta)
-        np.copyto(theta[:, :height], 0.0, where=lower[:height, :height])
+        np.copyto(theta[:, :theta.shape[0]], 0.0, where=seen)
         total += float(theta.sum())
-    return total / (n_pts * (n_pts - 1) / 2)
+    return total / math.comb(v.shape[1], 2)
 

@@ -174,10 +174,7 @@ class DataMatrix(_Columns):
         values = self.values
         if not np.all(np.isfinite(values)):
             raise ValidationError("matrix entries must all be finite")
-        # A column is zero exactly when its sum of squares is: the squares
-        # are non-negative, so no order of summing them reaches 0 otherwise.
-        # einsum sums them without an n x N temporary.
-        zero = np.flatnonzero(np.einsum("ij,ij->j", values, values) == 0.0)
+        zero = np.flatnonzero(~values.any(axis=0))
         if zero.size:
             raise ValidationError(f"zero columns at indices {zero.tolist()}")
         if self.labels is not None:
@@ -207,7 +204,8 @@ class NormalizedMatrix(_Columns):
 
     def __post_init__(self):
         super().__post_init__()
-        norms = np.linalg.norm(self.values, axis=0)
+        with np.errstate(over="ignore"):  # an infinite norm fails the test below
+            norms = np.linalg.norm(self.values, axis=0)
         # written so that a NaN norm fails it too
         if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):
             raise ValidationError("columns are not unit norm")
@@ -457,8 +455,22 @@ def normalize_columns(m) -> NormalizedMatrix:
     """Scale every column to unit Euclidean norm.
 
     Accepts a DataMatrix, a NormalizedMatrix, or raw points, which go
-    through ``DataMatrix`` and so its checks; no column norm is then zero.
-    Idempotent to within one rounding per entry.
+    through ``DataMatrix`` and so its checks; no column is then zero.
+    Idempotent to within one rounding per entry.  A column whose norm
+    overflows or falls below sqrt(tiny) is first scaled, exactly, by a power
+    of two, so columns that differ by a power of two give the same bits
+    (unless one of them holds subnormal entries, which carry fewer bits).
     """
     values = _points(m)
-    return NormalizedMatrix(_freeze(values / np.linalg.norm(values, axis=0)))
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(values, axis=0)
+    # the columns whose squares overflowed or may have underflowed
+    odd = ~np.isfinite(norms) | (norms < math.sqrt(np.finfo(np.float64).tiny))
+    norms[odd] = 1.0
+    out = values / norms
+    if odd.any():
+        # C order, so that the norm sums each column in the order used above
+        block = np.ascontiguousarray(values[:, odd])
+        block = np.ldexp(block, -np.frexp(np.abs(block).max(axis=0))[1])
+        out[:, odd] = block / np.linalg.norm(block, axis=0)
+    return NormalizedMatrix(_freeze(out))

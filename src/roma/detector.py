@@ -142,6 +142,9 @@ def roma_n(m, mode: str = "theoretical", *,
     pair's other point the head, and the na distances are then measured
     from that point.
     """
+    if not isinstance(rank_disambiguate, bool):  # "False" would be truthy
+        raise ValidationError(
+            f"rank_disambiguate must be a bool, got {rank_disambiguate!r}")
     x = _normalized(m)
     stage1 = _stage1(x, mode, count_na=True)
     survivors = stage1.partition.inliers

@@ -54,10 +54,13 @@ def normal_quantile(p: float) -> float:
 
 
 def angle_sigma(dim: int) -> float:
-    """Spread 1/sqrt(dim - 2) of the Gaussian surrogate for the angle law."""
+    """Spread 1/sqrt(dim - 2) of the Gaussian surrogate for the angle law,
+    for 3 <= dim < 2^1023, where dim is a finite double."""
     dim = _check_int("dim", dim)
     if dim < 3:
         raise ValidationError(f"dimension must be at least 3, got {dim}")
+    if dim.bit_length() > 1023:
+        raise ValidationError(f"dim must lie below 2^1023, got a {dim.bit_length()}-bit count")
     return 1.0 / math.sqrt(dim - 2)
 
 

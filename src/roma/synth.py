@@ -333,6 +333,8 @@ class SynthSpec:
             raise ValidationError(f"gamma must lie in [0, 1), got {self.gamma!r}")
         if self.num_inliers < 1:
             raise ValidationError("gamma leaves no inliers")
+        if self.snr_db is not None:
+            _noise_sigma(self.snr_db, self.n)
         if type(self.inlier_model) not in _INLIER_MODELS.values():
             raise ValidationError(f"unknown inlier model {self.inlier_model!r}")
         if type(self.outlier_model) not in _OUTLIER_MODELS.values():
@@ -376,6 +378,19 @@ def _shuffle(inliers: np.ndarray, outliers: np.ndarray,
     return values, np.where(perm < num_in, int(Label.INLIER), int(Label.OUTLIER)).astype(np.int8)
 
 
+def _noise_sigma(snr_db: float, n: int) -> float:
+    """The inlier noise's sigma = 1 / (10^(snr_db/20) sqrt(n)) (see
+    ``make_dataset``); an snr_db for which it is 0 or infinite is refused."""
+    try:
+        sigma = 1.0 / (10.0 ** (snr_db / 20.0) * math.sqrt(n))
+    except (OverflowError, ZeroDivisionError):
+        sigma = 0.0
+    if not 0.0 < sigma < math.inf:
+        raise ValidationError(
+            f"snr_db={snr_db!r} gives a noise sigma of 0 or infinity at n={n}")
+    return sigma
+
+
 def make_dataset(spec: SynthSpec) -> SynthDataset:
     """Build the dataset a SynthSpec describes: its inlier and outlier samples
     shuffled into one matrix.  With ``snr_db`` set, inlier i draws r + n
@@ -391,7 +406,7 @@ def make_dataset(spec: SynthSpec) -> SynthDataset:
     inliers = spec.inlier_model._rows(streams, basis, np.ascontiguousarray(draws[:, :r]))
     sigma = None
     if noisy:
-        sigma = 1.0 / (10.0 ** (spec.snr_db / 20.0) * math.sqrt(n))
+        sigma = _noise_sigma(spec.snr_db, n)
         inliers += sigma * draws[:, r:]
     outliers = spec.outlier_model.sample(streams, basis, spec.num_outliers)
     values, labels = _shuffle(inliers.T, outliers, streams)

@@ -21,7 +21,7 @@ import warnings
 from .data import _check_int
 from .errors import ValidationError
 from .statcore import normal_cdf
-from .threshold import compute_cn
+from .threshold import _check_points, compute_cn
 
 __all__ = [
     "p_inlier",
@@ -110,11 +110,9 @@ def max_rank_sizable(n: int, num_points: int) -> float:
 
 
 def _check_split(num_points: int, num_inliers: int, num_structured: int) -> tuple[int, int, int]:
-    num_points = _check_int("num_points", num_points)
+    num_points = _check_points(num_points)
     num_inliers = _check_int("num_inliers", num_inliers)
     num_structured = _check_int("num_structured", num_structured)
-    if num_points < 2:
-        raise ValidationError(f"need at least 2 points, got {num_points}")
     if num_inliers < 1 or num_structured < 1:
         raise ValidationError("both point counts must be positive")
     if num_inliers + num_structured > num_points:

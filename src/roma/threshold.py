@@ -42,15 +42,25 @@ class ThresholdSpec:
     center: float
 
 
+def _check_points(num_points) -> int:
+    """``num_points`` as an int in [2, 2^340): below 2^340, 2 N^2 (N - 1)
+    is under 2^1021, a finite double."""
+    num_points = _check_int("num_points", num_points)
+    if num_points < 2:
+        raise ValidationError(f"need at least 2 points, got {num_points}")
+    if num_points.bit_length() > 340:
+        raise ValidationError(
+            f"num_points must lie below 2^340, got a {num_points.bit_length()}-bit count")
+    return num_points
+
+
 def compute_cn(num_points: int) -> float:
     """Quantile constant C_N = normal_quantile(1 - 1/(2 N^2 (N-1))).
 
     Evaluated through the symmetric lower tail so that the probability stays
-    representable for very large N.  Requires N >= 2.
+    representable for very large N.  Requires 2 <= N < 2^340.
     """
-    num_points = _check_int("num_points", num_points)
-    if num_points < 2:
-        raise ValidationError(f"need at least 2 points, got {num_points}")
+    num_points = _check_points(num_points)
     tail = 1.0 / (2.0 * float(num_points) ** 2 * (num_points - 1))
     return -normal_quantile(tail)
 

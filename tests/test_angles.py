@@ -186,6 +186,27 @@ def test_kernels_take_unit_columns_and_refuse_others():
             kernel(DataMatrix(raw))
 
 
+@pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "1", "7"])
+@pytest.mark.parametrize("pts", [2, 3, 17, 300])
+def test_band_leaves_every_pair_open_exactly_once(pts, rows, monkeypatch):
+    # both passes read the pairs that ``seen`` leaves open, so a walk that
+    # drops or repeats a pair fails here, whichever pass uses it
+    if rows is not None:
+        block_rows(monkeypatch, rows, pts)
+    v = unit_cloud(5, pts, 23)
+    times = np.zeros((pts, pts), dtype=np.int64)
+    for start, g, seen in angles._band(v):
+        height, width = g.shape
+        assert width == pts - start
+        np.testing.assert_allclose(g, v[:, start:start + height].T @ v[:, start:],
+                                   rtol=0.0, atol=1e-15)
+        open_ = np.ones(g.shape, dtype=bool)
+        open_[:, :height] &= ~seen
+        r, c = np.nonzero(open_)
+        np.add.at(times, (start + r, start + c), 1)
+    np.testing.assert_array_equal(times, np.triu(np.ones((pts, pts), dtype=np.int64), 1))
+
+
 def test_closest_pair_finds_planted_pair(monkeypatch):
     v = unit_cloud(6, 25, 12)
     w = v[:, 4] + 1e-6 * v[:, 9]

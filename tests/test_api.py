@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import roma
+from roma import theory
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(roma.__path__))
 ROOT = Path(__file__).resolve().parents[1]
@@ -147,10 +148,18 @@ def test_every_import_is_used_or_exported(name):
     (lambda: roma.ColumnStreams("5"), "seed must be an integer, got '5'"),
     (lambda: roma.random_subspace(5.0, 2, roma.ColumnStreams(1).subspace()),
      "n must be an integer, got 5.0"),
+    # counts whose float arithmetic would overflow
+    (lambda: roma.compute_cn(10 ** 103), "num_points must lie below 2\\^340"),
+    (lambda: roma.compute_cn(10 ** 200), "num_points must lie below 2\\^340"),
+    (lambda: roma.p_inlier(100, 10, 10 ** 200), "num_points must lie below 2\\^340"),
+    (lambda: theory.max_rank_sizable(100, 10 ** 200), "num_points must lie below 2\\^340"),
+    (lambda: theory.na_bound_prob(10 ** 200, 10, 10), "num_points must lie below 2\\^340"),
+    (lambda: roma.angle_sigma(10 ** 400), "dim must lie below 2\\^1023"),
 ], ids=["cn-float", "cn-bool", "cn-one", "zeta-float-n", "zeta-float-N", "zeta-n-2",
         "sigma-float", "sigma-bool", "quantile-p", "p-float-n", "p-float-r", "p-bool-N",
         "p-N-1", "erp-str-N", "erp-float-inliers", "quantile-str-p", "seed-float",
-        "seed-str", "subspace-float-n"])
+        "seed-str", "subspace-float-n", "cn-huge-N", "cn-huger-N", "p-huge-N",
+        "rank-cap-huge-N", "na-bound-huge-N", "sigma-huge-dim"])
 def test_a_bad_count_to_an_export_is_a_roma_error(call, match):
     # refused, never truncated, and a RomaError that is also a ValueError
     with pytest.raises(roma.ValidationError, match=match) as info:

@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import tracemalloc
 import warnings
@@ -16,6 +17,7 @@ from roma.data import (DataMatrix, Label, NormalizedMatrix, Partition,
                        write_csv)
 from roma.detector import roma
 from roma.errors import DimensionError, ParseError, ValidationError
+from roma.synth import SynthSpec, make_dataset
 
 from _oracles import csv_oracle
 
@@ -471,19 +473,41 @@ def test_datamatrix_zero_column_listed():
 
 
 def test_zero_columns_are_those_of_zero_norm():
-    # squares that underflow to zero, subnormal ones and exact zeros: a sum
-    # of squares is zero in every order exactly when the norm is
+    # the exact norm, which math.hypot does not underflow: squares that
+    # underflow to zero, a subnormal entry and -0.0 make no zero column
     vals = np.ones((4, 6))
     vals[:, 1] = 1e-200
     vals[:, 2] = [1e-160, 0.0, 0.0, 0.0]
     vals[:, 3] = [1e-200, -1e-161, 0.0, 0.0]
     vals[:, 4] = 0.0
     vals[:, 5] = [-0.0, 5e-324, 0.0, 0.0]
-    zero = np.flatnonzero(np.linalg.norm(vals, axis=0) == 0.0).tolist()
-    assert zero == [1, 4, 5]
+    zero = [j for j in range(vals.shape[1]) if math.hypot(*vals[:, j]) == 0.0]
+    assert zero == [4]
     for make in (DataMatrix, normalize_columns):
         with pytest.raises(ValidationError, match=rf"zero columns at indices \{zero}"):
             make(vals)
+    unit = normalize_columns(np.delete(vals, zero, axis=1)).values
+    assert np.all(np.abs(np.linalg.norm(unit, axis=0) - 1.0) <= data.UNIT_NORM_TOL)
+
+
+@pytest.mark.parametrize("k", [900, -900])
+def test_a_power_of_two_scale_keeps_the_unit_columns_bitwise(k):
+    # 2^900 overflows the squares and 2^-900 underflows them; below about
+    # 2^-1000 entries would go subnormal and lose bits
+    m = make_dataset(SynthSpec(n=100, num_points=300, rank=10, gamma=0.3, seed=1)).matrix
+    scaled = DataMatrix(m.values * 2.0 ** k)
+    assert np.array_equal(normalize_columns(scaled).values, normalize_columns(m).values)
+    a, b = roma(m), roma(scaled)
+    assert np.array_equal(a.scores.q, b.scores.q)
+    np.testing.assert_array_equal(a.partition.outliers, b.partition.outliers)
+
+
+def test_subnormal_columns_normalize_to_unit_norm():
+    m = make_dataset(SynthSpec(n=100, num_points=50, rank=10, gamma=0.3, seed=2)).matrix
+    tiny = DataMatrix(m.values * 1e-320)
+    assert np.all(np.abs(tiny.values) < np.finfo(np.float64).tiny)  # all subnormal
+    norms = np.linalg.norm(normalize_columns(tiny).values, axis=0)
+    assert np.all(np.abs(norms - 1.0) <= data.UNIT_NORM_TOL)
 
 
 def test_datamatrix_is_frozen():
@@ -591,8 +615,10 @@ def test_datamatrix_basis_checked():
 
 
 def test_normalized_matrix_enforces_unit_norm():
-    with pytest.raises(ValidationError):
-        NormalizedMatrix(2.0 * np.eye(3))
+    # 2^1000 overflows the norm: refused as not unit norm, with no warning
+    for scale in (2.0, 2.0 ** 1000):
+        with pytest.raises(ValidationError, match="not unit norm"):
+            NormalizedMatrix(scale * np.eye(3))
     NormalizedMatrix(np.eye(3))
     for bad in (np.nan, np.inf):
         v = np.eye(3)

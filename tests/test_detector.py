@@ -72,6 +72,17 @@ def test_roma_container_types_agree():
     np.testing.assert_array_equal(a.partition.outliers, b.partition.outliers)
 
 
+@pytest.mark.parametrize("flag", ["False", "no", 0.0, None, 1])
+def test_rank_disambiguate_takes_only_a_bool(flag, monkeypatch):
+    # refused before any work, not cast: "False" would swap labels as True does
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began")
+
+    monkeypatch.setattr(detector, "_normalized", no_work)
+    with pytest.raises(ValidationError, match="rank_disambiguate must be a bool"):
+        roma_n(planted(seed=9, num_points=80).matrix, rank_disambiguate=flag)
+
+
 def test_roma_mode_validation():
     ds = planted(seed=9, num_points=80)
     with pytest.raises(ValidationError):

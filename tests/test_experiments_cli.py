@@ -492,6 +492,9 @@ def test_cli_noiseless_flag(capsys):
     [],                                            # detect without --input
     ["--input", "/no/such/file.csv"],
     ["--experiment", "mixed", "--config", "/no/such/cfg.json"],
+    # noise sigmas of 0 and of infinity
+    *(["--experiment", "validate-threshold", f"--snr-db={snr_db}", "--trials", "1",
+       "--num-points", "50", "--gamma-grid", "0.2"] for snr_db in ("1e308", "-1e308")),
 ])
 def test_cli_exit_2_on_bad_input(argv, capsys):
     assert main(argv) == 2

@@ -246,6 +246,9 @@ def test_spec_validation():
     for seed in (-1, 1 << 64):
         with pytest.raises(ValidationError, match="seed must be a 64-bit unsigned integer"):
             base_spec(seed=seed)
+    for snr_db in (1e308, -1e308):  # a noise sigma of 0 and of infinity
+        with pytest.raises(ValidationError, match="snr_db"):
+            base_spec(snr_db=snr_db)
 
 
 def test_spec_takes_numpy_scalars():
