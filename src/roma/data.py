@@ -48,6 +48,10 @@ UNIT_NORM_TOL = 1e-12
 BASIS_ORTHO_TOL = 1e-10
 # Bytes per read of the loader's line count; its peak is a few of these.
 _SURVEY_CHUNK = 1 << 14
+# The largest budget, in bytes, of a run of lines the loader gives np.loadtxt.
+_PARSE_CHUNK = 1 << 20
+# The lines that hold a line end and nothing else.
+_LINE_ENDS = ("\n", "\r\n", "\r")
 
 
 class Label(enum.IntEnum):
@@ -175,8 +179,10 @@ class DataMatrix(_Columns):
         if not np.all(np.isfinite(values)):
             raise ValidationError("matrix entries must all be finite")
         zero = np.flatnonzero(~values.any(axis=0))
-        if zero.size:
-            raise ValidationError(f"zero columns at indices {zero.tolist()}")
+        if zero.size:  # the first ten, so that the message does not grow with N
+            shown = ", ".join(map(str, zero[:10].tolist()))
+            more = f", ...] ({zero.size} in all)" if zero.size > 10 else "]"
+            raise ValidationError(f"zero columns at indices [{shown}{more}")
         if self.labels is not None:
             labels = _integers(self.labels, "labels")
             if labels.shape != (values.shape[1],):
@@ -340,13 +346,121 @@ def _split(line: str) -> list[str]:
     ``csv.reader``, so a file loads or fails the same with or without a
     ``"``.  Splitting is about twice as fast as ``csv.reader``.
     """
-    if line in ("\n", "\r\n", "\r"):
+    if line in _LINE_ENDS:
         return []
     fields = line.split(",")
     limit = csv.field_size_limit()
     if len(line) > limit and any(len(f.rstrip("\r\n")) > limit for f in fields):
         raise csv.Error(f"field larger than field limit ({limit})")
     return fields
+
+
+class _Rows:
+    """The loader's one float64 array, filled in file order: a row at a
+    time through ``add``, or the lines of a file without ``"`` through
+    ``add_lines``.
+
+    ``records`` is the survey's count of the file's records, header
+    included.  The array is allocated at the first data row, at exactly the
+    size that remains, one point per column.
+    """
+
+    def __init__(self, records: int, by_column: bool):
+        self.records, self.by_column = records, by_column
+        self.arr = None
+        self.width = self.size = 0
+        self.budget = 0  # bytes an np.loadtxt call may hold; none until arr
+        self.i = 0  # rows read, header included
+        self.k = 0  # rows stored
+
+    def add(self, raw: list[str]) -> None:
+        """Store the next row's fields ``raw``, or skip row 1 as a header."""
+        self.i += 1
+        i, k = self.i, self.k
+        if self.arr is None:
+            if i == 1 and not any(_is_number(f) for f in raw):
+                return  # header row
+            self.width, self.size = len(raw), self.records - i + 1
+            self.arr = np.empty((self.width, self.size) if self.by_column
+                                else (self.size, self.width))
+            # a quarter of the matrix; a small one gets 16 KiB, about what
+            # the text reader's own buffers hold
+            self.budget = min(_PARSE_CHUNK, max(self.arr.nbytes // 4, 1 << 14))
+        if len(raw) != self.width:
+            raise ParseError(f"expected {self.width} fields, found {len(raw)}", row=i)
+        if k == self.size:
+            raise ParseError("file changed while it was read", row=i)
+        dest = self.arr[:, k] if self.by_column else self.arr[k]
+        try:
+            dest[:] = raw  # numpy parses each str with float()
+            clean = np.isfinite(dest).all()
+        except ValueError:
+            clean = False
+        if not clean:
+            # Field by field, to name the first bad one.  This also parses
+            # the few fields float() rejects only for padding that
+            # str.strip() removes (the ASCII separators \x1c-\x1f).
+            dest[:] = [_parse_field(f.strip(), i, j + 1) for j, f in enumerate(raw)]
+        self.k = k + 1
+
+    def _cost(self, count: int, text: int, longest: int) -> int:
+        """The bytes that ``count`` lines and np.loadtxt's parse of them
+        hold: their ``text``, 64 bytes a line for its str object and list
+        slot, their values, and a copy of the ``longest`` line at four bytes
+        a character."""
+        return text + (64 + 8 * self.width) * count + 4 * longest
+
+    def add_lines(self, lines) -> None:
+        """Store the rows of ``lines``, the lines of a file without ``"``,
+        in runs of consecutive lines, each ended by the first line at which
+        its cost reaches the budget."""
+        run, text, longest = [], 0, 0
+        for line in lines:
+            run.append(line)
+            text += len(line)
+            longest = max(longest, len(line))
+            if self._cost(len(run), text, longest) >= self.budget:
+                self._add_run(run, longest)
+                run, text, longest = [], 0, 0
+        if run:
+            self._add_run(run, longest)
+
+    def _add_run(self, run: list[str], longest: int) -> None:
+        """Store the rows of the lines ``run``, whose longest line has
+        ``longest`` characters.
+
+        One ``np.loadtxt`` call parses them when that line alone fits the
+        budget, so that the call holds less than twice the budget; the row
+        loop holds less for a line that does not.  The values are stored
+        only when every line gave a row of ``width`` finite values and no
+        field can exceed ``csv.field_size_limit()``.  The parser strips the
+        characters ``str.strip()`` strips and then ends in the routine that
+        ``float()`` ends in, which it reaches with a subset of the strings
+        that ``float()`` accepts (no ``1_000``, no Unicode digits), so each
+        value stored is ``float(field.strip())``.  Any other run goes
+        through ``add`` a row at a time, which names the first bad field.
+        So does a run with a bare line end, which ``np.loadtxt`` would skip.
+        """
+        k, count = self.k, len(run)
+        block = None
+        if (self._cost(1, longest, longest) <= self.budget and k + count <= self.size
+                and longest <= csv.field_size_limit()
+                and not any(end in run for end in _LINE_ENDS)):
+            try:
+                block = np.loadtxt(run, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                pass
+        if (block is None or block.shape != (count, self.width)
+                or not np.isfinite(block).all()):
+            for line in run:
+                self.add(_split(line))
+            return
+        if self.by_column:
+            self.arr[:, k:k + count] = block.T
+        else:
+            self.arr[k:k + count] = block
+        self.i += count
+        self.k = k + count
 
 
 def load_csv_matrix(path, orientation: str = "points-as-rows") -> DataMatrix:
@@ -365,26 +479,34 @@ def load_csv_matrix(path, orientation: str = "points-as-rows") -> DataMatrix:
     not UTF-8 is refused at the line of its first bad byte, before any row
     is parsed.
 
+    Parsing: a file without a ``"`` is parsed in runs of whole lines, each
+    by one ``np.loadtxt`` call, whose C parser gives each field the value
+    ``float()`` gives it (see ``_Rows._add_run``).  A run is kept only when
+    every line gave a row of finite values of the right width; any other
+    run, such as one with a bad field, a blank line or ``1_000``, is parsed
+    a row at a time with ``float()``, which names the first bad field.  So
+    the values and errors are those of a row-at-a-time parse.  A file with
+    a ``"`` is read a row at a time by ``csv.reader``, after it has counted
+    the records, since a quoted field may span lines.
+
     Memory: one pass over the file's bytes counts its records, and a second
-    parses each row straight into one float64 array of exactly the
-    matrix's size, already one point per column.  So the loader holds at
-    most about 1.5 times the matrix's bytes plus the text of one row.  A
-    file with a ``"`` has its records counted by ``csv.reader``, since a
-    quoted field may span lines.  Input that can be read only once, such as
-    a pipe, is first read whole into memory.
+    parses the rows straight into one float64 array of exactly the
+    matrix's size, already one point per column.  A run's lines and their
+    parse hold about a quarter of the matrix's bytes (at least 16 KiB, at
+    most ``_PARSE_CHUNK``); a line too long for that budget alone is parsed
+    a row at a time.  So the loader holds at most about 1.5 times the
+    matrix's bytes plus the text of one row.  Input that can be read only
+    once, such as a pipe, is first read whole into memory.
     """
     if orientation not in ORIENTATIONS:
         raise ValidationError(
             f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
-    by_column = orientation == "points-as-rows"
-    arr = None
     with open(path, "rb") as src:
         if not src.seekable():  # a pipe: keep its bytes to read them twice
             src = io.BytesIO(src.read())
         records, quoted = _survey(src)
         src.seek(0)
         fh = io.TextIOWrapper(src, encoding="utf-8-sig", newline="")
-        i = 0
         try:
             if quoted:  # a quoted field may span lines: count records, not lines
                 records = 0
@@ -394,38 +516,21 @@ def load_csv_matrix(path, orientation: str = "points-as-rows") -> DataMatrix:
                 except csv.Error:  # raised again below, after the rows before it
                     records += 1
                 fh.seek(0)
-            for raw in csv.reader(fh) if quoted else map(_split, fh):
-                i += 1
-                if arr is None:
-                    if i == 1 and not any(_is_number(f) for f in raw):
-                        continue  # header row
-                    width, k, size = len(raw), 0, records - i + 1
-                    arr = np.empty((width, size) if by_column else (size, width))
-                if len(raw) != width:
-                    raise ParseError(
-                        f"expected {width} fields, found {len(raw)}", row=i)
-                if k == size:
-                    raise ParseError("file changed while it was read", row=i)
-                dest = arr[:, k] if by_column else arr[k]
-                try:
-                    dest[:] = raw  # numpy parses each str with float()
-                    clean = np.isfinite(dest).all()
-                except ValueError:
-                    clean = False
-                if not clean:
-                    # Field by field, to name the first bad one.  This also
-                    # parses the few fields float() rejects only for padding
-                    # that str.strip() removes (the ASCII separators \x1c-\x1f).
-                    dest[:] = [_parse_field(f.strip(), i, j + 1) for j, f in enumerate(raw)]
-                k += 1
-                del raw  # so that the next row's fields are not made beside these
+            rows = _Rows(records, orientation == "points-as-rows")
+            if not quoted:
+                rows.add_lines(fh)
+            else:
+                for raw in csv.reader(fh):
+                    rows.add(raw)
+                    del raw  # so that the next row's fields are not made beside these
         except csv.Error as exc:  # a field over csv.field_size_limit()
-            raise ParseError(str(exc), row=i + 1) from None
+            raise ParseError(str(exc), row=rows.i + 1) from None
         except UnicodeDecodeError:  # the survey decoded every byte
             raise ParseError("file changed while it was read") from None
+    arr = rows.arr
     if arr is None:
         raise ParseError("no data rows found")
-    if k != size:
+    if rows.k != rows.size:
         raise ParseError("file changed while it was read")
     n, num_points = arr.shape
     if n < 3:

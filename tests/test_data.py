@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -347,6 +347,141 @@ def test_load_field_limit_does_not_depend_on_a_quote(tmp_path, extra):
         assert outcomes[0][2:] == (2, None)
 
 
+# --- runs of lines parsed by np.loadtxt --------------------------------------
+
+# whitespace that str.strip() strips, then a zero-width space and a NUL,
+# which it does not
+_PADDING = st.sampled_from(["", " ", "\t", "\u00a0", "\u2003", "\x1c", "\x1f",
+                            "\x0b", "\x0c", "\x85", "\u2028", "\u3000",
+                            "\u200b", "\x00"])
+
+
+@given(st.one_of(
+    _NUMBERS, _ODD_NUMBERS, _BAD_FIELDS,
+    st.from_regex(r"[+-]?[0-9]{0,4}\.?[0-9]{0,4}([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+    st.sampled_from([
+        "1_000", "1__0", "_1", "\u0661", "\u0661.\u0665", "\uff11", "\u00b2",
+        "\x00", "1\x00", "\x001", "1\x002", "0x10", "0X1p3", "nan", "-nan", "NaN",
+        "inf", "-Infinity", "infinity", "1e400", "-1e400", "1e-400", "1e", ".",
+        "1.5.2", "- 1", "1d3", "1e+_3"]),
+    st.text(max_size=6)),
+    _PADDING, _PADDING, st.sampled_from(["", "\n", "\r\n", "\r"]))
+@settings(max_examples=1000, deadline=None)
+def test_loadtxt_parses_a_field_only_as_float_does(field, before, after, end):
+    # The loader stores what np.loadtxt parses without asking float(); that
+    # is sound only while loadtxt accepts a subset of the fields float()
+    # accepts after str.strip(), and gives them the same bits
+    line = before + field + after + end
+    assume(line not in ("",) + data._LINE_ENDS)  # the loader never passes these
+    try:
+        got = np.loadtxt([line], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return
+    if got.shape != (1, 1):  # a comma: the loader's width check sees it
+        assert "," in field
+        return
+    want = float(line.strip())  # raises if loadtxt accepted more than float()
+    if math.isnan(want):
+        assert math.isnan(got[0, 0])
+    else:
+        assert got[0, 0].tobytes() == np.float64(want).tobytes(), (line, got, want)
+
+
+def _fixed_lines(rng, rows, width):
+    """``rows`` CSV lines of ``width`` fields, all of one length."""
+    return [",".join(f"{v:.3f}" for v in rng.uniform(1, 9, width)) + "\n"
+            for _ in range(rows)]
+
+
+@pytest.mark.parametrize("run", [1, 2, 3])
+@pytest.mark.parametrize("at", [6, -1], ids=["middle", "last"])
+@pytest.mark.parametrize("defect, line", [
+    ("blank line", "\n"),
+    ("ragged row", "1.5,2.5\n"),
+    ("nan", "1.5,nan,2.5\n"),
+    ("underscores", "1_000,2.5,3.5\n"),
+    ("unicode digit", "1.5,\u0661,3.5\n"),
+    ("padding", " 1.5 ,\t2.5\x0b,\u20033.5\u2028\n"),
+    ("overflow", "1.5,2.5,1e400\n"),
+    ("nul", "1.5,2\x00,3.5\n"),
+    ("long line", "1.5,2.50000," + "0" * 6 + "3.5\n"),
+    ("field over the limit", "1.5,2.5," + "0" * 18 + "3.5\n"),
+])
+def test_a_later_run_with_a_defect_matches_the_oracle(
+        tmp_path, monkeypatch, defect, line, at, run):
+    # runs of 1-3 lines, so that the defect falls in a run after several
+    # that np.loadtxt took; the field limit, 20, lies between the good
+    # lines' length and the over-limit field's, which a 3-line run fits
+    rng = np.random.default_rng(len(defect) + run)
+    lines = _fixed_lines(rng, int(rng.integers(10, 41)), 3)
+    size = len(lines[0])
+    lines[at] = line
+    if rng.integers(2):
+        lines.insert(0, "a,b,c\n")
+    path = tmp_path / "m.csv"
+    path.write_text("".join(lines), newline="")
+    monkeypatch.setattr(data, "_PARSE_CHUNK", run * (size + 64 + 8 * 3) + 4 * size)
+    default_limit = csv.field_size_limit(20)
+    loadtxt = np.loadtxt
+    calls = []
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(len(a[0])) or loadtxt(*a, **k))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # such as loadtxt's on a blank run
+            _same_as_oracle(path)
+    finally:
+        csv.field_size_limit(default_limit)
+    assert calls[0] == run  # the first run, before the defect, took loadtxt
+
+
+def test_a_run_holds_less_than_twice_the_budget(tmp_path, monkeypatch):
+    # lines of 18 and of 200 characters: a long line alone exceeds the
+    # budget, so it is parsed a row at a time, and no run that np.loadtxt
+    # takes holds more than the budget before its last line
+    rng = np.random.default_rng(12)
+    lines = _fixed_lines(rng, 40, 3)
+    for j in (5, 6, 17, 30):
+        lines[j] = lines[j].replace(",", " " * 91 + ",")
+    path = tmp_path / "m.csv"
+    path.write_text("".join(lines), newline="")
+    budget = 600
+    monkeypatch.setattr(data, "_PARSE_CHUNK", budget)
+    loadtxt = np.loadtxt
+    runs = []
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: runs.append(a[0]) or loadtxt(*a, **k))
+    _same_as_oracle(path)
+
+    def cost(run):  # the run's text, str objects and values; a four-byte line copy
+        return sum(map(len, run)) + (64 + 8 * 3) * len(run) + 4 * max(map(len, run))
+
+    assert runs
+    for run in runs:
+        assert cost([max(run, key=len)]) <= budget  # its longest line fits alone
+        assert len(run) == 1 or cost(run[:-1]) < budget  # it ends when it reaches it
+
+
+@pytest.mark.parametrize("orientation", data.ORIENTATIONS)
+@pytest.mark.parametrize("run", [1, 3, None], ids=["1", "3", "default"])
+def test_a_clean_file_never_enters_the_row_loop(tmp_path, monkeypatch, orientation, run):
+    # only the header and the first data row, which sets the width and
+    # allocates the matrix, are split and parsed a row at a time
+    values = _random_doubles(np.random.default_rng(11), (7, 60))
+    path = tmp_path / "clean.csv"
+    write_csv(values, path, orientation)
+    text = path.read_text()
+    path.write_text("h\r\n" + text, newline="")
+    if run is not None:
+        size = max(map(len, text.splitlines(keepends=True)))
+        width = len(text.splitlines()[0].split(","))
+        monkeypatch.setattr(data, "_PARSE_CHUNK", run * (size + 64 + 8 * width) + 4 * size)
+    split = data._split
+    seen = []
+    monkeypatch.setattr(data, "_split", lambda line: seen.append(line) or split(line))
+    m = load_csv_matrix(path, orientation)
+    assert m.values.tobytes() == values.tobytes()
+    assert seen == ["h\r\n", text.splitlines(keepends=True)[0]]
+
+
 @pytest.mark.parametrize("chunk", [1, 2, data._SURVEY_CHUNK])
 @pytest.mark.parametrize("body, line", [
     (b"1,2,3\n4,5,6\n7,\xff8,9\n", 3),
@@ -470,6 +605,17 @@ def test_datamatrix_zero_column_listed():
     vals[:, 1] = 0.0
     with pytest.raises(ValidationError, match=r"\[1\]"):
         DataMatrix(vals)
+
+
+def test_zero_column_message_does_not_grow_with_the_count():
+    vals = np.ones((3, 10**5))
+    vals[:, 7:] = 0.0
+    with pytest.raises(ValidationError) as exc:
+        DataMatrix(vals)
+    assert str(exc.value) == (
+        "zero columns at indices [7, 8, 9, 10, 11, 12, 13, 14, 15, 16, ...] (99993 in all)")
+    with pytest.raises(ValidationError, match=r"at indices \[0, 1, 2, 3, 4, 5, 6, 7, 8, 9\]$"):
+        DataMatrix(np.zeros((3, 10)))
 
 
 def test_zero_columns_are_those_of_zero_norm():
