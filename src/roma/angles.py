@@ -329,6 +329,8 @@ def gram_scan(x, zeta: float, *, count_na: bool = True) -> AngleScores:
     zeta = _check_real("zeta", zeta)
     if not (0.0 < zeta < _HALF_PI):
         raise ValidationError(f"threshold must lie in (0, pi/2), got {zeta!r}")
+    if not isinstance(count_na, bool):  # "False" would be truthy
+        raise ValidationError(f"count_na must be a bool, got {count_na!r}")
     v = _checked(x)
     n_pts = v.shape[1]
     dtype = _scan_dtype(v.shape[0])

@@ -337,28 +337,11 @@ def _line_ends(tail: bytes, chunk: bytes) -> int:
     return ends
 
 
-def _split(line: str) -> list[str]:
-    """``csv.reader``'s fields of a line without ``"``, terminator included.
-
-    The terminator stays in the last field, where ``float()`` and
-    ``str.strip()`` ignore it; a bare terminator is a row of no fields.  A
-    field longer than ``csv.field_size_limit()`` raises ``csv.Error`` as in
-    ``csv.reader``, so a file loads or fails the same with or without a
-    ``"``.  Splitting is about twice as fast as ``csv.reader``.
-    """
-    if line in _LINE_ENDS:
-        return []
-    fields = line.split(",")
-    limit = csv.field_size_limit()
-    if len(line) > limit and any(len(f.rstrip("\r\n")) > limit for f in fields):
-        raise csv.Error(f"field larger than field limit ({limit})")
-    return fields
-
-
 class _Rows:
-    """The loader's one float64 array, filled in file order: a row at a
-    time through ``add``, or the lines of a file without ``"`` through
-    ``add_lines``.
+    """The loader's one float64 array, filled in file order with the rows
+    ``csv.reader`` reads (``add_records``) or, the one shortcut, with runs
+    of the lines of a file without ``"`` that ``np.loadtxt`` takes
+    (``add_lines``).
 
     ``records`` is the survey's count of the file's records, header
     included.  The array is allocated at the first data row, at exactly the
@@ -403,6 +386,13 @@ class _Rows:
             dest[:] = [_parse_field(f.strip(), i, j + 1) for j, f in enumerate(raw)]
         self.k = k + 1
 
+    def add_records(self, lines) -> None:
+        """Store the rows that ``csv.reader`` reads from ``lines``, one at a
+        time."""
+        for raw in csv.reader(lines):
+            self.add(raw)
+            del raw  # so that the next row's fields are not made beside these
+
     def _cost(self, count: int, text: int, longest: int) -> int:
         """The bytes that ``count`` lines and np.loadtxt's parse of them
         hold: their ``text``, 64 bytes a line for its str object and list
@@ -438,8 +428,8 @@ class _Rows:
         ``float()`` ends in, which it reaches with a subset of the strings
         that ``float()`` accepts (no ``1_000``, no Unicode digits), so each
         value stored is ``float(field.strip())``.  Any other run goes
-        through ``add`` a row at a time, which names the first bad field.
-        So does a run with a bare line end, which ``np.loadtxt`` would skip.
+        through ``add_records``, which names the first bad field.  So does
+        a run with a bare line end, which ``np.loadtxt`` would skip.
         """
         k, count = self.k, len(run)
         block = None
@@ -452,8 +442,7 @@ class _Rows:
                 pass
         if (block is None or block.shape != (count, self.width)
                 or not np.isfinite(block).all()):
-            for line in run:
-                self.add(_split(line))
+            self.add_records(run)
             return
         if self.by_column:
             self.arr[:, k:k + count] = block.T
@@ -479,24 +468,27 @@ def load_csv_matrix(path, orientation: str = "points-as-rows") -> DataMatrix:
     not UTF-8 is refused at the line of its first bad byte, before any row
     is parsed.
 
-    Parsing: a file without a ``"`` is parsed in runs of whole lines, each
-    by one ``np.loadtxt`` call, whose C parser gives each field the value
-    ``float()`` gives it (see ``_Rows._add_run``).  A run is kept only when
-    every line gave a row of finite values of the right width; any other
-    run, such as one with a bad field, a blank line or ``1_000``, is parsed
-    a row at a time with ``float()``, which names the first bad field.  So
-    the values and errors are those of a row-at-a-time parse.  A file with
-    a ``"`` is read a row at a time by ``csv.reader``, after it has counted
-    the records, since a quoted field may span lines.
+    Parsing: ``csv.reader`` reads the rows and ``float()`` their fields, a
+    row at a time.  The one shortcut is for a file without a ``"``: runs of
+    its lines are each parsed by one ``np.loadtxt`` call, whose C parser
+    gives each field the value ``float()`` gives it (see
+    ``_Rows._add_run``), and kept when every line gave a row of finite
+    values of the right width.  So a file loads or fails as the running
+    Python's ``csv`` module reads it, with or without a ``"``: a NUL, for
+    one, is refused before Python 3.11.  A file with a ``"`` is read by
+    ``csv.reader`` alone, after it has counted the records, since a quoted
+    field may span lines.
 
     Memory: one pass over the file's bytes counts its records, and a second
     parses the rows straight into one float64 array of exactly the
     matrix's size, already one point per column.  A run's lines and their
     parse hold about a quarter of the matrix's bytes (at least 16 KiB, at
-    most ``_PARSE_CHUNK``); a line too long for that budget alone is parsed
-    a row at a time.  So the loader holds at most about 1.5 times the
-    matrix's bytes plus the text of one row.  Input that can be read only
-    once, such as a pipe, is first read whole into memory.
+    most ``_PARSE_CHUNK``).  A row read by ``csv.reader`` holds twice its
+    line's text and up to 100 bytes a field, and a field over 4096
+    characters up to 8 bytes a character more.  So the loader holds at most
+    1.5 times the matrix, plus what its longest line holds, plus 96 KiB (as
+    tracemalloc counts on CPython 3.11, for ASCII text).  Input that can be
+    read only once, such as a pipe, is first read whole into memory.
     """
     if orientation not in ORIENTATIONS:
         raise ValidationError(
@@ -517,13 +509,11 @@ def load_csv_matrix(path, orientation: str = "points-as-rows") -> DataMatrix:
                     records += 1
                 fh.seek(0)
             rows = _Rows(records, orientation == "points-as-rows")
-            if not quoted:
-                rows.add_lines(fh)
+            if quoted:
+                rows.add_records(fh)
             else:
-                for raw in csv.reader(fh):
-                    rows.add(raw)
-                    del raw  # so that the next row's fields are not made beside these
-        except csv.Error as exc:  # a field over csv.field_size_limit()
+                rows.add_lines(fh)
+        except csv.Error as exc:  # a field over the limit; a NUL before 3.11
             raise ParseError(str(exc), row=rows.i + 1) from None
         except UnicodeDecodeError:  # the survey decoded every byte
             raise ParseError("file changed while it was read") from None

@@ -259,6 +259,17 @@ def test_scan_domain_errors():
             gram_scan(v, bad)
 
 
+@pytest.mark.parametrize("flag", ["False", "no", 0.0, None, 1])
+def test_count_na_takes_only_a_bool(flag, monkeypatch):
+    # refused before any work, not cast: "False" would run a counted pass
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began")
+
+    monkeypatch.setattr(angles, "_checked", no_work)
+    with pytest.raises(ValidationError, match="count_na must be a bool"):
+        gram_scan(unit_cloud(3, 4, 15), 1.0, count_na=flag)
+
+
 def test_angle_scores_validation():
     with pytest.raises(DimensionError):
         AngleScores(q=np.zeros(3), na=np.zeros(4, dtype=int))

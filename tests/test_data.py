@@ -325,9 +325,8 @@ def test_load_cases_match_the_row_list_oracle(tmp_path, text):
 
 @pytest.mark.parametrize("extra", [0, 1])
 def test_load_field_limit_does_not_depend_on_a_quote(tmp_path, extra):
-    # without a '"' anywhere the rows are split, not read by csv.reader;
-    # a field's length limit must still be csv.reader's, and a field over it
-    # a ParseError at its row
+    # with or without a '"' anywhere, a field's length limit is
+    # csv.reader's, and a field over it a ParseError at its row
     long = "0" * (csv.field_size_limit() - 1 + extra) + "1"
     outcomes = []
     for first in ("1", '"1"'):
@@ -434,6 +433,38 @@ def test_a_later_run_with_a_defect_matches_the_oracle(
     assert calls[0] == run  # the first run, before the defect, took loadtxt
 
 
+def _refusing_nul(reader):
+    """``reader`` as Python 3.10's ``_csv`` reads: a line holding a NUL
+    raises ``csv.Error`` when the reader reaches it."""
+    def refusing(lines, *args, **kwargs):
+        def checked():
+            for line in lines:
+                if "\x00" in line:
+                    raise csv.Error("line contains NUL")
+                yield line
+        return reader(checked(), *args, **kwargs)
+    return refusing
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["quote-free", "quoted"])
+def test_nul_follows_the_running_csv_reader(tmp_path, monkeypatch, quote):
+    # csv.reader defines every row np.loadtxt does not take, so a reader
+    # that refuses NUL, as 3.10's does, refuses it in either kind of file
+    lines = _fixed_lines(np.random.default_rng(4), 20, 3)
+    size = len(lines[0])
+    lines[6] = "1.5,2\x00,3.5\n"
+    path = tmp_path / "m.csv"
+    path.write_text("".join(",".join(quote + f + quote for f in line[:-1].split(",")) + "\n"
+                            for line in lines), newline="")
+    # 1-line runs: np.loadtxt takes the lines before the NUL's
+    monkeypatch.setattr(data, "_PARSE_CHUNK", size + 64 + 8 * 3 + 4 * size)
+    monkeypatch.setattr(csv, "reader", _refusing_nul(csv.reader))
+    _same_as_oracle(path)
+    with pytest.raises(ParseError, match="line contains NUL") as exc:
+        load_csv_matrix(path)
+    assert (exc.value.row, exc.value.column) == (7, None)
+
+
 def test_a_run_holds_less_than_twice_the_budget(tmp_path, monkeypatch):
     # lines of 18 and of 200 characters: a long line alone exceeds the
     # budget, so it is parsed a row at a time, and no run that np.loadtxt
@@ -464,7 +495,7 @@ def test_a_run_holds_less_than_twice_the_budget(tmp_path, monkeypatch):
 @pytest.mark.parametrize("run", [1, 3, None], ids=["1", "3", "default"])
 def test_a_clean_file_never_enters_the_row_loop(tmp_path, monkeypatch, orientation, run):
     # only the header and the first data row, which sets the width and
-    # allocates the matrix, are split and parsed a row at a time
+    # allocates the matrix, are read and parsed a row at a time
     values = _random_doubles(np.random.default_rng(11), (7, 60))
     path = tmp_path / "clean.csv"
     write_csv(values, path, orientation)
@@ -474,12 +505,12 @@ def test_a_clean_file_never_enters_the_row_loop(tmp_path, monkeypatch, orientati
         size = max(map(len, text.splitlines(keepends=True)))
         width = len(text.splitlines()[0].split(","))
         monkeypatch.setattr(data, "_PARSE_CHUNK", run * (size + 64 + 8 * width) + 4 * size)
-    split = data._split
+    add = data._Rows.add
     seen = []
-    monkeypatch.setattr(data, "_split", lambda line: seen.append(line) or split(line))
+    monkeypatch.setattr(data._Rows, "add", lambda rows, raw: seen.append(raw) or add(rows, raw))
     m = load_csv_matrix(path, orientation)
     assert m.values.tobytes() == values.tobytes()
-    assert seen == ["h\r\n", text.splitlines(keepends=True)[0]]
+    assert seen == [["h"], text.splitlines()[0].split(",")]
 
 
 @pytest.mark.parametrize("chunk", [1, 2, data._SURVEY_CHUNK])
@@ -574,6 +605,32 @@ def test_load_memory_is_the_matrix_and_one_row(tmp_path, shape, orientation):
         tracemalloc.stop()
     assert m.values.tobytes() == values.tobytes()
     assert peak <= 1.5 * values.nbytes + row_bytes, peak / values.nbytes
+
+
+@pytest.mark.parametrize("shape, orientation", [
+    ((3, 20000), "points-as-columns"),  # lines too long for the run budget
+    ((1000, 3), "points-as-rows"),
+    ((10, 10), "points-as-rows"),  # a matrix smaller than the buffers
+])
+def test_load_memory_bound_holds_for_wide_lines_and_small_files(tmp_path, shape, orientation):
+    # the bound the docs state: 1.5 times the matrix, twice the longest
+    # line's text and 100 bytes per field of it, and 96 KiB of buffers
+    values = _random_doubles(np.random.default_rng(3), shape)
+    path = tmp_path / "m.csv"
+    write_csv(values, path, orientation)
+    with open(path, "rb") as fh:
+        row_bytes = max(map(len, fh))
+    fields = shape[1] if orientation == "points-as-columns" else shape[0]
+    load_csv_matrix(path, orientation)  # warm: imports and caches
+    tracemalloc.start()
+    try:
+        m = load_csv_matrix(path, orientation)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.values.tobytes() == values.tobytes()
+    bound = 1.5 * values.nbytes + 2 * row_bytes + 100 * fields + (96 << 10)
+    assert peak <= bound, (peak / values.nbytes, bound / values.nbytes)
 
 
 @pytest.mark.parametrize("orientation", data.ORIENTATIONS)
