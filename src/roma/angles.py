@@ -67,7 +67,7 @@ import math
 import numpy as np
 
 from .data import (UNIT_NORM_TOL, DataMatrix, NormalizedMatrix, _check_real, _freeze,
-                   _owned, _setstate)
+                   _integers, _owned, _setstate)
 from .errors import DimensionError, ValidationError
 
 __all__ = [
@@ -212,7 +212,8 @@ def _rounded(x, dtype, side: int) -> np.ndarray:
 class AngleScores:
     """Per-point angle statistics at a fixed threshold zeta: ``q`` is the
     nearest-neighbor acute angle, ``na`` counts acute angles strictly above
-    zeta.  Both are read-only 1-d arrays of one entry per point.
+    zeta.  Both are read-only 1-d arrays of one entry per point; a count
+    that is not an integer (a float, a bool, a string) is refused, not cast.
 
     Scores from a pass without counts (``gram_scan(..., count_na=False)``)
     hold that pass's unit columns and zeta in place of ``na``.  The first
@@ -224,7 +225,7 @@ class AngleScores:
     __setstate__ = _setstate
 
     def __init__(self, q, na):
-        q, na = _owned(q, np.float64), _owned(na, np.int64)
+        q, na = _owned(q, np.float64), _owned(_integers(na, "na"), np.int64)
         if q.shape != na.shape or q.ndim != 1:
             raise DimensionError("q and na must be 1-d arrays of equal length")
         self._q, self._na, self._pending = q, na, None

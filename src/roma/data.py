@@ -270,7 +270,10 @@ class SubspaceBasis:
         n, r = values.shape
         if not 1 <= r <= n:
             raise DimensionError(f"basis rank must lie in [1, {n}], got {r}")
-        if not np.allclose(values.T @ values, np.eye(r), atol=BASIS_ORTHO_TOL, rtol=0.0):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the test
+            orthonormal = np.allclose(values.T @ values, np.eye(r),
+                                      atol=BASIS_ORTHO_TOL, rtol=0.0)
+        if not orthonormal:
             raise ValidationError("basis columns are not orthonormal")
         object.__setattr__(self, "values", values)
 

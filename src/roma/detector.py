@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import AngleScores, _dot, gram_scan, sample_mean_angle
-from .data import (NormalizedMatrix, Partition, _freeze, _owned, _setstate,
-                   normalize_columns)
+from .data import (NormalizedMatrix, Partition, _freeze, _integers, _owned,
+                   _setstate, normalize_columns)
 from .errors import DegenerateRegimeError, ValidationError
 from .subspace import numerical_rank
 from .threshold import MODES, ThresholdSpec, compute_zeta, zeta_with_center
@@ -55,7 +55,8 @@ class RomaNResult:
     labels_swapped: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "na_survivors", _owned(self.na_survivors, np.int64))
+        na = _integers(self.na_survivors, "na_survivors")
+        object.__setattr__(self, "na_survivors", _owned(na, np.int64))
 
 
 def _normalized(m) -> NormalizedMatrix:

@@ -4,7 +4,7 @@ import _verdicts
 
 
 def pytest_collection_modifyitems(config, items):
-    # the Monte Carlo acceptance criteria take minutes; `-m "not slow"`
+    # the Monte Carlo acceptance criteria take about a minute; `-m "not slow"`
     # leaves the quick unit suites
     for item in items:
         if item.path.name == "test_acceptance.py":

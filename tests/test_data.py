@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import itertools
 import math
 import os
 import tracemalloc
@@ -15,7 +17,7 @@ from roma.angles import AngleScores
 from roma.data import (DataMatrix, Label, NormalizedMatrix, Partition,
                        SubspaceBasis, load_csv_matrix, normalize_columns,
                        write_csv)
-from roma.detector import roma
+from roma.detector import roma, roma_n
 from roma.errors import DimensionError, ParseError, ValidationError
 from roma.synth import SynthSpec, make_dataset
 
@@ -178,8 +180,12 @@ def test_csv_round_trip_exact(tmp_path):
     values = _random_doubles(rng, (7, 11))
     values[:5, 0] = [-0.0, 5e-324, 0.1, 1e16, 1e-05]
     values[3:, 1] = rng.standard_normal(4)
-    m = DataMatrix(values)
-    for orientation in ("points-as-rows", "points-as-columns"):
+    # and columns scaled by 2^-900 and 2^900, whose squares underflow and overflow
+    unit = rng.standard_normal((7, 11))
+    scaled = np.hstack([unit * 2.0 ** -900, unit * 2.0 ** 900])
+    for values, orientation in itertools.product(
+            (values, scaled), ("points-as-rows", "points-as-columns")):
+        m = DataMatrix(values)
         path = tmp_path / f"{orientation}.csv"
         write_csv(m, path, orientation)
         # one repr() per value, nothing else
@@ -777,6 +783,20 @@ def test_entries_that_are_not_numbers_are_refused_not_cast(build, given, kind):
         build(given)
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda na: AngleScores([0.1, 0.2], na), "na"),
+    (lambda na: dataclasses.replace(
+        roma_n(make_dataset(SynthSpec(n=10, num_points=20, rank=2, gamma=0.3, seed=1)).matrix),
+        na_survivors=na), "na_survivors"),
+], ids=["scores", "roma-n"])
+@pytest.mark.parametrize("given, shown", [
+    ([1.7, 2.2], "1.7"), ([True, False], "True"), (["1", "2"], "'1'"),
+], ids=["float", "bool", "str"])
+def test_counts_that_are_not_integers_are_refused_not_cast(build, name, given, shown):
+    with pytest.raises(ValidationError, match=f"{name} must be integers, got {shown}"):
+        build(given)
+
+
 def test_roma_leaves_the_callers_array_writeable():
     a = np.random.default_rng(0).standard_normal((10, 40))
     res = roma(a)
@@ -883,6 +903,10 @@ def test_subspace_basis_validation():
         SubspaceBasis(np.ones(4))
     with pytest.raises(DimensionError):
         SubspaceBasis(np.eye(3)[:, :0])
+    # B^T B overflows: the error, not numpy's overflow warning
+    for build in (SubspaceBasis, lambda b: DataMatrix(np.eye(3), true_basis=b)):
+        with pytest.raises(ValidationError, match="not orthonormal"):
+            build(np.full((3, 1), 1e200))
 
 
 # --- normalization ----------------------------------------------------------

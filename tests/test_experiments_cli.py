@@ -395,7 +395,8 @@ def test_cli_detect(planted, capsys):
 
 def test_cli_detect_two_stage_and_recover(planted, capsys):
     csv_path, _, _ = planted
-    code = main(["--input", str(csv_path), "--stage", "roma-n", "--recover"])
+    code = main(["--input", str(csv_path), "--stage", "roma-n", "--rank-disambiguate",
+                 "--recover", "--rank", "4"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["stage"] == "roma-n"
@@ -403,8 +404,16 @@ def test_cli_detect_two_stage_and_recover(planted, capsys):
     assert stage2["inlier_head"] != stage2["outlier_head"]
     assert set(stage2) >= {"stage1_outliers", "survivors", "na_survivors",
                            "labels_swapped"}
-    assert report["recovered"]["rank"] >= 1
-    assert len(report["recovered"]["basis"]) == 40
+    assert report["recovered"]["rank"] == 4
+    basis = np.array(report["recovered"]["basis"])
+    assert basis.shape == (40, 4)
+    assert np.abs(basis.T @ basis - np.eye(4)).max() <= 1e-10
+    # stage roma counts na in its own pass, roma-n in the shared one
+    assert main(["--input", str(csv_path), "--recover"]) == 0
+    one = json.loads(capsys.readouterr().out)
+    assert one["scores"]["na"] == report["scores"]["na"]
+    assert one["recovered"]["rank"] >= 1  # the auto rank
+    assert len(one["recovered"]["basis"]) == 40
 
 
 def test_cli_detect_rows_orientation(tmp_path, capsys):
@@ -415,6 +424,12 @@ def test_cli_detect_rows_orientation(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["num_points"] == 60
     assert sorted(report["outliers"]) == sorted(ds.outlier_indices.tolist())
+    # the same points as columns give the same report
+    export_dataset(ds, tmp_path / "columns.csv", "points-as-columns")
+    assert main(["--input", str(tmp_path / "columns.csv")]) == 0
+    columns = json.loads(capsys.readouterr().out)
+    assert report["outliers"] == columns["outliers"]
+    assert report["scores"]["q"] == columns["scores"]["q"]
 
 
 def test_cli_detect_numeric_labels(planted, tmp_path, capsys):
@@ -499,6 +514,22 @@ def test_cli_noiseless_flag(capsys):
 def test_cli_exit_2_on_bad_input(argv, capsys):
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_exit_2_on_a_nul_with_or_without_a_quote(planted, tmp_path, capsys):
+    # csv.reader reads a file with a '"', so the error is the one its
+    # quote-free copy gives, on any Python
+    csv_path, _, _ = planted
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()]
+    rows[0][0] = "2\x00"
+    errors = []
+    for quote in ("", '"'):
+        path = tmp_path / "nul.csv"
+        path.write_text("".join(",".join(quote + f + quote for f in fields) + "\n"
+                                for fields in rows))
+        assert main(["--input", str(path)]) == 2
+        errors.append(capsys.readouterr().err)
+    assert "(row 1" in errors[0] and errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("first", ["1", '"1"'])
@@ -688,11 +719,14 @@ def test_make_benchmark_script(tmp_path):
     with open(str(out) + ".json") as fh:
         side = json.load(fh)
     spec = SynthSpec(n=12, num_points=40, rank=3, gamma=0.25, seed=4, snr_db=30.0)
-    assert side["spec"] == spec_to_dict(spec)
     ds = make_dataset(spec)
-    assert side["labels"] == [Label(v).name.lower() for v in ds.matrix.labels]
-    assert side["sigma"] == ds.sigma
-    assert side["true_basis"] == ds.matrix.true_basis.tolist()
+    assert side == {
+        "orientation": "points-as-columns",
+        "spec": spec_to_dict(spec),
+        "sigma": ds.sigma,
+        "labels": [Label(v).name.lower() for v in ds.matrix.labels],
+        "true_basis": ds.matrix.true_basis.tolist(),
+    }
     loaded = load_csv_matrix(out, orientation="points-as-columns")
     assert np.array_equal(loaded.values, ds.matrix.values)
     # the CLI reads the file as written and flags the points the script scores
