@@ -212,8 +212,9 @@ def _rounded(x, dtype, side: int) -> np.ndarray:
 class AngleScores:
     """Per-point angle statistics at a fixed threshold zeta: ``q`` is the
     nearest-neighbor acute angle, ``na`` counts acute angles strictly above
-    zeta.  Both are read-only 1-d arrays of one entry per point; a count
-    that is not an integer (a float, a bool, a string) is refused, not cast.
+    zeta.  Both are read-only 1-d arrays of one entry per point.  Each q
+    must lie in [0, pi/2] and each count in [0, N - 1]; a count that is not
+    an integer (a float, a bool, a string) is refused, not cast.
 
     Scores from a pass without counts (``gram_scan(..., count_na=False)``)
     hold that pass's unit columns and zeta in place of ``na``.  The first
@@ -225,9 +226,13 @@ class AngleScores:
     __setstate__ = _setstate
 
     def __init__(self, q, na):
-        q, na = _owned(q, np.float64), _owned(_integers(na, "na"), np.int64)
+        q = _owned(q, np.float64)
+        na = _counts(na, "na", q.size)
         if q.shape != na.shape or q.ndim != 1:
             raise DimensionError("q and na must be 1-d arrays of equal length")
+        bad = q[~((q >= 0.0) & (q <= _HALF_PI))]  # NaN included
+        if bad.size:
+            raise ValidationError(f"q {bad[0]} lies outside [0, pi/2]")
         self._q, self._na, self._pending = q, na, None
 
     @classmethod
@@ -248,6 +253,18 @@ class AngleScores:
             v, zeta = self._pending
             self._na, self._pending = gram_scan(v, zeta).na, None
         return self._na
+
+
+def _counts(x, name: str, n_pts: int) -> np.ndarray:
+    """``x`` as read-only int64 counts of the other points among ``n_pts``,
+    so each in [0, n_pts - 1].  The range is checked before the cast, which
+    would wrap a count at or above 2^63, so the error names the count
+    given."""
+    arr = _integers(x, name)
+    bad = arr[(arr < 0) | (arr >= n_pts)]
+    if bad.size:
+        raise ValidationError(f"{name} count {bad[0]} lies outside [0, {n_pts - 1}]")
+    return _owned(arr, np.int64)
 
 
 def _block_rows(n_pts: int) -> int:

@@ -231,20 +231,21 @@ class Partition:
     num_points: int
 
     def __post_init__(self):
-        if (isinstance(self.num_points, bool) or not isinstance(self.num_points, (int, np.integer))
-                or self.num_points < 0):
-            raise ValidationError(f"num_points must be a count, got {self.num_points!r}")
+        num_points = _check_int("num_points", self.num_points)
+        if num_points < 0:
+            raise ValidationError(f"num_points must be a count, got {num_points}")
+        object.__setattr__(self, "num_points", num_points)
         # One rule: every listed index lies in [0, N) and each of the N
         # points is listed exactly once.
-        sides = [_indices(side, "partition", self.num_points)
+        sides = [_indices(side, "partition", num_points)
                  for side in (self.inliers, self.outliers)]
         listed = np.concatenate(sides)
-        counts = np.bincount(listed, minlength=self.num_points)
+        counts = np.bincount(listed, minlength=num_points)
         wrong = np.flatnonzero(counts != 1)
         if wrong.size:
             raise ValidationError(
                 f"point {wrong[0]} is listed {counts[wrong[0]]} times, not once")
-        mask = np.zeros(self.num_points, dtype=bool)
+        mask = np.zeros(num_points, dtype=bool)
         mask[sides[1]] = True
         object.__setattr__(self, "inliers", _freeze(np.flatnonzero(~mask)))
         object.__setattr__(self, "outliers", _freeze(np.flatnonzero(mask)))
@@ -346,13 +347,16 @@ class _Rows:
     of the lines of a file without ``"`` that ``np.loadtxt`` takes
     (``add_lines``).
 
-    ``records`` is the survey's count of the file's records, header
-    included.  The array is allocated at the first data row, at exactly the
-    size that remains, one point per column.
+    ``lines`` and ``nbytes`` are the survey's counts of the file's lines,
+    header included, and bytes.  The array is allocated at the first data
+    row, one point per column, and sized for every line that remains:
+    exactly the rows of a file whose records each take one line, and more
+    where a quoted field spans lines, but never more than 8 bytes a byte of
+    the file.
     """
 
-    def __init__(self, records: int, by_column: bool):
-        self.records, self.by_column = records, by_column
+    def __init__(self, lines: int, nbytes: int, by_column: bool):
+        self.lines, self.nbytes, self.by_column = lines, nbytes, by_column
         self.arr = None
         self.width = self.size = 0
         self.budget = 0  # bytes an np.loadtxt call may hold; none until arr
@@ -366,7 +370,10 @@ class _Rows:
         if self.arr is None:
             if i == 1 and not any(_is_number(f) for f in raw):
                 return  # header row
-            self.width, self.size = len(raw), self.records - i + 1
+            # each row from here on has width - 1 commas and, but for the
+            # last, a line end, so there are at most (nbytes + 1) // width
+            self.width = len(raw)
+            self.size = min(self.lines - i + 1, (self.nbytes + 1) // max(1, self.width))
             self.arr = np.empty((self.width, self.size) if self.by_column
                                 else (self.size, self.width))
             # a quarter of the matrix; a small one gets 16 KiB, about what
@@ -389,12 +396,14 @@ class _Rows:
             dest[:] = [_parse_field(f.strip(), i, j + 1) for j, f in enumerate(raw)]
         self.k = k + 1
 
-    def add_records(self, lines) -> None:
+    def add_records(self, lines) -> int:
         """Store the rows that ``csv.reader`` reads from ``lines``, one at a
-        time."""
-        for raw in csv.reader(lines):
+        time, and return the number of lines it read."""
+        reader = csv.reader(lines)
+        for raw in reader:
             self.add(raw)
             del raw  # so that the next row's fields are not made beside these
+        return reader.line_num
 
     def _cost(self, count: int, text: int, longest: int) -> int:
         """The bytes that ``count`` lines and np.loadtxt's parse of them
@@ -479,19 +488,22 @@ def load_csv_matrix(path, orientation: str = "points-as-rows") -> DataMatrix:
     values of the right width.  So a file loads or fails as the running
     Python's ``csv`` module reads it, with or without a ``"``: a NUL, for
     one, is refused before Python 3.11.  A file with a ``"`` is read by
-    ``csv.reader`` alone, after it has counted the records, since a quoted
-    field may span lines.
+    ``csv.reader`` alone, in one pass, since a quoted field may span lines.
 
-    Memory: one pass over the file's bytes counts its records, and a second
-    parses the rows straight into one float64 array of exactly the
-    matrix's size, already one point per column.  A run's lines and their
-    parse hold about a quarter of the matrix's bytes (at least 16 KiB, at
-    most ``_PARSE_CHUNK``).  A row read by ``csv.reader`` holds twice its
-    line's text and up to 100 bytes a field, and a field over 4096
-    characters up to 8 bytes a character more.  So the loader holds at most
-    1.5 times the matrix, plus what its longest line holds, plus 96 KiB (as
-    tracemalloc counts on CPython 3.11, for ASCII text).  Input that can be
-    read only once, such as a pipe, is first read whole into memory.
+    Memory: one pass over the file's bytes counts its lines, and a second
+    parses the rows straight into one float64 array, already one point per
+    column, with a row or column for each line but at most 8 bytes a byte
+    of the file.  That is exactly the matrix, unless quoted fields span
+    lines.  The rows left unfilled are then dropped: with points as columns
+    the matrix is a view of the rows filled, and with points as rows a copy
+    of them, one matrix more than the bound below.  A run's lines and their parse hold about a quarter of
+    the matrix's bytes (at least 16 KiB, at most ``_PARSE_CHUNK``).  A row
+    read by ``csv.reader`` holds twice its line's text and up to 100 bytes a
+    field, and a field over 4096 characters up to 8 bytes a character more.
+    So the loader holds at most 1.5 times the matrix, plus what its longest
+    line holds, plus 96 KiB (as tracemalloc counts on CPython 3.11, for
+    ASCII text).  Input that can be read only once, such as a pipe, is
+    first read whole into memory.
     """
     if orientation not in ORIENTATIONS:
         raise ValidationError(
@@ -499,23 +511,17 @@ def load_csv_matrix(path, orientation: str = "points-as-rows") -> DataMatrix:
     with open(path, "rb") as src:
         if not src.seekable():  # a pipe: keep its bytes to read them twice
             src = io.BytesIO(src.read())
-        records, quoted = _survey(src)
+        lines, quoted = _survey(src)
+        rows = _Rows(lines, src.tell(), orientation == "points-as-rows")
         src.seek(0)
         fh = io.TextIOWrapper(src, encoding="utf-8-sig", newline="")
         try:
-            if quoted:  # a quoted field may span lines: count records, not lines
-                records = 0
-                try:
-                    for _ in csv.reader(fh):
-                        records += 1
-                except csv.Error:  # raised again below, after the rows before it
-                    records += 1
-                fh.seek(0)
-            rows = _Rows(records, orientation == "points-as-rows")
-            if quoted:
-                rows.add_records(fh)
-            else:
+            if not quoted:
                 rows.add_lines(fh)
+            elif rows.add_records(fh) == lines and rows.k < rows.size:
+                # quoted fields spanned lines: drop the rows left unfilled
+                rows.size = k = rows.k
+                rows.arr = rows.arr[:, :k] if rows.by_column else rows.arr[:k]
         except csv.Error as exc:  # a field over the limit; a NUL before 3.11
             raise ParseError(str(exc), row=rows.i + 1) from None
         except UnicodeDecodeError:  # the survey decoded every byte

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import AngleScores, _dot, gram_scan, sample_mean_angle
-from .data import (NormalizedMatrix, Partition, _freeze, _integers, _owned,
-                   _setstate, normalize_columns)
+from .angles import AngleScores, _counts, _dot, gram_scan, sample_mean_angle
+from .data import NormalizedMatrix, Partition, _freeze, _setstate, normalize_columns
 from .errors import DegenerateRegimeError, ValidationError
 from .subspace import numerical_rank
 from .threshold import MODES, ThresholdSpec, compute_zeta, zeta_with_center
@@ -55,8 +54,8 @@ class RomaNResult:
     labels_swapped: bool
 
     def __post_init__(self):
-        na = _integers(self.na_survivors, "na_survivors")
-        object.__setattr__(self, "na_survivors", _owned(na, np.int64))
+        object.__setattr__(self, "na_survivors", _counts(
+            self.na_survivors, "na_survivors", self.partition.num_points))
 
 
 def _normalized(m) -> NormalizedMatrix:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import itertools
 import math
 import os
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from roma import data
-from roma.angles import AngleScores
+from roma.angles import AngleScores, gram_scan
 from roma.data import (DataMatrix, Label, NormalizedMatrix, Partition,
                        SubspaceBasis, load_csv_matrix, normalize_columns,
                        write_csv)
@@ -319,6 +320,7 @@ def test_load_matches_the_row_list_oracle(tmp_path_factory, body, chunk, limit):
     " 1 ,\t2\t,\u00a03\u2003\n1_000,5,\x1c6\x1f\n7,8,9\n",  # padding, underscores
     "1,2,3\n4,nan,6\n", "1,2,3\n4,inf,6\n", "1,2,3\n4,1e400,6\n",  # non-finite
     "1,2,3\n4,5\n7,8,9\n", "1,2,3\n4,5,6,7\n",  # ragged
+    "1,2,3\n4,5,6\n,,",  # a last row of the fewest bytes the array is sized for
     "1\n2\n3\n", "1\n2\n",  # a single column
     "1,2\n3,4\n5,6\n",  # too few dimensions one way
     "", "x,y,z\n", "\n\n",  # no data
@@ -569,16 +571,98 @@ def test_a_file_that_changes_after_the_survey(tmp_path, monkeypatch, first, chan
         return counted
 
     monkeypatch.setattr(data, "_survey", survey_then_change)
+    # the survey's line count sizes a file with a '"' too, so a file that
+    # gained or lost rows since is refused, not read as it now stands
+    with pytest.raises(ParseError, match="^file changed while it was read"):
+        load_csv_matrix(path)
+
+
+@st.composite
+def quoted_files(draw):
+    """CSV bytes with a '"': quoted fields that hold commas, doubled quotes
+    and any line end, under any mix of line ends, with or without a final
+    line end and a byte-order mark."""
+    end = st.sampled_from(["\n", "\r\n", "\r"])
+
+    def field():
+        if draw(st.booleans()):
+            parts = st.one_of(end, st.sampled_from(["1", "2.5", ",", '""', " "]))
+            return '"' + "".join(draw(st.lists(parts, max_size=5))) + '"'
+        return draw(st.sampled_from(["", "1", "2.5", " 3 "]))
+
+    lines = [[field() for _ in range(draw(st.integers(1, 4)))]
+             for _ in range(draw(st.integers(1, 6)))]
+    ends = [draw(end) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""  # no final line end
+    text = "".join(",".join(row) + e for row, e in zip(lines, ends))
+    assume('"' in text)
+    return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode()
+
+
+@given(quoted_files(), st.sampled_from([1, 2, 3, data._SURVEY_CHUNK]))
+@settings(max_examples=300, deadline=None)
+def test_the_survey_counts_the_lines_csv_reader_reads(body, chunk):
+    # the loader sizes a file with a '"' by the survey's line count and
+    # trims the rows left unfilled only when csv.reader read that many lines
+    default_chunk = data._SURVEY_CHUNK
+    data._SURVEY_CHUNK = chunk
     try:
-        m = load_csv_matrix(path)
-    except ParseError as exc:
-        assert str(exc).startswith("file changed while it was read")
-        # csv.reader recounts the records of a file with a '"' after the
-        # survey, so only a byte that is not UTF-8 can surprise its parse
-        assert first == "1" or b"\xff" in path.read_bytes()
-    else:
-        assert first == '"1"'
-        np.testing.assert_array_equal(m.values, csv_oracle(path).values)
+        lines, quoted = data._survey(io.BytesIO(body))
+    finally:
+        data._SURVEY_CHUNK = default_chunk
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(body), encoding="utf-8-sig", newline=""))
+    assert quoted and len(list(reader)) <= lines == reader.line_num
+
+
+@pytest.mark.parametrize("orientation", data.ORIENTATIONS)
+@pytest.mark.parametrize("text", [
+    '"x","y","z"\n"1","2","3"\n4,"5",6\r\n7,8,"9"\n',  # one line a record
+    '"x\ny",z,w\r\n1,"2\r\n",3\n4,5,6\r"7\r",8,"9\n\n"',  # records that span lines
+], ids=["one-line-records", "spanning-records"])
+def test_a_quoted_file_takes_one_csv_reader_pass(tmp_path, monkeypatch, orientation, text):
+    path = tmp_path / "m.csv"
+    path.write_text(text, newline="")
+    reader = csv.reader
+    passes = []
+
+    def counted(lines, *args, **kwargs):
+        passes.append(0)
+
+        def read():
+            for line in lines:
+                passes[-1] += 1
+                yield line
+        return reader(read(), *args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", counted)
+    m = load_csv_matrix(path, orientation)
+    assert passes == [len(path.read_bytes().splitlines())]
+    monkeypatch.undo()
+    assert m.values.tobytes() == csv_oracle(path, orientation).values.tobytes()
+    assert m.values.shape == (3, 3) and m.values.flags.c_contiguous
+
+
+@pytest.mark.parametrize("orientation", data.ORIENTATIONS)
+@pytest.mark.parametrize("tail", [
+    '"2' + "\n" * 2000 + '",' + ",".join(["1"] * 999) + "\n",  # a field over 2000 lines
+    "\n" * 2000,  # blank lines, refused at row 2
+], ids=["quoted-field-spans-lines", "blank-lines"])
+def test_lines_that_hold_no_row_cost_no_array(tmp_path, orientation, tail):
+    # the survey's 2002 lines would size a 16 MB array for two rows of a
+    # 1000 fields; each row takes at least a byte a field, so the array
+    # stays within 8 bytes a byte of the file
+    path = tmp_path / "m.csv"
+    path.write_text(",".join(["1"] * 1000) + "\n" + tail + ",".join(["3"] * 1000) + "\n",
+                    newline="")
+    _same_as_oracle(path)
+    tracemalloc.start()
+    try:
+        _outcome(load_csv_matrix, path, orientation)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * path.stat().st_size + (256 << 10), peak
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
@@ -594,12 +678,16 @@ def test_load_reads_a_pipe():
     np.testing.assert_array_equal(m.values, [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
 
 
+@pytest.mark.parametrize("quote", ["", '"'], ids=["quote-free", "quoted"])
 @pytest.mark.parametrize("shape", [(100, 2000), (50, 500)])
 @pytest.mark.parametrize("orientation", data.ORIENTATIONS)
-def test_load_memory_is_the_matrix_and_one_row(tmp_path, shape, orientation):
+def test_load_memory_is_the_matrix_and_one_row(tmp_path, shape, orientation, quote):
     values = _random_doubles(np.random.default_rng(3), shape)
     path = tmp_path / "m.csv"
     write_csv(values, path, orientation)
+    if quote:  # every field quoted: csv.reader reads every row
+        path.write_text("".join(",".join(quote + f + quote for f in line.split(",")) + "\r\n"
+                                for line in path.read_text().splitlines()), newline="")
     with open(path, "rb") as fh:
         row_bytes = max(map(len, fh))
     load_csv_matrix(path, orientation)  # warm: imports and caches
@@ -783,6 +871,10 @@ def test_entries_that_are_not_numbers_are_refused_not_cast(build, given, kind):
         build(given)
 
 
+_ROMA_N = roma_n(make_dataset(SynthSpec(n=10, num_points=20, rank=2, gamma=0.3, seed=1)).matrix)
+_SURVIVORS = _ROMA_N.na_survivors.size
+
+
 @pytest.mark.parametrize("build, name", [
     (lambda na: AngleScores([0.1, 0.2], na), "na"),
     (lambda na: dataclasses.replace(
@@ -795,6 +887,38 @@ def test_entries_that_are_not_numbers_are_refused_not_cast(build, given, kind):
 def test_counts_that_are_not_integers_are_refused_not_cast(build, name, given, shown):
     with pytest.raises(ValidationError, match=f"{name} must be integers, got {shown}"):
         build(given)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: AngleScores([0.1], [-1]), r"na count -1 lies outside \[0, 0\]"),
+    (lambda: AngleScores([0.1, 0.2], [5, 0]), r"na count 5 lies outside \[0, 1\]"),
+    (lambda: AngleScores([0.1, 0.2], [2**62, 0]), f"na count {2**62} lies outside"),
+    (lambda: AngleScores([0.1, 0.2], [2**64, 0]), f"na count {2**64} lies outside"),
+    (lambda: AngleScores([0.1, np.nan], [0, 0]), r"q nan lies outside \[0, pi/2\]"),
+    (lambda: AngleScores([-1.0, 0.1], [0, 0]), r"q -1.0 lies outside \[0, pi/2\]"),
+    (lambda: AngleScores([0.1, 7.0], [0, 0]), r"q 7.0 lies outside \[0, pi/2\]"),
+    (lambda: AngleScores([0.1, np.nextafter(np.pi / 2, 2)], [0, 0]), "lies outside"),
+    (lambda: dataclasses.replace(_ROMA_N, na_survivors=[-3] * _SURVIVORS),
+     r"na_survivors count -3 lies outside \[0, 19\]"),
+    (lambda: dataclasses.replace(_ROMA_N, na_survivors=[20] * _SURVIVORS),
+     r"na_survivors count 20 lies outside \[0, 19\]"),
+    (lambda: dataclasses.replace(_ROMA_N, na_survivors=[2**64] * _SURVIVORS),
+     f"na_survivors count {2**64} lies outside"),
+], ids=["na-negative", "na-above", "na-2^62", "na-2^64", "q-nan", "q-negative",
+        "q-above", "q-just-above", "survivors-negative", "survivors-above",
+        "survivors-2^64"])
+def test_scores_outside_their_range_are_refused(build, match):
+    with pytest.raises(ValidationError, match=match):
+        build()
+
+
+def test_the_scans_own_scores_pass_their_range_checks():
+    # orthogonal points: every q is pi/2 and every count N - 1, the tops of
+    # their ranges
+    scores = gram_scan(np.eye(4), 1.0, count_na=True)
+    assert scores.q.tolist() == [math.pi / 2] * 4 and scores.na.tolist() == [3] * 4
+    # a survivor's na is at least the stage-1 outlier count
+    assert _ROMA_N.stage1.partition.outliers.size and _ROMA_N.na_survivors.min() >= 0
 
 
 def test_roma_leaves_the_callers_array_writeable():
@@ -866,8 +990,8 @@ def test_partition_validation():
     ([0, 1], [2], 4, "point 3 is listed 0 times"),
     ([0, 1], [2], 2, r"index 2 lies outside \[0, 2\)"),
     ([], [], -1, "num_points must be a count, got -1"),
-    ([0, 1], [2], 3.0, "num_points must be a count, got 3.0"),
-    ([0], [], True, "num_points must be a count, got True"),
+    ([0, 1], [2], 3.0, "num_points must be an integer, got 3.0"),
+    ([0], [], True, "num_points must be an integer, got True"),
     ([0.7], [], 1, "partition indices must be integers, got 0.7"),
     ([1.9, 0], [], 2, "partition indices must be integers, got 1.9"),
     (["0"], [], 1, "partition indices must be integers, got '0'"),
